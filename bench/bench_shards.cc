@@ -158,8 +158,10 @@ WorkloadResult ServeWorkload(serving::ShardedDatabase& sharded,
   result.pruned_legs = pruned_legs.load();
 
   // Simulated tier throughput: replay the workload through Explain to get
-  // per-shard legs, price each executed leg's demand I/O (cache-invariant)
-  // with the DiskModel, and bottleneck on the most-loaded shard's disk.
+  // per-shard legs, price each executed leg's demand I/O (invariant to pool
+  // state; on this warm tier it leaves out the node reads the decoded-node
+  // caches absorbed) with the DiskModel, and bottleneck on the most-loaded
+  // shard's disk.
   const DiskModel model(options.disk_model);
   std::vector<double> shard_load_ms(sharded.num_shards(), 0.0);
   for (const DistanceFirstQuery& q : queries) {

@@ -275,14 +275,18 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   echo "== AddressSanitizer build =="
   cmake -B build-asan -S . -DIR2_SANITIZE="address;undefined" \
     -DCMAKE_BUILD_TYPE=Debug
+  # The serving suites ride along: a warm tier hands decoded nodes out as
+  # shared_ptrs from tier-owned node caches, so the cache/tree destruction
+  # order on tier teardown is checked here.
   cmake --build build-asan -j "$jobs" --target \
     node_cache_test cold_regime_regression_test ir2_tree_test rtree_test \
-    algorithms_test simd_test file_device_async_test
+    algorithms_test simd_test file_device_async_test sharded_database_test \
+    server_loop_test
   # Both SIMD ways here too: the dispatched kernels read signature and
   # posting buffers in wide chunks, exactly where an out-of-bounds read
   # would hide from the scalar tier.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test'
+    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test)$'
   IR2_DISABLE_SIMD=1 ctest --test-dir build-asan --output-on-failure \
     -R 'cold_regime_regression_test|simd_test'
 fi

@@ -74,13 +74,8 @@ StatusOr<BatchResults> BatchExecutor::RunDatabase(
     BlockDevice* device;
   };
   std::vector<TreeCtx> trees;
-  for (RTreeBase* tree : {static_cast<RTreeBase*>(db_->rtree()),
-                          static_cast<RTreeBase*>(db_->ir2_tree()),
-                          static_cast<RTreeBase*>(db_->mir2_tree()),
-                          static_cast<RTreeBase*>(db_->kc_tree())}) {
-    if (tree != nullptr) {
-      trees.push_back(TreeCtx{tree, tree->pool()->device()});
-    }
+  for (RTreeBase* tree : db_->trees()) {
+    trees.push_back(TreeCtx{tree, tree->pool()->device()});
   }
   // Per-thread I/O accounting and cold cursor resets cover every distinct
   // device a query of any algorithm can touch.

@@ -448,15 +448,23 @@ Status SpatialKeywordDatabase::DropCaches() {
   }
   // A decoded-node cache attached to a tree would also short-circuit cold
   // reads; drop it so cold_queries keeps its per-query purity.
-  for (RTreeBase* tree : {static_cast<RTreeBase*>(rtree_.get()),
-                          static_cast<RTreeBase*>(ir2_.get()),
-                          static_cast<RTreeBase*>(mir2_.get()),
-                          static_cast<RTreeBase*>(kc_.get())}) {
-    if (tree != nullptr && tree->node_cache() != nullptr) {
+  for (RTreeBase* tree : trees()) {
+    if (tree->node_cache() != nullptr) {
       tree->node_cache()->Clear();
     }
   }
   return Status::Ok();
+}
+
+std::vector<RTreeBase*> SpatialKeywordDatabase::trees() const {
+  std::vector<RTreeBase*> built;
+  for (RTreeBase* tree : {static_cast<RTreeBase*>(rtree_.get()),
+                          static_cast<RTreeBase*>(ir2_.get()),
+                          static_cast<RTreeBase*>(mir2_.get()),
+                          static_cast<RTreeBase*>(kc_.get())}) {
+    if (tree != nullptr) built.push_back(tree);
+  }
+  return built;
 }
 
 void SpatialKeywordDatabase::ResetIoStats() {
@@ -595,6 +603,7 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
   const IoStats demand_before = PoolThreadIo();
   const IoStats physical_before = DeviceThreadIo();
   const IoStats speculative_before = SchedulerIo();
+  const uint64_t decodes_before = RTreeBase::ThreadNodeDecodes();
   // One kQuery span per query (covering the algorithm and the drain);
   // free when no tracer is installed.
   obs::TraceSpan query_span(obs::SpanKind::kQuery);
@@ -610,6 +619,7 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
   local.io = DeviceThreadIo() - physical_before;
   local.demand_io = PoolThreadIo() - demand_before;
   local.speculative_io = SchedulerIo() - speculative_before;
+  local.node_decodes = RTreeBase::ThreadNodeDecodes() - decodes_before;
   const DiskModel model(options_.disk_model);
   local.simulated_disk_ms =
       model.Ms(local.io) + model.Ms(local.speculative_io);
@@ -1082,7 +1092,9 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   }
 
   obs::ExplainSection* traversal = report.AddSection("Traversal");
-  traversal->AddRow("nodes visited", obs::FormatCount(stats.nodes_visited));
+  traversal->AddRow("nodes visited / decoded",
+                    obs::FormatCount(stats.nodes_visited) + " / " +
+                        obs::FormatCount(stats.node_decodes));
   traversal->AddRow("entries pruned (signature)",
                     obs::FormatCount(stats.entries_pruned));
   traversal->AddRow("objects loaded", obs::FormatCount(stats.objects_loaded));
@@ -1370,13 +1382,8 @@ Status SpatialKeywordDatabase::Save(const std::string& directory) {
                            "): " + ec.message());
   }
   // Make sure every dirty page and superblock is on its device.
-  for (RTreeBase* tree : {static_cast<RTreeBase*>(rtree_.get()),
-                          static_cast<RTreeBase*>(ir2_.get()),
-                          static_cast<RTreeBase*>(mir2_.get()),
-                          static_cast<RTreeBase*>(kc_.get())}) {
-    if (tree != nullptr) {
-      IR2_RETURN_IF_ERROR(tree->Flush());
-    }
+  for (RTreeBase* tree : trees()) {
+    IR2_RETURN_IF_ERROR(tree->Flush());
   }
 
   IR2_RETURN_IF_ERROR(SaveDevice(object_device_.get(), directory,

@@ -282,6 +282,9 @@ class SpatialKeywordDatabase {
   KcTree* kc_tree() { return kc_.get(); }
   const KcVocabulary* kc_vocabulary() const { return kc_vocab_.get(); }
   InvertedIndex* inverted_index() { return iio_.get(); }
+  // Every built tree — R-Tree, IR2, MIR2, KC, in that order; structures
+  // that were not built are skipped.
+  std::vector<RTreeBase*> trees() const;
   // Cost-based planner behind Algorithm::kAuto (null iff build_planner was
   // disabled). Thread-safe: Plan and RecordOutcome may run concurrently
   // from BatchExecutor workers.

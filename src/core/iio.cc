@@ -1,6 +1,7 @@
 #include "core/iio.h"
 
 #include <algorithm>
+#include <string>
 
 #include "geo/point.h"
 #include "obs/metrics.h"
@@ -77,14 +78,18 @@ StatusOr<std::vector<QueryResult>> IioTopK(const InvertedIndex& index,
     }
   }
 
-  // Lines 4-8: fetch every object in V and compute its distance.
+  // Lines 4-8: fetch every object in V and compute its distance. One
+  // record and one line buffer are recycled across candidates (LoadInto:
+  // the same device reads as Load, without a fresh allocation per object).
   const Rect target = query.Target();
   std::vector<QueryResult> candidates;
   candidates.reserve(intersection.size());
+  StoredObject object;
+  std::string line;
   for (ObjectRef ref : intersection) {
     obs::TraceSpan verify_span(obs::SpanKind::kObjectVerify, ref);
     obs::DefaultMetrics().objects_verified->Add();
-    IR2_ASSIGN_OR_RETURN(StoredObject object, objects.Load(ref));
+    IR2_RETURN_IF_ERROR(objects.LoadInto(ref, &object, &line));
     if (stats != nullptr) {
       ++stats->objects_loaded;
     }

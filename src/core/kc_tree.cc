@@ -290,6 +290,10 @@ void KcTree::QueryBitsInto(std::span<const uint64_t> keyword_hashes,
 }
 
 void KcEntryFilter::PrepareNode(const Node& node) {
+  // The cursor tests every entry of an expanded node, so the node's tests
+  // are counted once here rather than with a global atomic per entry.
+  obs::DefaultMetrics().kctree_bitmap_tests->Add(node.entries.size());
+  if (stats != nullptr) stats->kc_bitmap_tests += node.entries.size();
   if (batch == nullptr) return;
   const simd::BytesContainFn contains = simd::ActiveBytesContainFn();
   const uint64_t* query_words = query_bits->words().data();
@@ -311,7 +315,6 @@ void KcEntryFilter::PrepareNode(const Node& node) {
 
 bool KcEntryFilter::operator()(const Node& node, const Entry& entry) const {
   obs::TraceSpan span(obs::SpanKind::kSignatureTest, entry.ref);
-  obs::DefaultMetrics().kctree_bitmap_tests->Add();
   bool matches;
   const size_t index = static_cast<size_t>(&entry - node.entries.data());
   if (batch != nullptr && batch->entries_base == node.entries.data() &&
@@ -320,7 +323,6 @@ bool KcEntryFilter::operator()(const Node& node, const Entry& entry) const {
   } else {
     matches = PayloadContainsSignature(entry.payload, *query_bits);
   }
-  if (stats != nullptr) ++stats->kc_bitmap_tests;
   if (matches) {
     return true;
   }

@@ -192,7 +192,9 @@ class KcPayloadSource final : public PayloadSource {
 // bit-identical across tiers), operator() reads its entry's flag and, on a
 // prune, attributes it — scalar, prune path only — to the first hot
 // cluster with a missing bit, or to the cold signature when the whole
-// bitmap was contained. All counting lives in operator().
+// bitmap was contained. PrepareNode counts the node's entry tests (the
+// cursor tests every entry of an expanded node); operator() counts the
+// prunes. Use it only through a cursor that calls PrepareNode.
 struct KcEntryFilter {
   const KcVocabulary* vocab = nullptr;
   const Signature* query_bits = nullptr;  // One width for all levels.

@@ -75,6 +75,11 @@ struct QueryStats {
   // Tree nodes visited / entries pruned by the signature test.
   uint64_t nodes_visited = 0;
   uint64_t entries_pruned = 0;
+  // Node deserializations the query thread performed (RTreeBase::LoadNode
+  // decodes). A distance-first traversal with no decoded-node cache
+  // attached decodes every node it visits; a warm serving tier's caches
+  // hand already-decoded nodes out, so there it drops toward zero.
+  uint64_t node_decodes = 0;
   // entries_pruned broken down by the level of the node whose entry was
   // pruned (index = level; 0 = leaf entries, i.e. objects skipped without
   // loading). Shows where the signatures work — the MIR2-Tree exists to
@@ -133,6 +138,7 @@ struct QueryStats {
     false_positives += other.false_positives;
     nodes_visited += other.nodes_visited;
     entries_pruned += other.entries_pruned;
+    node_decodes += other.node_decodes;
     if (entries_pruned_per_level.size() <
         other.entries_pruned_per_level.size()) {
       entries_pruned_per_level.resize(other.entries_pruned_per_level.size());

@@ -68,6 +68,7 @@ std::string QueryLogRecord::ToJson() const {
   out += ",\"objects_loaded\":" + std::to_string(stats.objects_loaded);
   out += ",\"false_positives\":" + std::to_string(stats.false_positives);
   out += ",\"nodes_visited\":" + std::to_string(stats.nodes_visited);
+  out += ",\"node_decodes\":" + std::to_string(stats.node_decodes);
   out += ",\"entries_pruned\":" + std::to_string(stats.entries_pruned);
   out += ",\"demand_random_reads\":" +
          std::to_string(stats.demand_random_reads);

@@ -38,6 +38,7 @@ struct QueryLogStats {
   uint64_t objects_loaded = 0;
   uint64_t false_positives = 0;
   uint64_t nodes_visited = 0;
+  uint64_t node_decodes = 0;
   uint64_t entries_pruned = 0;
   uint64_t demand_random_reads = 0;
   uint64_t demand_sequential_reads = 0;

@@ -38,6 +38,9 @@ thread_local std::vector<ReadPoolOverride> t_read_pool_overrides;
 // Node deserializations across all trees and threads; the warm-path benches
 // diff it around a run to report the decode tax.
 std::atomic<uint64_t> g_node_decodes{0};
+// The calling thread's share of g_node_decodes; queries diff it into
+// QueryStats::node_decodes the way demand_io diffs the pools' thread stats.
+thread_local uint64_t t_node_decodes = 0;
 
 }  // namespace
 
@@ -48,6 +51,8 @@ uint64_t RTreeBase::TotalNodeDecodes() {
 void RTreeBase::ResetTotalNodeDecodes() {
   g_node_decodes.store(0, std::memory_order_relaxed);
 }
+
+uint64_t RTreeBase::ThreadNodeDecodes() { return t_node_decodes; }
 
 ScopedReadPool::ScopedReadPool(const RTreeBase* tree, BufferPool* pool)
     : tree_(tree) {
@@ -254,6 +259,7 @@ StatusOr<Node> RTreeBase::LoadNode(BlockId id) const {
     }
   }
   g_node_decodes.fetch_add(1, std::memory_order_relaxed);
+  ++t_node_decodes;
   obs::DefaultMetrics().node_decodes->Add();
   BufferReader reader(buffer);
   Node node;

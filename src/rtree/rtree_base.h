@@ -222,6 +222,9 @@ class RTreeBase {
   // warm-path benches: the decode tax the NodeCache exists to eliminate.
   static uint64_t TotalNodeDecodes();
   static void ResetTotalNodeDecodes();
+  // The calling thread's node decodes since it started (never reset);
+  // queries diff it around their execution into QueryStats::node_decodes.
+  static uint64_t ThreadNodeDecodes();
 
   // Appends the ObjectRefs of every object under `node_id` (inclusive
   // subtree scan; reads nodes, not objects).

@@ -213,6 +213,7 @@ void ServerLoop::WorkerMain() {
         record.stats.objects_loaded = stats.objects_loaded;
         record.stats.false_positives = stats.false_positives;
         record.stats.nodes_visited = stats.nodes_visited;
+        record.stats.node_decodes = stats.node_decodes;
         record.stats.entries_pruned = stats.entries_pruned;
         record.stats.demand_random_reads = stats.demand_io.random_reads;
         record.stats.demand_sequential_reads = stats.demand_io.sequential_reads;

@@ -88,6 +88,7 @@ StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Build(
     db->shards_.push_back(std::move(built).value());
     db->info_.push_back(ShardInfo{shard.bounds, shard.members.size()});
   }
+  db->AttachNodeCaches();
   return db;
 }
 
@@ -114,7 +115,20 @@ StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::WrapSingle(
   db->sharding_.num_shards = 1;
   db->shards_.push_back(std::move(single));
   db->info_.push_back(std::move(info));
+  db->AttachNodeCaches();
   return db;
+}
+
+void ShardedDatabase::AttachNodeCaches() {
+  for (const auto& shard : shards_) {
+    // Cold shards drop every cache before each query, so a decoded-node
+    // cache would only add Clear() work to each DropCaches.
+    if (shard->options().cold_queries) continue;
+    for (RTreeBase* tree : shard->trees()) {
+      node_caches_.push_back(std::make_unique<NodeCache>());
+      tree->SetNodeCache(node_caches_.back().get());
+    }
+  }
 }
 
 bool ShardedDatabase::SafeForConcurrentQueries() const {
@@ -350,8 +364,9 @@ StatusOr<ShardedDatabase::ExplainResult> ShardedDatabase::Explain(
   }
 
   obs::ExplainSection* fanout = report.AddSection("Shard fan-out");
-  fanout->columns = {"shard", "objects",  "lower_bound", "status",
-                     "algo",  "returned", "in_final",    "demand_blocks",
+  fanout->columns = {"shard",    "objects",       "lower_bound",
+                     "status",   "algo",          "returned",
+                     "in_final", "nodes/decoded", "demand_blocks",
                      "sim_ms"};
   for (const ShardLeg& leg : out.legs) {
     std::snprintf(buf, sizeof(buf), "%.3f", leg.lower_bound);
@@ -363,6 +378,8 @@ StatusOr<ShardedDatabase::ExplainResult> ShardedDatabase::Explain(
          leg.pruned ? "-" : AlgorithmName(leg.executed),
          obs::FormatCount(leg.results_returned),
          obs::FormatCount(leg.results_in_final),
+         obs::FormatCount(leg.stats.nodes_visited) + "/" +
+             obs::FormatCount(leg.stats.node_decodes),
          obs::FormatCount(leg.stats.demand_io.TotalReads()),
          obs::FormatMs(leg.stats.simulated_disk_ms)});
   }

@@ -13,6 +13,7 @@
 #include "core/batch_executor.h"
 #include "core/database.h"
 #include "datagen/workload.h"
+#include "obs/metrics.h"
 #include "storage/block_device.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
@@ -398,6 +399,38 @@ TEST(KcDatabaseTest, MaxDistanceNeverIncreasesWork) {
     EXPECT_LE(capped_stats.nodes_visited, full_stats.nodes_visited);
     EXPECT_LE(capped_stats.objects_loaded, full_stats.objects_loaded);
   }
+}
+
+// The /metrics KC counters are bumped per expanded node (tests) and per
+// prune, not per query, so their deltas over a workload must equal the
+// summed QueryStats exactly — the per-query and the global view of the same
+// filter work never drift apart. Covers facade queries (cursor-owned
+// buffers) and a two-worker BatchExecutor run (worker-donated scratch).
+TEST(KcDatabaseTest, MetricsCounterDeltasMatchSummedQueryStats) {
+  DbFixture fx(66, 500, 25, 5, 128);
+  const obs::CoreMetrics& metrics = obs::DefaultMetrics();
+  const uint64_t tests_before = metrics.kctree_bitmap_tests->Value();
+  const uint64_t bitmap_before = metrics.kctree_bitmap_prunes->Value();
+  const uint64_t signature_before = metrics.kctree_signature_prunes->Value();
+  QueryStats total;
+  for (const DistanceFirstQuery& query : fx.queries) {
+    ASSERT_TRUE(fx.db->QueryKc(query, &total).ok());
+  }
+  BatchExecutorOptions batch_options;
+  batch_options.algorithm = Algorithm::kKcTree;
+  batch_options.num_threads = 2;
+  BatchExecutor executor(fx.db.get(), batch_options);
+  auto batch = executor.Run(fx.queries);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  for (const QueryStats& stats : batch.value().per_query) total += stats;
+
+  EXPECT_GT(total.kc_bitmap_tests, 0u);
+  EXPECT_EQ(metrics.kctree_bitmap_tests->Value() - tests_before,
+            total.kc_bitmap_tests);
+  EXPECT_EQ(metrics.kctree_bitmap_prunes->Value() - bitmap_before,
+            total.kc_bitmap_prunes);
+  EXPECT_EQ(metrics.kctree_signature_prunes->Value() - signature_before,
+            total.kc_signature_prunes);
 }
 
 TEST(KcDatabaseTest, SaveOpenRoundTripPreservesVocabularyAndAnswers) {

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/kc_tree.h"
 #include "datagen/workload.h"
+#include "rtree/node_cache.h"
 #include "serving/space_filling.h"
 #include "tests/test_util.h"
 
@@ -311,6 +313,149 @@ TEST_F(ShardedDatabaseTest, ExplainReportsFanoutAndMerge) {
   EXPECT_NE(report.find("Shard fan-out"), std::string::npos);
   EXPECT_NE(report.find("Merge"), std::string::npos);
   EXPECT_NE(report.find("executed"), std::string::npos);
+}
+
+// The serving regime (ServerLoop requires it): warm shards, so the tier
+// attaches its decoded-node caches.
+std::unique_ptr<ShardedDatabase> BuildWarmTier(
+    const std::vector<StoredObject>& objects, uint64_t num_shards) {
+  DatabaseOptions options;
+  options.ir2_signature = SignatureConfig{256, 3};
+  options.cold_queries = false;
+  ShardingOptions sharding;
+  sharding.num_shards = num_shards;
+  return ShardedDatabase::Build(objects, options, sharding).value();
+}
+
+TEST_F(ShardedDatabaseTest, WarmShardTreesGetNodeCachesColdOnesDoNot) {
+  auto warm = BuildWarmTier(objects_, 4);
+  std::set<const NodeCache*> caches;
+  for (size_t s = 0; s < warm->num_shards(); ++s) {
+    const std::vector<RTreeBase*> trees = warm->shard(s)->trees();
+    EXPECT_EQ(trees.size(), 4u);
+    for (const RTreeBase* tree : trees) {
+      ASSERT_NE(tree->node_cache(), nullptr) << "shard " << s;
+      caches.insert(tree->node_cache());
+    }
+  }
+  // One cache per tree: block ids are per device, so sharing would alias.
+  EXPECT_EQ(caches.size(), 4u * warm->num_shards());
+
+  auto cold = BuildSharded(4);  // Default options: cold_queries on.
+  for (size_t s = 0; s < cold->num_shards(); ++s) {
+    for (const RTreeBase* tree : cold->shard(s)->trees()) {
+      EXPECT_EQ(tree->node_cache(), nullptr) << "shard " << s;
+    }
+  }
+
+  // WrapSingle follows the wrapped database's regime; the facade on its
+  // own never attaches a cache.
+  DatabaseOptions options;
+  options.ir2_signature = SignatureConfig{256, 3};
+  options.cold_queries = false;
+  auto single = SpatialKeywordDatabase::Build(objects_, options).value();
+  for (const RTreeBase* tree : single->trees()) {
+    EXPECT_EQ(tree->node_cache(), nullptr);
+  }
+  auto wrapped = ShardedDatabase::WrapSingle(std::move(single)).value();
+  for (const RTreeBase* tree : wrapped->shard(0)->trees()) {
+    EXPECT_NE(tree->node_cache(), nullptr);
+  }
+  auto wrapped_cold = ShardedDatabase::WrapSingle(
+      SpatialKeywordDatabase::Build(objects_, DatabaseOptions()).value());
+  for (const RTreeBase* tree : wrapped_cold.value()->shard(0)->trees()) {
+    EXPECT_EQ(tree->node_cache(), nullptr);
+  }
+}
+
+TEST_F(ShardedDatabaseTest, NodeCachesLeaveAnswersAndPhysicalIoUnchanged) {
+  // Two identical warm tiers, one with its caches detached: every fixed
+  // algorithm and kAuto must return the same answers with the same
+  // physical I/O and simulated disk time. The caches only skip node reads
+  // that would have hit the (tree-sized) warm pools, and kAuto's planner
+  // feedback is the simulated time, so its choices cannot drift either.
+  auto cached = BuildWarmTier(objects_, 4);
+  auto uncached = BuildWarmTier(objects_, 4);
+  for (size_t s = 0; s < uncached->num_shards(); ++s) {
+    for (RTreeBase* tree : uncached->shard(s)->trees()) {
+      tree->SetNodeCache(nullptr);
+    }
+  }
+  const Algorithm algos[] = {Algorithm::kRTree, Algorithm::kIio,
+                             Algorithm::kIr2,   Algorithm::kMir2,
+                             Algorithm::kKcTree, Algorithm::kAuto};
+  QueryStats cached_total;
+  QueryStats uncached_total;
+  // Two passes: the second runs against full caches.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (Algorithm algo : algos) {
+      for (size_t i = 0; i < queries_.size(); ++i) {
+        QueryStats with_cache;
+        auto a = cached->Query(queries_[i], algo, &with_cache);
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        QueryStats without_cache;
+        auto b = uncached->Query(queries_[i], algo, &without_cache);
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        ASSERT_EQ(a.value().size(), b.value().size())
+            << AlgorithmName(algo) << " query " << i;
+        for (size_t r = 0; r < a.value().size(); ++r) {
+          EXPECT_EQ(a.value()[r].object_id, b.value()[r].object_id)
+              << AlgorithmName(algo) << " query " << i << " rank " << r;
+          EXPECT_EQ(a.value()[r].distance, b.value()[r].distance);
+        }
+        EXPECT_EQ(with_cache.io, without_cache.io)
+            << AlgorithmName(algo) << " query " << i;
+        EXPECT_EQ(with_cache.simulated_disk_ms, without_cache.simulated_disk_ms)
+            << AlgorithmName(algo) << " query " << i;
+        EXPECT_EQ(with_cache.nodes_visited, without_cache.nodes_visited)
+            << AlgorithmName(algo) << " query " << i;
+        // Uncached, every visited node is decoded.
+        EXPECT_EQ(without_cache.node_decodes, without_cache.nodes_visited)
+            << AlgorithmName(algo) << " query " << i;
+        cached_total += with_cache;
+        uncached_total += without_cache;
+      }
+    }
+  }
+  ASSERT_GT(uncached_total.nodes_visited, 0u);
+  // The cached tier decodes each shard-tree node at most once.
+  EXPECT_LT(cached_total.node_decodes, uncached_total.node_decodes);
+}
+
+TEST_F(ShardedDatabaseTest, KcTreeInsertInvalidatesShardNodeCache) {
+  auto tier = BuildWarmTier(objects_, 2);
+  SpatialKeywordDatabase* shard = tier->shard(0);
+  KcTree* kc = shard->kc_tree();
+  ASSERT_NE(kc, nullptr);
+  NodeCache* cache = kc->node_cache();
+  ASSERT_NE(cache, nullptr);
+
+  DistanceFirstQuery q = queries_.front();
+  q.point = tier->shard_info(0).bounds.Center();
+  // Warm the cache through the tier, then a repeat decodes nothing.
+  ASSERT_TRUE(tier->Query(q, Algorithm::kKcTree).ok());
+  QueryStats warm;
+  auto before = shard->Query(q, Algorithm::kKcTree, &warm);
+  ASSERT_TRUE(before.ok());
+  ASSERT_GT(warm.nodes_visited, 0u);
+  EXPECT_EQ(warm.node_decodes, 0u);
+  const uint64_t invalidations = cache->Stats().invalidations;
+
+  // A tree-level insert (no keywords, so the filter prunes it and the
+  // answer stays put) bumps the tree version.
+  const Rect rect = Rect::ForPoint(q.point);
+  ASSERT_TRUE(kc->InsertObject(/*ref=*/0, rect, {}).ok());
+
+  QueryStats fresh;
+  auto after = shard->Query(q, Algorithm::kKcTree, &fresh);
+  ASSERT_TRUE(after.ok());
+  EXPECT_GT(cache->Stats().invalidations, invalidations);
+  EXPECT_GT(fresh.nodes_visited, 0u);
+  EXPECT_EQ(fresh.node_decodes, fresh.nodes_visited);
+  ASSERT_EQ(after.value().size(), before.value().size());
+  for (size_t r = 0; r < after.value().size(); ++r) {
+    EXPECT_EQ(after.value()[r].object_id, before.value()[r].object_id);
+  }
 }
 
 TEST(QueryStatsTest, AccumulatesShardCounters) {

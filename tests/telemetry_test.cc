@@ -140,6 +140,7 @@ QueryLogRecord FullRecord() {
   record.stats.objects_loaded = 12;
   record.stats.false_positives = 3;
   record.stats.nodes_visited = 40;
+  record.stats.node_decodes = 6;
   record.stats.entries_pruned = 17;
   record.stats.demand_random_reads = 9;
   record.stats.demand_sequential_reads = 4;
@@ -161,7 +162,7 @@ TEST(QueryLogTest, JsonSchemaGolden) {
       "\"ok\":true,\"error\":\"\",\"slow\":true,"
       "\"latency_ms\":55.5,\"queue_ms\":1.25,\"results\":10,"
       "\"objects_loaded\":12,\"false_positives\":3,\"nodes_visited\":40,"
-      "\"entries_pruned\":17,\"demand_random_reads\":9,"
+      "\"node_decodes\":6,\"entries_pruned\":17,\"demand_random_reads\":9,"
       "\"demand_sequential_reads\":4,\"speculative_random_reads\":2,"
       "\"speculative_sequential_reads\":1,\"simulated_disk_ms\":7.125,"
       "\"shards_queried\":3,\"shards_pruned\":1}";
