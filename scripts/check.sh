@@ -80,6 +80,10 @@ echo "== SIMD kernels: dispatch smoke + scalar-tier golden diff =="
 (cd build && ./bench/bench_kernels --smoke)
 IR2_DISABLE_SIMD=1 ./build/tests/simd_test > /dev/null \
   && echo "simd_test (scalar forced): OK"
+# Candidate verification (FindToken per keyword) against the tokenizer's
+# own token sets, starting from the scalar tier.
+IR2_DISABLE_SIMD=1 ./build/tests/tokenizer_test > /dev/null \
+  && echo "tokenizer_test (scalar forced): OK"
 IR2_DISABLE_SIMD=1 ./build/tests/cold_regime_regression_test > /dev/null \
   && echo "cold-regime goldens (scalar forced): OK"
 
@@ -257,18 +261,21 @@ echo "== UndefinedBehaviorSanitizer build =="
 # coalescing, span clipping, ref-to-block division) where overflow or bad
 # shifts would corrupt placement silently; UBSan-check the storage and
 # traversal suites that drive it. The result cache rides along for its
-# distance re-rank arithmetic and the EWMA decay exponentials.
+# distance re-rank arithmetic and the EWMA decay exponentials; the
+# tokenizer and corruption suites for the keyword-token search and the
+# coordinate parser.
 cmake -B build-ubsan -S . -DIR2_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$jobs" --target \
   io_scheduler_test prefetch_invariance_test cold_regime_regression_test \
-  storage_test bulk_load_test simd_test kc_tree_test result_cache_test
+  storage_test bulk_load_test simd_test kc_tree_test result_cache_test \
+  tokenizer_test corruption_test
 # Twice: dispatched kernels (wide loads, unaligned pointers) and the
 # scalar tier both have to be UB-clean.
 ctest --test-dir build-ubsan --output-on-failure \
-  -R 'io_scheduler_test|prefetch_invariance_test|cold_regime_regression_test|storage_test|bulk_load_test|simd_test|kc_tree_test|result_cache_test'
+  -R '^(io_scheduler_test|prefetch_invariance_test|cold_regime_regression_test|storage_test|bulk_load_test|simd_test|kc_tree_test|result_cache_test|tokenizer_test|corruption_test)$'
 IR2_DISABLE_SIMD=1 ctest --test-dir build-ubsan --output-on-failure \
-  -R 'cold_regime_regression_test|simd_test|kc_tree_test'
+  -R '^(cold_regime_regression_test|simd_test|kc_tree_test|tokenizer_test)$'
 
 if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   echo
@@ -281,14 +288,16 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   cmake --build build-asan -j "$jobs" --target \
     node_cache_test cold_regime_regression_test ir2_tree_test rtree_test \
     algorithms_test simd_test file_device_async_test sharded_database_test \
-    server_loop_test
+    server_loop_test tokenizer_test corruption_test storage_test
   # Both SIMD ways here too: the dispatched kernels read signature and
   # posting buffers in wide chunks, exactly where an out-of-bounds read
-  # would hide from the scalar tier.
+  # would hide from the scalar tier. FindToken's lane loads reach up to
+  # keyword length - 1 + 32 bytes past a lane start; simd_test searches
+  # exactly sized heap copies so a read past the text is reported.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test)$'
+    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test|tokenizer_test|corruption_test|storage_test)$'
   IR2_DISABLE_SIMD=1 ctest --test-dir build-asan --output-on-failure \
-    -R 'cold_regime_regression_test|simd_test'
+    -R '^(cold_regime_regression_test|simd_test|tokenizer_test)$'
 fi
 
 echo

@@ -69,6 +69,53 @@ inline bool DecodeOneVarint(const uint8_t* in, size_t in_size, size_t* pos,
   return true;
 }
 
+// Keyword-token search helpers. FindToken can only match a keyword made of
+// lowercase word characters, which is what Tokenizer::Normalize emits.
+inline bool IsFoldedKeyword(std::string_view keyword) {
+  if (keyword.empty()) {
+    return false;
+  }
+  for (char c : keyword) {
+    if (c == '\0' || kWordFold[static_cast<unsigned char>(c)] != c) {
+      return false;
+    }
+  }
+  return true;
+}
+
+inline bool IsWordByte(uint8_t c) { return kWordFold[c] != 0; }
+
+// True iff `keyword` occurs as a whole token at text[off]: every byte folds
+// to the keyword's, and the bytes on either side (if any) are not word
+// characters. Requires off + keyword.size() <= size.
+inline bool TokenAt(const uint8_t* text, size_t size, size_t off,
+                    std::string_view keyword) {
+  const size_t len = keyword.size();
+  if ((off > 0 && IsWordByte(text[off - 1])) ||
+      (off + len < size && IsWordByte(text[off + len]))) {
+    return false;
+  }
+  for (size_t j = 0; j < len; ++j) {
+    if (kWordFold[text[off + j]] != keyword[j]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Offset-by-offset search starting at `off`: the scalar reference (from
+// offset 0) and the vector tiers' sub-register remainder.
+inline size_t FindTokenFrom(const uint8_t* text, size_t size, size_t off,
+                            std::string_view keyword) {
+  for (; off + keyword.size() <= size; ++off) {
+    if (kWordFold[text[off]] == keyword[0] &&
+        TokenAt(text, size, off, keyword)) {
+      return off;
+    }
+  }
+  return kTokenNotFound;
+}
+
 }  // namespace
 
 bool WordsContainAllScalar(const uint64_t* data, const uint64_t* query,
@@ -107,6 +154,15 @@ size_t DecodeDGapVarintsScalar(const uint8_t* in, size_t in_size,
     out[i] = previous;
   }
   return pos;
+}
+
+size_t FindTokenScalar(const char* text, size_t size,
+                       std::string_view keyword) {
+  if (!IsFoldedKeyword(keyword)) {
+    return kTokenNotFound;
+  }
+  return FindTokenFrom(reinterpret_cast<const uint8_t*>(text), size, 0,
+                       keyword);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,6 +355,75 @@ __attribute__((target("avx2"))) size_t DecodeDGapVarintsAvx2(
   return pos;
 }
 
+// Lane filter: offset i is a candidate when text[i] | 0x20 equals the
+// keyword's first byte and text[i + len - 1] | 0x20 its last. OR-ing 0x20
+// folds A-Z onto a-z and keeps digits, so no true match is filtered out;
+// the filter over-matches (e.g. 0x10-0x19 fold onto '0'-'9'), and TokenAt
+// decides every candidate exactly. A step loads text[off, off + 16) and
+// text[off + len - 1, off + len + 15), so it runs only while both lie
+// inside the text.
+size_t FindTokenSse2(const char* text, size_t size, std::string_view keyword) {
+  if (!IsFoldedKeyword(keyword) || keyword.size() > size) {
+    return kTokenNotFound;
+  }
+  const uint8_t* t = reinterpret_cast<const uint8_t*>(text);
+  const size_t len = keyword.size();
+  const __m128i first = _mm_set1_epi8(keyword[0]);
+  const __m128i last = _mm_set1_epi8(keyword[len - 1]);
+  const __m128i fold = _mm_set1_epi8(0x20);
+  size_t off = 0;
+  for (; size - off >= len + 15; off += 16) {
+    const __m128i a = _mm_or_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + off)), fold);
+    const __m128i b = _mm_or_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + off + len - 1)),
+        fold);
+    uint32_t mask = static_cast<uint32_t>(_mm_movemask_epi8(
+        _mm_and_si128(_mm_cmpeq_epi8(a, first), _mm_cmpeq_epi8(b, last))));
+    for (; mask != 0; mask &= mask - 1) {
+      const size_t candidate =
+          off + static_cast<size_t>(std::countr_zero(mask));
+      if (TokenAt(t, size, candidate, keyword)) {
+        return candidate;
+      }
+    }
+  }
+  return FindTokenFrom(t, size, off, keyword);
+}
+
+__attribute__((target("avx2"))) size_t FindTokenAvx2(
+    const char* text, size_t size, std::string_view keyword) {
+  if (!IsFoldedKeyword(keyword) || keyword.size() > size) {
+    return kTokenNotFound;
+  }
+  // The SSE2 filter at 32 lanes per step.
+  const uint8_t* t = reinterpret_cast<const uint8_t*>(text);
+  const size_t len = keyword.size();
+  const __m256i first = _mm256_set1_epi8(keyword[0]);
+  const __m256i last = _mm256_set1_epi8(keyword[len - 1]);
+  const __m256i fold = _mm256_set1_epi8(0x20);
+  size_t off = 0;
+  for (; size - off >= len + 31; off += 32) {
+    const __m256i a = _mm256_or_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + off)), fold);
+    const __m256i b = _mm256_or_si256(
+        _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(t + off + len - 1)),
+        fold);
+    uint32_t mask = static_cast<uint32_t>(_mm256_movemask_epi8(
+        _mm256_and_si256(_mm256_cmpeq_epi8(a, first),
+                         _mm256_cmpeq_epi8(b, last))));
+    for (; mask != 0; mask &= mask - 1) {
+      const size_t candidate =
+          off + static_cast<size_t>(std::countr_zero(mask));
+      if (TokenAt(t, size, candidate, keyword)) {
+        return candidate;
+      }
+    }
+  }
+  return FindTokenFrom(t, size, off, keyword);
+}
+
 }  // namespace
 
 #endif  // IR2_SIMD_X86
@@ -388,6 +513,36 @@ size_t DecodeDGapVarintsNeon(const uint8_t* in, size_t in_size, uint32_t count,
   return pos;
 }
 
+size_t FindTokenNeon(const char* text, size_t size, std::string_view keyword) {
+  if (!IsFoldedKeyword(keyword) || keyword.size() > size) {
+    return kTokenNotFound;
+  }
+  // The SSE2 lane filter; the 16-lane compare result is narrowed to a
+  // 64-bit mask with four bits per lane (shift-right-narrow by 4).
+  const uint8_t* t = reinterpret_cast<const uint8_t*>(text);
+  const size_t len = keyword.size();
+  const uint8x16_t first = vdupq_n_u8(static_cast<uint8_t>(keyword[0]));
+  const uint8x16_t last = vdupq_n_u8(static_cast<uint8_t>(keyword[len - 1]));
+  const uint8x16_t fold = vdupq_n_u8(0x20);
+  size_t off = 0;
+  for (; size - off >= len + 15; off += 16) {
+    const uint8x16_t a = vorrq_u8(vld1q_u8(t + off), fold);
+    const uint8x16_t b = vorrq_u8(vld1q_u8(t + off + len - 1), fold);
+    const uint8x16_t eq = vandq_u8(vceqq_u8(a, first), vceqq_u8(b, last));
+    uint64_t mask = vget_lane_u64(
+        vreinterpret_u64_u8(vshrn_n_u16(vreinterpretq_u16_u8(eq), 4)), 0);
+    while (mask != 0) {
+      const int bit = std::countr_zero(mask);
+      const size_t candidate = off + static_cast<size_t>(bit / 4);
+      if (TokenAt(t, size, candidate, keyword)) {
+        return candidate;
+      }
+      mask &= ~(uint64_t{0xF} << bit);
+    }
+  }
+  return FindTokenFrom(t, size, off, keyword);
+}
+
 }  // namespace
 
 #endif  // IR2_SIMD_NEON
@@ -405,29 +560,30 @@ struct KernelTable {
   bool (*bytes_contain)(const uint8_t*, size_t, const uint64_t*);
   uint64_t (*popcount)(const uint64_t*, size_t);
   size_t (*decode_dgaps)(const uint8_t*, size_t, uint32_t, uint32_t*);
+  size_t (*find_token)(const char*, size_t, std::string_view);
 };
 
 constexpr KernelTable kScalarTable = {
     Level::kScalar,        WordsContainAllScalar, BytesContainWordsScalar,
-    PopcountWordsScalar,   DecodeDGapVarintsScalar,
+    PopcountWordsScalar,   DecodeDGapVarintsScalar, FindTokenScalar,
 };
 
 #if IR2_SIMD_X86
 constexpr KernelTable kSse2Table = {
     Level::kSse2,        WordsContainAllSse2, BytesContainWordsSse2,
     PopcountWordsScalar,  // POPCNT is not in the SSE2 baseline.
-    DecodeDGapVarintsSse2,
+    DecodeDGapVarintsSse2, FindTokenSse2,
 };
 constexpr KernelTable kAvx2Table = {
-    Level::kAvx2,      WordsContainAllAvx2, BytesContainWordsAvx2,
-    PopcountWordsAvx2, DecodeDGapVarintsAvx2,
+    Level::kAvx2,      WordsContainAllAvx2,   BytesContainWordsAvx2,
+    PopcountWordsAvx2, DecodeDGapVarintsAvx2, FindTokenAvx2,
 };
 #endif
 
 #if IR2_SIMD_NEON
 constexpr KernelTable kNeonTable = {
-    Level::kNeon,      WordsContainAllNeon, BytesContainWordsNeon,
-    PopcountWordsNeon, DecodeDGapVarintsNeon,
+    Level::kNeon,      WordsContainAllNeon,   BytesContainWordsNeon,
+    PopcountWordsNeon, DecodeDGapVarintsNeon, FindTokenNeon,
 };
 #endif
 
@@ -518,6 +674,10 @@ uint64_t PopcountWords(const uint64_t* words, size_t num_words) {
 size_t DecodeDGapVarints(const uint8_t* in, size_t in_size, uint32_t count,
                          uint32_t* out) {
   return ActiveTable().decode_dgaps(in, in_size, count, out);
+}
+
+size_t FindToken(const char* text, size_t size, std::string_view keyword) {
+  return ActiveTable().find_token(text, size, keyword);
 }
 
 }  // namespace ir2::simd

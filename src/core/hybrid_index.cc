@@ -93,6 +93,9 @@ StatusOr<std::vector<QueryResult>> HybridKeywordIndex::TopK(
     return std::vector<QueryResult>();  // Some keyword matches nothing.
   }
 
+  // One record and one line buffer are recycled across candidates.
+  StoredObject object;
+  std::string line;
   std::vector<QueryResult> results;
   results.reserve(query.k);
   auto tree_it = trees_.find(driver);
@@ -102,11 +105,11 @@ StatusOr<std::vector<QueryResult>> HybridKeywordIndex::TopK(
     while (results.size() < query.k) {
       IR2_ASSIGN_OR_RETURN(std::optional<Neighbor> neighbor, cursor.Next());
       if (!neighbor.has_value()) break;
-      IR2_ASSIGN_OR_RETURN(StoredObject object, objects.Load(neighbor->ref));
+      IR2_RETURN_IF_ERROR(objects.LoadInto(neighbor->ref, &object, &line));
       if (stats != nullptr) {
         ++stats->objects_loaded;
       }
-      if (ContainsAllKeywords(tokenizer, object.text, keywords)) {
+      if (ContainsAllNormalizedKeywords(object.text, keywords)) {
         results.push_back(QueryResult{neighbor->ref, object.id,
                                       neighbor->distance, 0.0,
                                       -neighbor->distance,
@@ -126,11 +129,11 @@ StatusOr<std::vector<QueryResult>> HybridKeywordIndex::TopK(
                        inverted_->RetrieveList(driver));
   std::vector<QueryResult> candidates;
   for (ObjectRef ref : postings) {
-    IR2_ASSIGN_OR_RETURN(StoredObject object, objects.Load(ref));
+    IR2_RETURN_IF_ERROR(objects.LoadInto(ref, &object, &line));
     if (stats != nullptr) {
       ++stats->objects_loaded;
     }
-    if (!ContainsAllKeywords(tokenizer, object.text, keywords)) {
+    if (!ContainsAllNormalizedKeywords(object.text, keywords)) {
       if (stats != nullptr) {
         ++stats->false_positives;
       }

@@ -125,7 +125,25 @@ void PlannerFeedback::Reset() {
 
 QueryPlanner::QueryPlanner(PlannerInputs inputs, const InvertedIndex* index,
                            const Tokenizer* tokenizer)
-    : inputs_(std::move(inputs)), index_(index), tokenizer_(tokenizer) {}
+    : inputs_(std::move(inputs)), index_(index), tokenizer_(tokenizer) {
+  // The KC cold region's false-positive rate depends on the tree shape
+  // and the hot vocabulary only, so every level's value is computed here
+  // once instead of on every Plan.
+  const std::vector<PlannerLevel>& levels = inputs_.kc.levels;
+  kc_cold_fp1_.assign(levels.size(), 1.0);
+  if (levels.empty() || inputs_.num_objects == 0 ||
+      inputs_.kc_cold_bits == 0) {
+    return;  // KcCost never reads the rates (infeasible or no cold filter).
+  }
+  const double n = static_cast<double>(inputs_.num_objects);
+  for (size_t level = 0; level + 1 < levels.size(); ++level) {
+    if (levels[level].nodes != 0) {
+      kc_cold_fp1_[level] = KcColdFalsePositiveRate(
+          levels[level + 1], n / static_cast<double>(levels[level].nodes));
+    }
+  }
+  kc_cold_fp1_leaf_ = KcColdFalsePositiveRate(levels[0], 1.0);
+}
 
 int QueryPlanner::SelectivityBucket(double selectivity) {
   if (!(selectivity > 0.0)) {
@@ -261,6 +279,29 @@ double QueryPlanner::IioCost(const ConjunctionEstimate& est,
   return ms;
 }
 
+// The snapshot's payload_density covers the whole KC payload, so subtract
+// the expected set hot bits of a size-m subtree to recover the cold
+// region's own density before applying the superimposed model.
+double QueryPlanner::KcColdFalsePositiveRate(const PlannerLevel& level,
+                                             double per_subtree) const {
+  const double n = static_cast<double>(inputs_.num_objects);
+  double hot_bits_set = 0.0;
+  for (const auto& [hash, df] : inputs_.kc_hot_word_dfs) {
+    const double sel = std::min(1.0, static_cast<double>(df) / n);
+    hot_bits_set += 1.0 - std::pow(1.0 - sel, per_subtree);
+  }
+  PlannerLevel cold;
+  cold.signature_bits = inputs_.kc_cold_bits;
+  cold.hashes_per_word = inputs_.kc_cold_hashes;
+  cold.payload_density =
+      std::clamp((level.payload_density *
+                      static_cast<double>(level.signature_bits) -
+                  hot_bits_set) /
+                     static_cast<double>(inputs_.kc_cold_bits),
+                 0.0, 1.0);
+  return SignatureFalsePositiveRate(cold, 1);
+}
+
 // KC-Tree cost: the same frontier/visit-rate skeleton as TreeCost, with
 // the entry-pass probability split the way the index splits the
 // vocabulary. A hot query keyword is tested against an exact per-subtree
@@ -315,28 +356,11 @@ double QueryPlanner::KcCost(uint32_t k, const ConjunctionEstimate& est,
   };
   // Cold-region pass rate at a level, per keyword like TreeCost: a
   // subtree genuinely containing the cold word always passes its bits,
-  // one lacking it passes at the single-word false-positive rate. The
-  // snapshot's payload_density covers the whole payload, so subtract the
-  // expected set hot bits of a size-m subtree to recover the cold
-  // region's own density before applying the superimposed model.
-  auto cold_pass = [&](const PlannerLevel& level, double per_subtree) {
+  // one lacking it passes at the level's single-word false-positive rate
+  // `fp1` (precomputed per level, see KcColdFalsePositiveRate).
+  auto cold_pass = [&](double fp1, double per_subtree) {
     if (cold_sel.empty()) return 1.0;
     if (inputs_.kc_cold_bits == 0) return 1.0;  // No cold filter built.
-    double hot_bits_set = 0.0;
-    for (const auto& [hash, df] : inputs_.kc_hot_word_dfs) {
-      const double sel = std::min(1.0, static_cast<double>(df) / n);
-      hot_bits_set += 1.0 - std::pow(1.0 - sel, per_subtree);
-    }
-    PlannerLevel cold;
-    cold.signature_bits = inputs_.kc_cold_bits;
-    cold.hashes_per_word = inputs_.kc_cold_hashes;
-    cold.payload_density =
-        std::clamp((level.payload_density *
-                        static_cast<double>(level.signature_bits) -
-                    hot_bits_set) /
-                       static_cast<double>(inputs_.kc_cold_bits),
-                   0.0, 1.0);
-    const double fp1 = SignatureFalsePositiveRate(cold, 1);
     double pass = 1.0;
     for (double sel : cold_sel) {
       const double match = 1.0 - std::pow(1.0 - sel, per_subtree);
@@ -360,14 +384,14 @@ double QueryPlanner::KcCost(uint32_t k, const ConjunctionEstimate& est,
     // whole visit rate — no separate match + (1 - match) * fp split.
     double visit_rate = 1.0;
     if (level + 1 < height) {
-      visit_rate = hot_pass(per_subtree) *
-                   cold_pass(shape.levels[level + 1], per_subtree);
+      visit_rate =
+          hot_pass(per_subtree) * cold_pass(kc_cold_fp1_[level], per_subtree);
     }
     node_ms += touched * visit_rate *
                (random_ms + (li.blocks_per_node - 1.0) * seq_ms);
   }
 
-  const double pass_leaf = hot_pass(1.0) * cold_pass(shape.levels[0], 1.0);
+  const double pass_leaf = hot_pass(1.0) * cold_pass(kc_cold_fp1_leaf_, 1.0);
   const double object_loads = frontier * std::max(s, pass_leaf);
   const double object_ms =
       object_loads *

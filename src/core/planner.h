@@ -236,10 +236,20 @@ class QueryPlanner {
                  std::span<const uint64_t> posting_blocks) const;
   double KcCost(uint32_t k, const ConjunctionEstimate& est,
                 std::span<const uint64_t> keyword_hashes) const;
+  // Single-word false-positive rate of the KC cold signature region in a
+  // size-`per_subtree` subtree whose payload is `level`.
+  double KcColdFalsePositiveRate(const PlannerLevel& level,
+                                 double per_subtree) const;
 
   PlannerInputs inputs_;
   const InvertedIndex* index_;
   const Tokenizer* tokenizer_;
+  // KcColdFalsePositiveRate per KC level, fixed at construction:
+  // kc_cold_fp1_[l] prices visits to level-l nodes (their parents' entries
+  // at level l + 1), kc_cold_fp1_leaf_ the leaf entries themselves. One
+  // entry per KC level (all 1.0 when the cold region is absent).
+  std::vector<double> kc_cold_fp1_;
+  double kc_cold_fp1_leaf_ = 1.0;
   PlannerFeedback feedback_;
 };
 

@@ -11,6 +11,13 @@ StatusOr<std::vector<QueryResult>> RTreeTopK(const RTreeBase& tree,
                                              QueryStats* stats,
                                              NNPrefetchOptions prefetch) {
   IncrementalNNCursor cursor(&tree, query.Target(), {}, nullptr, prefetch);
+  // Keywords are normalized once per query, and one record plus one line
+  // buffer are recycled across candidates (LoadInto: the same device reads
+  // as Load, without a fresh allocation per object).
+  const std::vector<std::string> keywords =
+      tokenizer.NormalizeKeywords(query.keywords);
+  StoredObject object;
+  std::string line;
   std::vector<QueryResult> results;
   results.reserve(query.k);
   while (results.size() < query.k) {
@@ -26,11 +33,11 @@ StatusOr<std::vector<QueryResult>> RTreeTopK(const RTreeBase& tree,
     }
     obs::TraceSpan verify_span(obs::SpanKind::kObjectVerify, neighbor->ref);
     obs::DefaultMetrics().objects_verified->Add();
-    IR2_ASSIGN_OR_RETURN(StoredObject object, objects.Load(neighbor->ref));
+    IR2_RETURN_IF_ERROR(objects.LoadInto(neighbor->ref, &object, &line));
     if (stats != nullptr) {
       ++stats->objects_loaded;
     }
-    if (ContainsAllKeywords(tokenizer, object.text, query.keywords)) {
+    if (ContainsAllNormalizedKeywords(object.text, keywords)) {
       results.push_back(QueryResult{neighbor->ref, object.id,
                                     neighbor->distance, 0.0,
                                     -neighbor->distance,

@@ -169,17 +169,15 @@ Status ObjectStore::ParseRecordInto(const std::string& line,
   object.coords.reserve(ndims);
   for (uint32_t d = 0; d < ndims; ++d) {
     std::string_view coord = next_field();
-    // std::from_chars<double> needs a NUL-free contiguous range; coords are
-    // short, so copy into a small buffer for strtod.
-    char buf[40];
-    if (coord.empty() || coord.size() >= sizeof(buf)) {
-      return Status::Corruption("Bad coordinate field");
-    }
-    std::memcpy(buf, coord.data(), coord.size());
-    buf[coord.size()] = '\0';
-    char* conv_end = nullptr;
-    double value = std::strtod(buf, &conv_end);
-    if (conv_end != buf + coord.size()) {
+    // Parsed in place. from_chars is correctly rounded, so every %.17g
+    // the writer emits reads back to the same bits. Leading whitespace,
+    // '+', hex and out-of-range values are rejected; the writer produces
+    // none of them.
+    double value = 0.0;
+    auto [conv_end, conv_err] =
+        std::from_chars(coord.data(), coord.data() + coord.size(), value);
+    if (coord.empty() || conv_err != std::errc() ||
+        conv_end != coord.data() + coord.size()) {
       return Status::Corruption("Bad coordinate field");
     }
     object.coords.push_back(value);

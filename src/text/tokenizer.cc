@@ -1,33 +1,11 @@
 #include "text/tokenizer.h"
 
 #include <algorithm>
-#include <bit>
-#include <cctype>
 #include <unordered_map>
 
+#include "common/simd.h"
+
 namespace ir2 {
-namespace {
-
-inline bool IsWordChar(unsigned char c) { return std::isalnum(c) != 0; }
-
-// True iff the maximal word run [token, token + len) case-folds to
-// `keyword` (which is already lowercase alphanumeric).
-inline bool TokenEquals(const std::string& keyword, const char* token,
-                        size_t len) {
-  if (keyword.size() != len) {
-    return false;
-  }
-  for (size_t i = 0; i < len; ++i) {
-    if (static_cast<char>(
-            std::tolower(static_cast<unsigned char>(token[i]))) !=
-        keyword[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
@@ -41,8 +19,8 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
     }
   };
   for (unsigned char c : text) {
-    if (IsWordChar(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
+    if (const char folded = simd::kWordFold[c]) {
+      current.push_back(folded);
     } else {
       flush();
     }
@@ -63,8 +41,8 @@ std::string Tokenizer::Normalize(std::string_view word) {
   std::string out;
   out.reserve(word.size());
   for (unsigned char c : word) {
-    if (IsWordChar(c)) {
-      out.push_back(static_cast<char>(std::tolower(c)));
+    if (const char folded = simd::kWordFold[c]) {
+      out.push_back(folded);
     }
   }
   return out;
@@ -120,52 +98,15 @@ bool ContainsAllKeywords(const Tokenizer& tokenizer, std::string_view text,
 
 bool ContainsAllNormalizedKeywords(std::string_view text,
                                    std::span<const std::string> keywords) {
-  const size_t n = keywords.size();
-  if (n == 0) {
-    return true;
-  }
-  const char* p = text.data();
-  const char* const end = p + text.size();
-  if (n > 64) {
-    // Strike-out list for keyword counts past the bitmask width.
-    std::vector<const std::string*> pending(n);
-    for (size_t i = 0; i < n; ++i) pending[i] = &keywords[i];
-    while (p < end && !pending.empty()) {
-      while (p < end && !IsWordChar(static_cast<unsigned char>(*p))) ++p;
-      const char* token = p;
-      while (p < end && IsWordChar(static_cast<unsigned char>(*p))) ++p;
-      for (size_t i = 0; i < pending.size(); ++i) {
-        if (TokenEquals(*pending[i], token, static_cast<size_t>(p - token))) {
-          pending[i] = pending.back();
-          pending.pop_back();
-          break;
-        }
-      }
-    }
-    return pending.empty();
-  }
-  // Single pass over the text; bit i of `pending` is keyword i still
-  // unfound. Tokens are compared in place — no per-call allocation.
-  uint64_t pending = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-  while (p < end) {
-    while (p < end && !IsWordChar(static_cast<unsigned char>(*p))) ++p;
-    const char* token = p;
-    while (p < end && IsWordChar(static_cast<unsigned char>(*p))) ++p;
-    if (p == token) {
-      break;  // Trailing separators.
-    }
-    for (uint64_t m = pending; m != 0; m &= m - 1) {
-      const size_t i = static_cast<size_t>(std::countr_zero(m));
-      if (TokenEquals(keywords[i], token, static_cast<size_t>(p - token))) {
-        pending &= ~(uint64_t{1} << i);
-        if (pending == 0) {
-          return true;
-        }
-        break;
-      }
+  // One dispatched whole-token search per keyword; the first keyword the
+  // text lacks decides (most candidates are signature false positives).
+  for (const std::string& keyword : keywords) {
+    if (simd::FindToken(text.data(), text.size(), keyword) ==
+        simd::kTokenNotFound) {
+      return false;
     }
   }
-  return pending == 0;
+  return true;
 }
 
 }  // namespace ir2

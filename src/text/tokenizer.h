@@ -15,6 +15,12 @@ namespace ir2 {
 // when indexing and when parsing queries, so keyword matching is consistent
 // across every algorithm in the library.
 //
+// Word classification is ASCII / C-locale by construction: word characters
+// are exactly [0-9A-Za-z], bytes >= 0x80 always separate words, and
+// nothing depends on setlocale. Tokenize, Normalize and the query-time
+// verification (ContainsAllNormalizedKeywords) share one table,
+// simd::kWordFold.
+//
 // An optional stopword set drops high-frequency function words at indexing
 // time; the query side drops them symmetrically (NormalizeKeywords), so a
 // stopword keyword neither matches nor excludes anything.
@@ -71,11 +77,12 @@ bool ContainsAllKeywords(const Tokenizer& tokenizer, std::string_view text,
                          const std::vector<std::string>& keywords);
 
 // Allocation-free form for callers that already hold normalized keywords
-// (the output of NormalizeKeywords): matches tokens in place against the
-// text, no per-call normalization or token materialization. This runs once
-// per candidate object on the query hot path — with short signatures most
-// candidates are false positives, so verification cost is the serving
-// floor.
+// (the output of NormalizeKeywords): one simd::FindToken whole-token
+// search per keyword, stopping at the first keyword the text lacks. This
+// runs once per candidate object on the query hot path — with short
+// signatures most candidates are false positives, so verification cost is
+// the serving floor. Equivalent to "every keyword is in
+// Tokenizer().DistinctTokens(text)".
 bool ContainsAllNormalizedKeywords(std::string_view text,
                                    std::span<const std::string> keywords);
 

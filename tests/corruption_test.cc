@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -51,6 +53,34 @@ TEST(CorruptionTest, ObjectStoreNeverCrashesOnCorruptRecords) {
     Status scan = store.ForEach(
         [](ObjectRef, const StoredObject&) { return Status::Ok(); });
     (void)scan;
+  }
+}
+
+// Coordinate fields the writer never produces (it emits %.17g) come back
+// as Corruption through both Load and ForEach: the parser takes no leading
+// whitespace or '+', no hex, no trailing bytes and no out-of-range values.
+TEST(CorruptionTest, ObjectStoreRejectsMalformedCoordinates) {
+  const std::string kBad[] = {"",      " 1.5",   "+1.5", "1.5x", "1.5 ",
+                              "0x1p3", "0X10",   "1e400", "-",   ".",
+                              "1,5",   "nan(",   "--1",   "1e",  "\x01"};
+  for (const std::string& coord : kBad) {
+    for (const bool first : {true, false}) {
+      const std::string row = "7\t2\t" + (first ? coord + "\t2.5"
+                                                : "2.5\t" + coord) +
+                              "\talpha beta\n";
+      MemoryBlockDevice device;
+      const BlockId id = device.Allocate(1).value();
+      std::vector<uint8_t> block(device.block_size(), 0);
+      std::copy(row.begin(), row.end(), block.begin());
+      IR2_CHECK_OK(device.Write(id, block));
+      ObjectStore store(&device, row.size());
+      StatusOr<StoredObject> loaded = store.Load(0);
+      ASSERT_FALSE(loaded.ok()) << "coord \"" << coord << "\"";
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << coord;
+      Status scan = store.ForEach(
+          [](ObjectRef, const StoredObject&) { return Status::Ok(); });
+      EXPECT_EQ(scan.code(), StatusCode::kCorruption) << coord;
+    }
   }
 }
 

@@ -16,7 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -397,6 +400,55 @@ TEST_F(PlannerDatabaseTest, FeedbackRecoversFromPoisonedModel) {
       << "planner still executing the poisoned choice after " << executed
       << " observations";
   EXPECT_EQ(last, clean.chosen);
+}
+
+// Pins the static cost model bit for bit: static_ms of all five
+// candidates for fixed queries on the fixture database, as hex floats.
+// Refactors of the cost arithmetic (hoisting query-independent terms out
+// of Plan, reordering loops) must leave every value identical; a
+// deliberate model change re-captures the table.
+TEST_F(PlannerDatabaseTest, StaticCostsMatchHexGoldens) {
+  // Rows: the first eight workload queries, then the frequent-word and
+  // absent-word queries. Columns: kFixed order (rtree, iio, ir2, mir2,
+  // kctree).
+  constexpr double kGolden[][std::size(kFixed)] = {
+      {0x1.de8f34cafac42p+12, 0x1.fd211d056ef28p+3, 0x1.fccfdfcc8a691p+7,
+       0x1.6571673eb4a37p+5, 0x1.a4d5ae56ecfa2p+6},
+      {0x1.de8f34cafac42p+12, 0x1.0a11ba3da5d47p+5, 0x1.768dd935a251p+8,
+       0x1.c70d1d9b07c1cp+7, 0x1.caa569c08155p+7},
+      {0x1.de8f34cafac42p+12, 0x1.c9712ebee0576p+4, 0x1.5a9dc333ab53bp+8,
+       0x1.8a70dfa88d47ap+7, 0x1.bb38fd9218e6ap+7},
+      {0x1.de8f34cafac42p+12, 0x1.0adafb73cbbc4p+5, 0x1.76f1e1bc38daep+8,
+       0x1.ca267ea8c45cdp+7, 0x1.938a228781fc2p+7},
+      {0x1.de8f34cafac42p+12, 0x1.c8c0a5c2acb06p+4, 0x1.5a6739edbb88p+8,
+       0x1.89bdafe22e5fdp+7, 0x1.ba9bfde0eef83p+7},
+      {0x1.de8f34cafac42p+12, 0x1.c8c0a5c2acb06p+4, 0x1.5a6739edbb88p+8,
+       0x1.89bdafe22e5fdp+7, 0x1.ba9bfde0eef83p+7},
+      {0x1.de8f34cafac42p+12, 0x1.fc93e2a2126cfp+3, 0x1.f81bb22771f2bp+7,
+       0x1.5ecf4e228f713p+5, 0x1.9eae684c1d157p+6},
+      {0x1.de8f34cafac42p+12, 0x1.04a62a95faddbp+5, 0x1.729f1758b9498p+8,
+       0x1.c04c942c02555p+7, 0x1.89e2c265acdcfp+7},
+      {0x1.986823ee08fb7p+10, 0x1.2e8e84a0a1c8fp+8, 0x1.6ff62cc52a386p+7,
+       0x1.32f49cccf22f8p+7, 0x1.372fca5921889p+7},
+      {0x1.de8f34cafac42p+12, 0x0p+0, 0x1.65032d86f951cp+8,
+       0x1.43993c4056aa8p+6, 0x1.38aa977cda02p+7},
+  };
+  std::vector<DistanceFirstQuery> queries(queries_.begin(),
+                                          queries_.begin() + 8);
+  queries.insert(queries.end(), queries_.end() - 2, queries_.end());
+  ASSERT_EQ(queries.size(), std::size(kGolden));
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const QueryPlan plan = db_->planner()->Plan(queries[q]);
+    for (size_t a = 0; a < std::size(kFixed); ++a) {
+      const double got = plan.Candidate(kFixed[a]).static_ms;
+      char got_hex[32];
+      std::snprintf(got_hex, sizeof(got_hex), "%a", got);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                std::bit_cast<uint64_t>(kGolden[q][a]))
+          << "query " << q << " " << AlgorithmName(kFixed[a]) << ": got "
+          << got_hex;
+    }
+  }
 }
 
 TEST_F(PlannerDatabaseTest, ConcurrentAutoBatchIsSafeAndDeterministic) {

@@ -3,29 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
+#include "tests/test_util.h"
 
 namespace ir2 {
 namespace {
 
 using simd::Level;
 
-// Tiers this machine can actually run (ForceLevelForTest silently falls
-// back to scalar for unsupported ones — detect that and skip duplicates).
-std::vector<Level> AvailableLevels() {
-  std::vector<Level> levels;
-  for (Level level : {Level::kScalar, Level::kSse2, Level::kAvx2,
-                      Level::kNeon}) {
-    simd::ForceLevelForTest(level);
-    if (simd::ActiveLevel() == level) {
-      levels.push_back(level);
-    }
-  }
-  return levels;
-}
+using testing_util::AvailableSimdLevels;
 
 // Every test leaves the process on the auto-detected tier so later tests in
 // the same binary see production dispatch.
@@ -34,7 +28,7 @@ class SimdTest : public ::testing::Test {
   void TearDown() override {
     simd::ForceLevelForTest(Level::kScalar);
     // Re-force the best available tier (kScalar if nothing else).
-    for (Level level : AvailableLevels()) {
+    for (Level level : AvailableSimdLevels()) {
       simd::ForceLevelForTest(level);
     }
   }
@@ -70,7 +64,7 @@ std::vector<uint32_t> RandomSortedRefs(Rng& rng, size_t count,
 }
 
 TEST_F(SimdTest, ReportsALevelAndName) {
-  const std::vector<Level> levels = AvailableLevels();
+  const std::vector<Level> levels = AvailableSimdLevels();
   ASSERT_FALSE(levels.empty());
   EXPECT_EQ(levels.front(), Level::kScalar);
   for (Level level : levels) {
@@ -80,7 +74,7 @@ TEST_F(SimdTest, ReportsALevelAndName) {
 
 TEST_F(SimdTest, WordsContainAllMatchesScalarRandomized) {
   Rng rng(20260808);
-  for (Level level : AvailableLevels()) {
+  for (Level level : AvailableSimdLevels()) {
     simd::ForceLevelForTest(level);
     for (size_t num_words : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
                              size_t{4}, size_t{5}, size_t{7}, size_t{8},
@@ -103,7 +97,7 @@ TEST_F(SimdTest, WordsContainAllMatchesScalarRandomized) {
 }
 
 TEST_F(SimdTest, WordsContainAllAdversarial) {
-  for (Level level : AvailableLevels()) {
+  for (Level level : AvailableSimdLevels()) {
     simd::ForceLevelForTest(level);
     for (size_t num_words : {size_t{1}, size_t{4}, size_t{8}, size_t{24}}) {
       std::vector<uint64_t> ones(num_words, ~uint64_t{0});
@@ -131,7 +125,7 @@ TEST_F(SimdTest, WordsContainAllAdversarial) {
 
 TEST_F(SimdTest, BytesContainWordsMatchesScalarAllSizes) {
   Rng rng(777);
-  for (Level level : AvailableLevels()) {
+  for (Level level : AvailableSimdLevels()) {
     simd::ForceLevelForTest(level);
     // Every byte length 0..64 plus the 1512-bit signature-file width; odd
     // lengths exercise every unaligned-tail branch.
@@ -173,7 +167,7 @@ TEST_F(SimdTest, BytesContainWordsMatchesScalarAllSizes) {
 }
 
 TEST_F(SimdTest, BytesContainWordsLastByteMismatch) {
-  for (Level level : AvailableLevels()) {
+  for (Level level : AvailableSimdLevels()) {
     simd::ForceLevelForTest(level);
     for (size_t num_bytes :
          {size_t{1}, size_t{7}, size_t{16}, size_t{33}, size_t{189}}) {
@@ -194,7 +188,7 @@ TEST_F(SimdTest, BytesContainWordsLastByteMismatch) {
 
 TEST_F(SimdTest, PopcountWordsMatchesScalar) {
   Rng rng(31337);
-  for (Level level : AvailableLevels()) {
+  for (Level level : AvailableSimdLevels()) {
     simd::ForceLevelForTest(level);
     for (size_t num_words = 0; num_words <= 40; ++num_words) {
       std::vector<uint64_t> words(num_words);
@@ -216,7 +210,7 @@ TEST_F(SimdTest, PopcountWordsMatchesScalar) {
 
 TEST_F(SimdTest, DecodeDGapVarintsMatchesScalarRandomized) {
   Rng rng(424242);
-  for (Level level : AvailableLevels()) {
+  for (Level level : AvailableSimdLevels()) {
     simd::ForceLevelForTest(level);
     for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{31},
                          size_t{32}, size_t{33}, size_t{100}, size_t{1000}}) {
@@ -250,7 +244,7 @@ TEST_F(SimdTest, DecodeDGapVarintsMatchesScalarRandomized) {
 }
 
 TEST_F(SimdTest, DecodeDGapVarintsDetectsCorruption) {
-  for (Level level : AvailableLevels()) {
+  for (Level level : AvailableSimdLevels()) {
     simd::ForceLevelForTest(level);
     uint32_t out[64];
 
@@ -298,7 +292,7 @@ TEST_F(SimdTest, DecodeDGapVarintsDetectsCorruption) {
 TEST_F(SimdTest, MaximumWidthGaps) {
   // Gaps near 2^32 take the full 5 varint bytes; prefix sums must wrap
   // exactly like uint32_t arithmetic in every tier.
-  for (Level level : AvailableLevels()) {
+  for (Level level : AvailableSimdLevels()) {
     simd::ForceLevelForTest(level);
     const std::vector<uint32_t> refs = {0xfffffff0u, 0xfffffffeu,
                                         0xffffffffu};
@@ -310,6 +304,175 @@ TEST_F(SimdTest, MaximumWidthGaps) {
     EXPECT_EQ(out[1], refs[1]);
     EXPECT_EQ(out[2], refs[2]);
   }
+}
+
+// ---- FindToken: whole-token keyword search -------------------------------
+
+constexpr size_t kNotFound = simd::kTokenNotFound;
+
+// Independent oracle: plain ASCII range checks, no shared table. Offset of
+// the first i where text[i, i + kw.size()) equals `kw` case-insensitively
+// and neither neighbour is [0-9A-Za-z]; a keyword that is not lowercase
+// [0-9a-z] never matches.
+size_t OracleFindToken(std::string_view text, std::string_view kw) {
+  auto word = [](char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+           (c >= 'A' && c <= 'Z');
+  };
+  auto lower = [](char c) {
+    return (c >= 'A' && c <= 'Z') ? static_cast<char>(c + ('a' - 'A')) : c;
+  };
+  if (kw.empty()) return kNotFound;
+  for (char c : kw) {
+    if (!word(c) || lower(c) != c) return kNotFound;
+  }
+  for (size_t i = 0; i + kw.size() <= text.size(); ++i) {
+    if (i > 0 && word(text[i - 1])) continue;
+    if (i + kw.size() < text.size() && word(text[i + kw.size()])) continue;
+    bool equal = true;
+    for (size_t j = 0; j < kw.size() && equal; ++j) {
+      equal = word(text[i + j]) && lower(text[i + j]) == kw[j];
+    }
+    if (equal) return i;
+  }
+  return kNotFound;
+}
+
+// Searches an exactly sized heap copy of `text`, so AddressSanitizer flags
+// any lane load that reads even one byte past the end.
+size_t FindExact(std::string_view text, std::string_view kw,
+                 bool scalar = false) {
+  std::unique_ptr<char[]> copy(new char[text.size()]);
+  if (!text.empty()) std::memcpy(copy.get(), text.data(), text.size());
+  return scalar ? simd::FindTokenScalar(copy.get(), text.size(), kw)
+                : simd::FindToken(copy.get(), text.size(), kw);
+}
+
+TEST_F(SimdTest, WordFoldTableIsCLocaleAlnum) {
+  // Nothing in the library calls setlocale, so <cctype> here is the C
+  // locale: the table must agree with isalnum/tolower on every byte.
+  for (int c = 0; c < 256; ++c) {
+    const char expected =
+        std::isalnum(c) ? static_cast<char>(std::tolower(c)) : '\0';
+    EXPECT_EQ(simd::kWordFold[static_cast<size_t>(c)], expected) << c;
+  }
+}
+
+TEST_F(SimdTest, FindTokenEdgeCases) {
+  const std::string nul_text("abc\0def", 7);
+  struct Case {
+    std::string_view text;
+    std::string_view kw;
+    size_t expected;
+  };
+  const Case cases[] = {
+      {"", "a", kNotFound},
+      {"ab", "abc", kNotFound},
+      {"abc", "abc", 0},
+      {"ABC", "abc", 0},
+      {"aBc", "abc", 0},
+      {"xabc", "abc", kNotFound},            // Suffix of a longer token.
+      {"abcx", "abc", kNotFound},            // Prefix.
+      {"xabcx", "abc", kNotFound},           // Infix.
+      {"abcabc abc", "abc", 7},
+      {"abc abc", "abc", 0},
+      {"pool", "", kNotFound},               // Empty keyword.
+      {"pool", "Pool", kNotFound},           // Not normalized.
+      {"po ol", "po ol", kNotFound},
+      {"\x11\x12\x13", "123", kNotFound},    // | 0x20 folds onto digits.
+      {" \x11\x12\x13 123", "123", 5},
+      {"\x10" "1\x19", "1", 1},
+      {"\xc3\xa9t\xc3\xa9", "t", 2},         // Bytes >= 0x80 separate.
+      {"caf\xc3\xa9", "caf", 0},
+      {"@abc[", "abc", 1},
+      {"`abc{", "abc", 1},
+      {"Room 101, floor 1", "101", 5},
+      {"Room 101, floor 1", "1", 16},
+      {nul_text, "def", 4},
+      {nul_text, "abc", 0},
+  };
+  for (Level level : AvailableSimdLevels()) {
+    simd::ForceLevelForTest(level);
+    for (const Case& c : cases) {
+      EXPECT_EQ(FindExact(c.text, c.kw), c.expected)
+          << simd::LevelName(level) << " kw=" << c.kw;
+      EXPECT_EQ(OracleFindToken(c.text, c.kw), c.expected) << c.kw;
+    }
+    // A keyword with an embedded NUL or separator never matches.
+    EXPECT_EQ(FindExact(nul_text, std::string_view("abc\0", 4)), kNotFound);
+  }
+}
+
+TEST_F(SimdTest, FindTokenAtEveryOffsetAcrossLaneBoundaries) {
+  // The keyword at every offset 0..140 — matches at offset 0, at the very
+  // end, and straddling the 16-, 32- and 64-byte lane boundaries — behind
+  // a decoy copy glued into a longer token, for keyword lengths around
+  // the register widths, followed by 0, 1 or many trailing bytes.
+  for (Level level : AvailableSimdLevels()) {
+    simd::ForceLevelForTest(level);
+    for (size_t len : {1, 2, 3, 7, 15, 16, 17, 31, 32, 33, 40}) {
+      std::string kw;
+      for (size_t i = 0; i < len; ++i) {
+        kw.push_back(static_cast<char>(i % 3 == 2 ? '0' + i % 10
+                                                  : 'a' + (i * 7) % 26));
+      }
+      std::string upper = kw;
+      for (char& c : upper) {
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      }
+      for (size_t off = 0; off <= 140; ++off) {
+        for (size_t tail : {0, 1, 37}) {
+          std::string text(off, ' ');
+          if (off >= len + 2) {
+            // Decoy: the keyword glued to a word byte before the match.
+            text.replace(off - len - 2, len + 1, "x" + kw);
+          }
+          text += (off % 2 == 0) ? kw : upper;
+          text += std::string(tail, tail == 1 ? '\x80' : '\x15');
+          const size_t got = FindExact(text, kw);
+          EXPECT_EQ(got, off) << simd::LevelName(level) << " len=" << len
+                              << " off=" << off << " tail=" << tail;
+          // Glue a word byte after the match too: no whole token remains.
+          if (tail > 0) {
+            text[off + len] = '7';
+            EXPECT_EQ(FindExact(text, kw), kNotFound)
+                << simd::LevelName(level) << " len=" << len << " off=" << off;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, FindTokenMatchesScalarAndOracleRandomized) {
+  const std::vector<std::string> vocab = {
+      "pool", "pools", "whirlpool", "spa", "wifi", "wifi2", "a", "1", "123",
+      "internet", "x9", "golf", "course", "poolpool"};
+  const std::vector<std::string> keywords = {
+      "pool", "spa", "wifi", "wifi2", "a", "1", "123", "internet", "x9",
+      "golf", "whirlpool", "zz", "0", "pools", "poolpool"};
+  Rng rng(20240613);
+  size_t found = 0;
+  size_t calls = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::string text =
+        testing_util::AdversarialText(rng, rng.NextUint64(300), vocab);
+    for (const std::string& kw : keywords) {
+      const size_t expected = OracleFindToken(text, kw);
+      ASSERT_EQ(FindExact(text, kw, /*scalar=*/true), expected)
+          << "scalar kw=" << kw << " iter=" << iter;
+      for (Level level : AvailableSimdLevels()) {
+        simd::ForceLevelForTest(level);
+        ASSERT_EQ(FindExact(text, kw), expected)
+            << simd::LevelName(level) << " kw=" << kw << " iter=" << iter;
+      }
+      ++calls;
+      found += expected != kNotFound;
+    }
+  }
+  // Both outcomes are well represented, so the agreement is not vacuous.
+  EXPECT_GT(found, calls / 5);
+  EXPECT_LT(found, calls * 4 / 5);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -425,6 +428,45 @@ TEST(ObjectStoreTest, HighPrecisionCoordinatesSurvive) {
   StoredObject object = store.Load(r).value();
   EXPECT_EQ(object.coords[0], x);
   EXPECT_EQ(object.coords[1], y);
+}
+
+// Every double the writer's %.17g emits parses back to the same bits:
+// random bit patterns (all exponents, subnormals included) plus -0.0, the
+// subnormal and normal extremes, +-1e308 and the infinities.
+TEST(ObjectStoreTest, CoordinatesRoundTripBitExact) {
+  std::vector<double> values = {
+      -0.0, 0.0, 1e308, -1e308, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  Rng rng(42);
+  while (values.size() < 4000) {
+    const double v = std::bit_cast<double>(rng.NextUint64());
+    if (!std::isnan(v)) values.push_back(v);
+  }
+  MemoryBlockDevice device;
+  ObjectStoreWriter writer(&device);
+  std::vector<ObjectRef> refs;
+  for (size_t i = 0; i + 1 < values.size(); i += 2) {
+    refs.push_back(writer
+                       .Append(MakeObject(static_cast<uint32_t>(i), values[i],
+                                          values[i + 1], "t"))
+                       .value());
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  ObjectStore store(&device, writer.bytes_written());
+  for (size_t r = 0; r < refs.size(); ++r) {
+    const StoredObject object = store.Load(refs[r]).value();
+    ASSERT_EQ(object.coords.size(), 2u);
+    for (size_t d = 0; d < 2; ++d) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(object.coords[d]),
+                std::bit_cast<uint64_t>(values[2 * r + d]))
+          << values[2 * r + d];
+    }
+  }
 }
 
 TEST(ObjectStoreTest, ForEachVisitsAllInOrder) {

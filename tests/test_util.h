@@ -2,10 +2,13 @@
 #define IR2TREE_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cctype>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/simd.h"
 #include "core/query.h"
 #include "geo/point.h"
 #include "storage/object_store.h"
@@ -105,6 +108,55 @@ inline bool DistancesSorted(const std::vector<QueryResult>& rs) {
     if (rs[i].distance < rs[i - 1].distance) return false;
   }
   return true;
+}
+
+// SIMD tiers this machine can actually run (ForceLevelForTest silently
+// falls back to scalar for unsupported ones — detect that and skip
+// duplicates). Leaves the last available tier forced.
+inline std::vector<simd::Level> AvailableSimdLevels() {
+  std::vector<simd::Level> levels;
+  for (simd::Level level : {simd::Level::kScalar, simd::Level::kSse2,
+                            simd::Level::kAvx2, simd::Level::kNeon}) {
+    simd::ForceLevelForTest(level);
+    if (simd::ActiveLevel() == level) {
+      levels.push_back(level);
+    }
+  }
+  return levels;
+}
+
+// Random text built to trip up keyword-token search: words from `vocab`
+// in mixed case, glued to or separated by bytes that are not word
+// characters but look like them to a vector lane filter — 0x10-0x19 (which
+// | 0x20 folds onto '0'-'9'), '@' '[' '`' '{' (neighbours of the letter
+// ranges), NUL, and bytes >= 0x80 (UTF-8 fragments). Words are sometimes
+// glued together, so vocabulary words also appear as prefixes, suffixes and
+// infixes of longer tokens.
+inline std::string AdversarialText(Rng& rng, size_t target_size,
+                                   const std::vector<std::string>& vocab) {
+  static const std::string kSeparators[] = {
+      " ",  ",",   std::string(1, '\0'), "\x10", "\x15", "\x19", "\x80",
+      "\xc3\xa9", "\xff", "@", "[", "`", "{", "\n", ", "};
+  std::string text;
+  while (text.size() < target_size) {
+    const uint64_t pick = rng.NextUint64(10);
+    if (pick < 5) {
+      std::string word = vocab[rng.NextUint64(vocab.size())];
+      const uint64_t casing = rng.NextUint64(4);
+      for (size_t i = 0; i < word.size(); ++i) {
+        if (casing == 1 || (casing == 2 && i == 0)) {
+          word[i] = static_cast<char>(std::toupper(
+              static_cast<unsigned char>(word[i])));
+        }
+      }
+      text += word;
+    } else if (pick < 9) {
+      text += kSeparators[rng.NextUint64(std::size(kSeparators))];
+    } else {
+      text.push_back(static_cast<char>(rng.NextUint64(256)));
+    }
+  }
+  return text;
 }
 
 }  // namespace testing_util

@@ -1,6 +1,14 @@
+#include "text/tokenizer.h"
+
 #include <gtest/gtest.h>
 
-#include "text/tokenizer.h"
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "common/simd.h"
+#include "tests/test_util.h"
 
 namespace ir2 {
 namespace {
@@ -80,7 +88,7 @@ TEST(TokenizerTest, ContainsAllNormalizedKeywordsMatchesTokenizedForm) {
 }
 
 TEST(TokenizerTest, ContainsAllNormalizedKeywordsPastMaskWidth) {
-  // More than 64 keywords exercises the strike-out fallback path.
+  // More than 64 keywords (one machine word of per-keyword flags).
   std::vector<std::string> kw;
   std::string text;
   for (int i = 0; i < 70; ++i) {
@@ -112,6 +120,56 @@ TEST(TokenizerTest, PaperFigure1BooleanQuery) {
     }
   }
   EXPECT_EQ(matches, (std::vector<int>{2, 7}));
+}
+
+// Every SIMD tier verifies exactly what the tokenizer indexes:
+// ContainsAllNormalizedKeywords(text, kws) holds iff every keyword is one
+// of DistinctTokens(text). Texts carry the lane filter's false friends
+// (0x10-0x19, bytes >= 0x80, NUL, '@' '[' '`' '{') and vocabulary words
+// glued into longer tokens; keyword lists have 0, 1, 3, 65 and 70 entries
+// drawn with duplicates from the text's own tokens and from absent words.
+TEST(TokenizerTest, VerificationMatchesDistinctTokensOnEveryTier) {
+  Tokenizer tokenizer;
+  std::vector<std::string> vocab;
+  for (int i = 0; i < 90; ++i) {
+    vocab.push_back(std::string("w").append(std::to_string(i)));
+  }
+  for (const char* word : {"pool", "spa", "a", "1", "poolside", "wifi"}) {
+    vocab.push_back(word);
+  }
+  const std::vector<std::string> absent = {"zz", "w90", "pools", "b", "w"};
+  Rng rng(7);
+  size_t positives = 0;
+  size_t cases = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::string text = testing_util::AdversarialText(
+        rng, rng.NextUint64(iter % 4 == 0 ? 2500 : 200), vocab);
+    const std::vector<std::string> tokens = tokenizer.DistinctTokens(text);
+    for (size_t n : {0, 1, 3, 65, 70}) {
+      std::vector<std::string> kws;
+      const bool want_absent = rng.NextBool(0.5) || tokens.empty();
+      for (size_t i = 0; i < n; ++i) {
+        kws.push_back(want_absent && i + 1 == n
+                          ? absent[rng.NextUint64(absent.size())]
+                          : (tokens.empty()
+                                 ? vocab[rng.NextUint64(vocab.size())]
+                                 : tokens[rng.NextUint64(tokens.size())]));
+      }
+      const bool expected = std::all_of(
+          kws.begin(), kws.end(), [&tokens](const std::string& kw) {
+            return std::binary_search(tokens.begin(), tokens.end(), kw);
+          });
+      for (simd::Level level : testing_util::AvailableSimdLevels()) {
+        simd::ForceLevelForTest(level);
+        ASSERT_EQ(ContainsAllNormalizedKeywords(text, kws), expected)
+            << simd::LevelName(level) << " iter=" << iter << " n=" << n;
+      }
+      ++cases;
+      positives += expected;
+    }
+  }
+  EXPECT_GT(positives, cases / 4);
+  EXPECT_LT(positives, cases * 3 / 4);
 }
 
 }  // namespace
