@@ -59,8 +59,7 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SpatialKeywordDatabase::ExplainAlgo algo =
-      SpatialKeywordDatabase::ExplainAlgo::kIr2;
+  ir2::Algorithm algo = ir2::Algorithm::kIr2;
   uint32_t k = 10;
   std::string keywords_arg, trace_path, metrics_path;
   bool prefetch = false;

@@ -9,13 +9,9 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/database.h"
-#include "core/iio.h"
-#include "core/kc_tree.h"
-#include "core/rtree_baseline.h"
 #include "obs/metrics.h"
 #include "rtree/rtree_base.h"
 #include "storage/buffer_pool.h"
-#include "storage/disk_model.h"
 
 namespace ir2 {
 
@@ -64,57 +60,21 @@ StatusOr<BatchResults> BatchExecutor::RunDatabase(
     return Status::FailedPrecondition("Planner was not built");
   }
 
-  const ObjectStore& objects = db_->object_store();
-  const Tokenizer& tokenizer = db_->tokenizer();
   // Trees get worker-private pools (node reads are the contended hot
   // path); object and posting reads go through the database's bypass
   // pools, which forward per-thread counts 1:1 to their devices.
-  struct TreeCtx {
-    RTreeBase* tree;
-    BlockDevice* device;
-  };
-  std::vector<TreeCtx> trees;
-  for (RTreeBase* tree : db_->trees()) {
-    trees.push_back(TreeCtx{tree, tree->pool()->device()});
-  }
-  // Per-thread I/O accounting and cold cursor resets cover every distinct
-  // device a query of any algorithm can touch.
-  std::vector<BlockDevice*> devices;
-  auto add_device = [&devices](BlockDevice* device) {
-    if (device != nullptr &&
-        std::find(devices.begin(), devices.end(), device) == devices.end()) {
-      devices.push_back(device);
-    }
-  };
-  add_device(objects.device());
-  for (const TreeCtx& ctx : trees) {
-    add_device(ctx.device);
-  }
-  if (db_->inverted_index() != nullptr) {
-    add_device(db_->inverted_index()->device());
-  }
-
+  const std::vector<RTreeBase*> trees = db_->trees();
   size_t num_threads = options_.num_threads;
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
   num_threads = std::min(num_threads, queries.size());
 
-  const DiskModel model(db_->options().disk_model);
-
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
   std::mutex error_mu;
   Status first_error = Status::Ok();
   std::mutex stats_mu;
-
-  auto thread_io = [&devices]() {
-    IoStats io;
-    for (BlockDevice* device : devices) {
-      io += device->thread_stats();
-    }
-    return io;
-  };
 
   auto worker = [&]() {
     // One private pool per tree, routed via ScopedReadPool for the life of
@@ -123,11 +83,11 @@ StatusOr<BatchResults> BatchExecutor::RunDatabase(
     std::vector<std::unique_ptr<ScopedReadPool>> scopes;
     local_pools.reserve(trees.size());
     scopes.reserve(trees.size());
-    for (const TreeCtx& ctx : trees) {
-      local_pools.push_back(
-          std::make_unique<BufferPool>(ctx.device, options_.pool_blocks));
-      scopes.push_back(std::make_unique<ScopedReadPool>(
-          ctx.tree, local_pools.back().get()));
+    for (RTreeBase* tree : trees) {
+      local_pools.push_back(std::make_unique<BufferPool>(
+          tree->pool()->device(), options_.pool_blocks));
+      scopes.push_back(
+          std::make_unique<ScopedReadPool>(tree, local_pools.back().get()));
     }
     Ir2QueryScratch scratch;
     BufferPoolStats pool_accum;
@@ -148,13 +108,14 @@ StatusOr<BatchResults> BatchExecutor::RunDatabase(
           pool_accum += pool->Stats();
           IR2_RETURN_IF_ERROR(pool->Clear());
         }
-        for (const TreeCtx& ctx : trees) {
-          if (NodeCache* cache = ctx.tree->node_cache()) {
+        for (RTreeBase* tree : trees) {
+          if (NodeCache* cache = tree->node_cache()) {
             cache->Clear();
           }
         }
-        for (BlockDevice* device : devices) {
-          device->ResetThreadCursor();
+        // Every device a query of any algorithm can touch.
+        for (const auto& slot : db_->slots_) {
+          if (slot.device != nullptr) slot.device->ResetThreadCursor();
         }
       }
       Algorithm algo = options_.algorithm;
@@ -169,55 +130,16 @@ StatusOr<BatchResults> BatchExecutor::RunDatabase(
         }
         algo = plan.chosen;
       }
-      const IoStats before = thread_io();
+      // The facade's dispatch and accounting; only the scratch and the
+      // read pools are the worker's own.
+      const SpatialKeywordDatabase::ThreadCounters before =
+          db_->CurrentThreadCounters();
       Stopwatch watch;
       QueryStats local;
-      StatusOr<std::vector<QueryResult>> answer(std::vector<QueryResult>{});
-      switch (algo) {
-        case Algorithm::kRTree:
-          if (db_->rtree() == nullptr) {
-            return Status::FailedPrecondition("R-Tree was not built");
-          }
-          answer = RTreeTopK(*db_->rtree(), objects, tokenizer, query, &local);
-          break;
-        case Algorithm::kIio:
-          if (db_->inverted_index() == nullptr) {
-            return Status::FailedPrecondition("Inverted index was not built");
-          }
-          answer = IioTopK(*db_->inverted_index(), objects, tokenizer, query,
-                           &local);
-          break;
-        case Algorithm::kIr2:
-          if (db_->ir2_tree() == nullptr) {
-            return Status::FailedPrecondition("IR2-Tree was not built");
-          }
-          answer = Ir2TopK(*db_->ir2_tree(), objects, tokenizer, query,
-                           &local, &scratch);
-          break;
-        case Algorithm::kMir2:
-          if (db_->mir2_tree() == nullptr) {
-            return Status::FailedPrecondition("MIR2-Tree was not built");
-          }
-          answer = Ir2TopK(*db_->mir2_tree(), objects, tokenizer, query,
-                           &local, &scratch);
-          break;
-        case Algorithm::kKcTree:
-          if (db_->kc_tree() == nullptr) {
-            return Status::FailedPrecondition("KC-Tree was not built");
-          }
-          answer = KcTopK(*db_->kc_tree(), objects, tokenizer, query,
-                          &local, &scratch);
-          break;
-        case Algorithm::kAuto:
-          return Status::Internal("Planner chose kAuto");
-      }
-      IR2_RETURN_IF_ERROR(answer.status());
-      *results = std::move(answer).value();
+      IR2_ASSIGN_OR_RETURN(*results,
+                           db_->RunAlgorithm(algo, query, &local, &scratch));
       local.seconds = watch.ElapsedSeconds();
-      local.io = thread_io() - before;
-      // No speculation in batch mode: price the demand reads only, the
-      // same figure a serial prefetch-off run reports.
-      local.simulated_disk_ms = model.Ms(local.io);
+      db_->AccountSince(before, &local);
       if (options_.algorithm == Algorithm::kAuto) {
         planner->RecordOutcome(plan, local.simulated_disk_ms,
                                &local_feedback);

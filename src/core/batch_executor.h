@@ -81,9 +81,11 @@ class BatchExecutor {
                 const Tokenizer* tokenizer, BatchExecutorOptions options = {});
 
   // Database mode: runs options.algorithm (kAuto by default, planned per
-  // query by db->planner()) over every structure the database holds.
-  // Workers open private pools over each tree's device (ScopedReadPool) so
-  // node reads never contend; object and posting reads go through the
+  // query by db->planner()) over every structure the database holds,
+  // through the database's own algorithm dispatch and QueryStats
+  // accounting — the code SpatialKeywordDatabase::Query runs — with a
+  // per-worker traversal scratch. Workers open private pools over each
+  // tree's device (ScopedReadPool) so node reads never contend; object and posting reads go through the
   // database's bypass pools, which is why this mode requires
   // db->options().prefetch == false (a shared caching pool would break
   // per-query cold isolation across workers). `db` must outlive the

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <cmath>
@@ -39,7 +40,15 @@ double DatasetStats::AvgBlocksPerObject() const {
   return 1.0 + (record_bytes - 1.0) / 4096.0;
 }
 
-SpatialKeywordDatabase::~SpatialKeywordDatabase() = default;
+SpatialKeywordDatabase::~SpatialKeywordDatabase() {
+  // Scheduler workers read through the pools and submit to the async
+  // backends: stop them, then the backends. The remaining members tear down
+  // in reverse declaration order (see the class comment).
+  for (StructureSlot& slot : slots_) {
+    slot.scheduler.reset();
+  }
+  async_backends_.clear();
+}
 
 StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     Build(std::span<const StoredObject> objects,
@@ -47,10 +56,16 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   std::unique_ptr<SpatialKeywordDatabase> db(new SpatialKeywordDatabase());
   db->options_ = options;
   db->tokenizer_ = Tokenizer(options.stopwords);
+  // The object file and the IIO read through pools only so prefetched
+  // blocks have somewhere to land. Without prefetching those pools run in
+  // bypass mode (capacity 0): no caching layer, physical counts
+  // byte-identical to reading the device directly.
+  const size_t stream_pool_blocks = options.prefetch ? options.pool_blocks : 0;
 
   // 1. Object file (the paper's tab-delimited plain text file).
-  db->object_device_ = std::make_unique<MemoryBlockDevice>();
-  ObjectStoreWriter writer(db->object_device_.get());
+  StructureSlot& object_slot = db->slots_[kObjects];
+  object_slot.device = std::make_unique<MemoryBlockDevice>();
+  ObjectStoreWriter writer(object_slot.device.get());
   std::vector<ObjectRef> refs;
   refs.reserve(objects.size());
   for (const StoredObject& object : objects) {
@@ -58,13 +73,9 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     refs.push_back(ref);
   }
   IR2_RETURN_IF_ERROR(writer.Finish());
-  // The object store reads through a pool so prefetched candidate blocks
-  // have somewhere to land. Without prefetching the pool runs in bypass
-  // mode (capacity 0): no caching layer, physical counts byte-identical to
-  // reading the device directly.
-  db->object_pool_ = std::make_unique<BufferPool>(
-      db->object_device_.get(), options.prefetch ? options.pool_blocks : 0);
-  db->object_store_ = std::make_unique<ObjectStore>(db->object_pool_.get(),
+  object_slot.pool = std::make_unique<BufferPool>(object_slot.device.get(),
+                                                  stream_pool_blocks);
+  db->object_store_ = std::make_unique<ObjectStore>(object_slot.pool.get(),
                                                     writer.bytes_written());
 
   // 2. Tokenize once; gather corpus statistics.
@@ -90,7 +101,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   stats.num_objects = objects.size();
   stats.vocabulary_size = vocabulary.size();
   stats.object_file_bytes = writer.bytes_written();
-  stats.object_file_blocks = db->object_device_->NumBlocks();
+  stats.object_file_blocks = object_slot.device->NumBlocks();
 
   const auto point_rect = [](const StoredObject& object) {
     return Rect::ForPoint(Point(object.coords));
@@ -106,13 +117,41 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     }
   }
 
+  // Every tree lives on a fresh memory device behind a pool of
+  // pool_blocks; returns that pool.
+  const auto new_tree_slot = [&db, &options](Structure s) {
+    StructureSlot& slot = db->slots_[s];
+    slot.device = std::make_unique<MemoryBlockDevice>();
+    slot.pool =
+        std::make_unique<BufferPool>(slot.device.get(), options.pool_blocks);
+    return slot.pool.get();
+  };
+  // locality_placement: incremental splits scatter siblings, so rewrite the
+  // finished tree into the DFS layout (bulk loads already produce it
+  // natively) on a fresh slot, built by the tree's own `make`.
+  const auto compact = [&db, &options](Structure s, auto& tree,
+                                       const auto& make) -> Status {
+    if (!options.locality_placement || options.bulk_load) {
+      return Status::Ok();
+    }
+    auto device = std::make_unique<MemoryBlockDevice>();
+    auto pool =
+        std::make_unique<BufferPool>(device.get(), options.pool_blocks);
+    auto compacted = make(pool.get());
+    IR2_RETURN_IF_ERROR(compacted->Init());
+    IR2_RETURN_IF_ERROR(tree->CompactInto(compacted.get()));
+    tree = std::move(compacted);
+    db->slots_[s].pool = std::move(pool);
+    db->slots_[s].device = std::move(device);
+    return Status::Ok();
+  };
+
   // 3. Plain R-Tree (baseline).
   if (options.build_rtree) {
-    db->rtree_device_ = std::make_unique<MemoryBlockDevice>();
-    db->rtree_pool_ = std::make_unique<BufferPool>(db->rtree_device_.get(),
-                                                   options.pool_blocks);
-    db->rtree_ = std::make_unique<RTree>(db->rtree_pool_.get(),
-                                         options.tree_options);
+    const auto make = [&](BufferPool* pool) {
+      return std::make_unique<RTree>(pool, options.tree_options);
+    };
+    db->rtree_ = make(new_tree_slot(kRTree));
     IR2_RETURN_IF_ERROR(db->rtree_->Init());
     if (options.bulk_load) {
       std::vector<RTreeBase::BulkItem> items;
@@ -132,29 +171,16 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
       }
     }
     IR2_RETURN_IF_ERROR(db->rtree_->Flush());
-    if (options.locality_placement && !options.bulk_load) {
-      // Incremental splits scatter siblings; rewrite into the DFS layout
-      // (bulk loads already produce it natively).
-      auto device = std::make_unique<MemoryBlockDevice>();
-      auto pool =
-          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-      auto tree = std::make_unique<RTree>(pool.get(), options.tree_options);
-      IR2_RETURN_IF_ERROR(tree->Init());
-      IR2_RETURN_IF_ERROR(db->rtree_->CompactInto(tree.get()));
-      db->rtree_ = std::move(tree);
-      db->rtree_pool_ = std::move(pool);
-      db->rtree_device_ = std::move(device);
-    }
+    IR2_RETURN_IF_ERROR(compact(kRTree, db->rtree_, make));
   }
 
   // 4. IR2-Tree.
   if (options.build_ir2) {
-    db->ir2_device_ = std::make_unique<MemoryBlockDevice>();
-    db->ir2_pool_ = std::make_unique<BufferPool>(db->ir2_device_.get(),
-                                                 options.pool_blocks);
-    db->ir2_ = std::make_unique<Ir2Tree>(db->ir2_pool_.get(),
-                                         options.tree_options,
-                                         options.ir2_signature);
+    const auto make = [&](BufferPool* pool) {
+      return std::make_unique<Ir2Tree>(pool, options.tree_options,
+                                       options.ir2_signature);
+    };
+    db->ir2_ = make(new_tree_slot(kIr2));
     IR2_RETURN_IF_ERROR(db->ir2_->Init());
     if (options.bulk_load) {
       IR2_RETURN_IF_ERROR(db->ir2_->BulkLoadObjects(
@@ -167,33 +193,20 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
       }
     }
     IR2_RETURN_IF_ERROR(db->ir2_->Flush());
-    if (options.locality_placement && !options.bulk_load) {
-      auto device = std::make_unique<MemoryBlockDevice>();
-      auto pool =
-          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-      auto tree = std::make_unique<Ir2Tree>(pool.get(), options.tree_options,
-                                            options.ir2_signature);
-      IR2_RETURN_IF_ERROR(tree->Init());
-      IR2_RETURN_IF_ERROR(db->ir2_->CompactInto(tree.get()));
-      db->ir2_ = std::move(tree);
-      db->ir2_pool_ = std::move(pool);
-      db->ir2_device_ = std::move(device);
-    }
+    IR2_RETURN_IF_ERROR(compact(kIr2, db->ir2_, make));
   }
 
   // 5. MIR2-Tree: bulk load with deferred inner signatures, then one
   // recomputation pass (each object loaded once).
   if (options.build_mir2) {
-    db->mir2_device_ = std::make_unique<MemoryBlockDevice>();
-    db->mir2_pool_ = std::make_unique<BufferPool>(db->mir2_device_.get(),
-                                                  options.pool_blocks);
+    BufferPool* mir2_pool = new_tree_slot(kMir2);
     MultilevelScheme scheme = options.mir2_scheme;
     RTreeOptions mir2_options = options.tree_options;
     mir2_options.defer_inner_payload_maintenance = true;
     if (scheme.per_level.empty()) {
       // Derive per-level widths from the dataset statistics. The probe tree
       // is only used to compute the node capacity.
-      RTree capacity_probe(db->mir2_pool_.get(), options.tree_options);
+      RTree capacity_probe(mir2_pool, options.tree_options);
       uint32_t capacity = capacity_probe.node_capacity();
       uint32_t max_levels =
           2 + static_cast<uint32_t>(
@@ -204,9 +217,13 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
           stats.AvgDistinctWordsPerObject(), stats.vocabulary_size, capacity,
           /*expected_fill=*/0.7, max_levels);
     }
-    db->mir2_ = std::make_unique<Mir2Tree>(
-        db->mir2_pool_.get(), mir2_options, std::move(scheme),
-        db->object_store_.get(), &db->tokenizer_);
+    // The compaction below copies the recomputed signatures verbatim.
+    const auto make = [&](BufferPool* pool) {
+      return std::make_unique<Mir2Tree>(pool, mir2_options, scheme,
+                                        db->object_store_.get(),
+                                        &db->tokenizer_);
+    };
+    db->mir2_ = make(mir2_pool);
     IR2_RETURN_IF_ERROR(db->mir2_->Init());
     if (options.bulk_load) {
       IR2_RETURN_IF_ERROR(db->mir2_->BulkLoadObjects(
@@ -220,22 +237,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     }
     IR2_RETURN_IF_ERROR(db->mir2_->RecomputeAllSignatures());
     IR2_RETURN_IF_ERROR(db->mir2_->Flush());
-    if (options.locality_placement && !options.bulk_load) {
-      // Signatures are already correct (recomputed above); the compaction
-      // copies them verbatim.
-      MultilevelScheme built_scheme = db->mir2_->scheme();
-      auto device = std::make_unique<MemoryBlockDevice>();
-      auto pool =
-          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-      auto tree = std::make_unique<Mir2Tree>(
-          pool.get(), mir2_options, std::move(built_scheme),
-          db->object_store_.get(), &db->tokenizer_);
-      IR2_RETURN_IF_ERROR(tree->Init());
-      IR2_RETURN_IF_ERROR(db->mir2_->CompactInto(tree.get()));
-      db->mir2_ = std::move(tree);
-      db->mir2_pool_ = std::move(pool);
-      db->mir2_device_ = std::move(device);
-    }
+    IR2_RETURN_IF_ERROR(compact(kMir2, db->mir2_, make));
   }
 
   // 6. KC-Tree: keyword-clustered hybrid payloads — exact bitmaps for the
@@ -245,12 +247,11 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   if (options.build_kc) {
     db->kc_vocab_ = std::make_unique<KcVocabulary>(KcVocabulary::Build(
         distinct_words, options.kc_vocabulary, options.ir2_signature));
-    db->kc_device_ = std::make_unique<MemoryBlockDevice>();
-    db->kc_pool_ = std::make_unique<BufferPool>(db->kc_device_.get(),
-                                                options.pool_blocks);
-    db->kc_ = std::make_unique<KcTree>(db->kc_pool_.get(),
-                                       options.tree_options,
-                                       db->kc_vocab_.get());
+    const auto make = [&](BufferPool* pool) {
+      return std::make_unique<KcTree>(pool, options.tree_options,
+                                      db->kc_vocab_.get());
+    };
+    db->kc_ = make(new_tree_slot(kKcTree));
     IR2_RETURN_IF_ERROR(db->kc_->Init());
     if (options.bulk_load) {
       std::vector<KcTree::BulkObject> kc_bulk;
@@ -269,32 +270,21 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
       }
     }
     IR2_RETURN_IF_ERROR(db->kc_->Flush());
-    if (options.locality_placement && !options.bulk_load) {
-      auto device = std::make_unique<MemoryBlockDevice>();
-      auto pool =
-          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-      auto tree = std::make_unique<KcTree>(pool.get(), options.tree_options,
-                                           db->kc_vocab_.get());
-      IR2_RETURN_IF_ERROR(tree->Init());
-      IR2_RETURN_IF_ERROR(db->kc_->CompactInto(tree.get()));
-      db->kc_ = std::move(tree);
-      db->kc_pool_ = std::move(pool);
-      db->kc_device_ = std::move(device);
-    }
+    IR2_RETURN_IF_ERROR(compact(kKcTree, db->kc_, make));
   }
 
   // 7. Inverted index (IIO baseline).
   if (options.build_iio) {
-    db->iio_device_ = std::make_unique<MemoryBlockDevice>();
-    InvertedIndexBuilder builder(db->iio_device_.get(), options.iio_options);
+    StructureSlot& slot = db->slots_[kIio];
+    slot.device = std::make_unique<MemoryBlockDevice>();
+    InvertedIndexBuilder builder(slot.device.get(), options.iio_options);
     for (size_t i = 0; i < objects.size(); ++i) {
       builder.AddObject(refs[i], distinct_words[i], doc_lengths[i]);
     }
     IR2_RETURN_IF_ERROR(builder.Finish());
-    // Bypass pool when prefetching is off, mirroring the object store.
-    db->iio_pool_ = std::make_unique<BufferPool>(
-        db->iio_device_.get(), options.prefetch ? options.pool_blocks : 0);
-    IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(db->iio_pool_.get()));
+    slot.pool =
+        std::make_unique<BufferPool>(slot.device.get(), stream_pool_blocks);
+    IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(slot.pool.get()));
   }
 
   db->scorer_ = std::make_unique<IrScorer>(
@@ -348,7 +338,7 @@ Status SpatialKeywordDatabase::WirePlanner() {
   inputs.object_file_blocks = stats_.object_file_blocks;
   inputs.iio_present = iio_ != nullptr;
   inputs.disk_model = options_.disk_model;
-  inputs.block_size = object_device_->block_size();
+  inputs.block_size = slots_[kObjects].device->block_size();
   if (rtree_ != nullptr) {
     IR2_ASSIGN_OR_RETURN(inputs.rtree, SnapshotTreeShape(*rtree_, nullptr));
   }
@@ -399,39 +389,29 @@ Status SpatialKeywordDatabase::WirePlanner() {
 void SpatialKeywordDatabase::WireIoEngine() {
   // Schedulers may hold pointers into async_backends_; tear them down first
   // if this is ever re-run.
-  object_scheduler_.reset();
-  rtree_scheduler_.reset();
-  ir2_scheduler_.reset();
-  mir2_scheduler_.reset();
-  kc_scheduler_.reset();
-  iio_scheduler_.reset();
+  for (StructureSlot& slot : slots_) {
+    slot.scheduler.reset();
+  }
   async_backends_.clear();
-  const auto make_scheduler =
-      [this](BufferPool* pool) -> std::unique_ptr<IoScheduler> {
-    if (pool == nullptr) {
-      return nullptr;
+  for (StructureSlot& slot : slots_) {
+    if (slot.pool == nullptr) {
+      continue;
     }
-    auto scheduler = std::make_unique<IoScheduler>(pool, options_.scheduler);
+    slot.scheduler =
+        std::make_unique<IoScheduler>(slot.pool.get(), options_.scheduler);
     if (options_.async_io_threads > 0) {
       AsyncIoOptions async_options;
       async_options.num_threads = options_.async_io_threads;
       async_backends_.push_back(
-          std::make_unique<AsyncIoBackend>(pool, async_options));
-      scheduler->SetAsyncBackend(async_backends_.back().get());
+          std::make_unique<AsyncIoBackend>(slot.pool.get(), async_options));
+      slot.scheduler->SetAsyncBackend(async_backends_.back().get());
     }
-    return scheduler;
-  };
-  object_scheduler_ = make_scheduler(object_pool_.get());
-  rtree_scheduler_ = make_scheduler(rtree_pool_.get());
-  ir2_scheduler_ = make_scheduler(ir2_pool_.get());
-  mir2_scheduler_ = make_scheduler(mir2_pool_.get());
-  kc_scheduler_ = make_scheduler(kc_pool_.get());
-  iio_scheduler_ = make_scheduler(iio_pool_.get());
-  if (iio_ != nullptr && iio_scheduler_ != nullptr) {
+  }
+  if (iio_ != nullptr && slots_[kIio].scheduler != nullptr) {
     // Posting lists always stream through the scheduler's ReadRun path —
     // the identical block sequence as direct reads, so this is safe to
     // wire unconditionally (prefetch on or off).
-    iio_->SetScheduler(iio_scheduler_.get());
+    iio_->SetScheduler(slots_[kIio].scheduler.get());
   }
 }
 
@@ -439,11 +419,9 @@ Status SpatialKeywordDatabase::DropCaches() {
   // Let in-flight speculation finish first so a racing prefetch cannot
   // re-populate a pool between the Clear and the next query.
   DrainSchedulers();
-  for (BufferPool* pool :
-       {object_pool_.get(), rtree_pool_.get(), ir2_pool_.get(),
-        mir2_pool_.get(), kc_pool_.get(), iio_pool_.get()}) {
-    if (pool != nullptr) {
-      IR2_RETURN_IF_ERROR(pool->Clear());
+  for (const StructureSlot& slot : slots_) {
+    if (slot.pool != nullptr) {
+      IR2_RETURN_IF_ERROR(slot.pool->Clear());
     }
   }
   // A decoded-node cache attached to a tree would also short-circuit cold
@@ -458,97 +436,42 @@ Status SpatialKeywordDatabase::DropCaches() {
 
 std::vector<RTreeBase*> SpatialKeywordDatabase::trees() const {
   std::vector<RTreeBase*> built;
-  for (RTreeBase* tree : {static_cast<RTreeBase*>(rtree_.get()),
-                          static_cast<RTreeBase*>(ir2_.get()),
-                          static_cast<RTreeBase*>(mir2_.get()),
-                          static_cast<RTreeBase*>(kc_.get())}) {
+  for (RTreeBase* tree : SlotTrees()) {
     if (tree != nullptr) built.push_back(tree);
   }
   return built;
 }
 
 void SpatialKeywordDatabase::ResetIoStats() {
-  // Pools cascade to their backing devices; the device loop covers any
+  // Pools cascade to their backing devices; the device reset covers any
   // device not behind a pool.
-  for (BufferPool* pool :
-       {object_pool_.get(), rtree_pool_.get(), ir2_pool_.get(),
-        mir2_pool_.get(), kc_pool_.get(), iio_pool_.get()}) {
-    if (pool != nullptr) {
-      pool->ResetStats();
-    }
+  for (const StructureSlot& slot : slots_) {
+    if (slot.pool != nullptr) slot.pool->ResetStats();
+    if (slot.device != nullptr) slot.device->ResetStats();
+    if (slot.scheduler != nullptr) slot.scheduler->ResetStats();
   }
-  for (BlockDevice* device :
-       {object_device_.get(), rtree_device_.get(), ir2_device_.get(),
-        mir2_device_.get(), kc_device_.get(), iio_device_.get()}) {
-    if (device != nullptr) {
-      device->ResetStats();
-    }
-  }
-  for (IoScheduler* scheduler :
-       {object_scheduler_.get(), rtree_scheduler_.get(), ir2_scheduler_.get(),
-        mir2_scheduler_.get(), kc_scheduler_.get(), iio_scheduler_.get()}) {
-    if (scheduler != nullptr) {
-      scheduler->ResetStats();
-    }
-  }
-}
-
-IoStats SpatialKeywordDatabase::PoolThreadIo() const {
-  IoStats total;
-  for (const BufferPool* pool :
-       {object_pool_.get(), rtree_pool_.get(), ir2_pool_.get(),
-        mir2_pool_.get(), kc_pool_.get(), iio_pool_.get()}) {
-    if (pool != nullptr) {
-      total += pool->thread_stats();
-    }
-  }
-  return total;
-}
-
-IoStats SpatialKeywordDatabase::DeviceThreadIo() const {
-  IoStats total;
-  for (const BlockDevice* device :
-       {object_device_.get(), rtree_device_.get(), ir2_device_.get(),
-        mir2_device_.get(), kc_device_.get(), iio_device_.get()}) {
-    if (device != nullptr) {
-      total += device->thread_stats();
-    }
-  }
-  return total;
-}
-
-IoStats SpatialKeywordDatabase::SchedulerIo() const {
-  IoStats total;
-  for (const IoScheduler* scheduler :
-       {object_scheduler_.get(), rtree_scheduler_.get(), ir2_scheduler_.get(),
-        mir2_scheduler_.get(), kc_scheduler_.get(), iio_scheduler_.get()}) {
-    if (scheduler != nullptr) {
-      total += scheduler->speculative_stats();
-    }
-  }
-  return total;
 }
 
 void SpatialKeywordDatabase::DrainSchedulers() {
-  for (IoScheduler* scheduler :
-       {object_scheduler_.get(), rtree_scheduler_.get(), ir2_scheduler_.get(),
-        mir2_scheduler_.get(), kc_scheduler_.get(), iio_scheduler_.get()}) {
-    if (scheduler != nullptr) {
-      scheduler->Drain();
+  for (const StructureSlot& slot : slots_) {
+    if (slot.scheduler != nullptr) {
+      slot.scheduler->Drain();
     }
   }
 }
 
 void SpatialKeywordDatabase::MaybeSweepObjectFile(
     const DistanceFirstQuery& q) {
-  if (!options_.prefetch || object_scheduler_ == nullptr || q.k == 0) {
+  IoScheduler* scheduler = slots_[kObjects].scheduler.get();
+  if (!options_.prefetch || scheduler == nullptr || q.k == 0) {
     return;
   }
-  const uint64_t blocks = object_pool_->NumBlocks();
+  const BufferPool* pool = slots_[kObjects].pool.get();
+  const uint64_t blocks = pool->NumBlocks();
   if (blocks == 0) {
     return;
   }
-  const DiskModel model(options_.disk_model, object_pool_->block_size());
+  const DiskModel model(options_.disk_model, pool->block_size());
   const double sweep_ms =
       model.RandomAccessMs() +
       static_cast<double>(blocks - 1) * model.SequentialAccessMs();
@@ -571,21 +494,52 @@ void SpatialKeywordDatabase::MaybeSweepObjectFile(
   }
   const double seek_ms = expected_loads * model.RandomAccessMs();
   if (sweep_ms < seek_ms) {
-    object_scheduler_->PrefetchRange(0, static_cast<uint32_t>(
-                                            std::min<uint64_t>(blocks, ~0u)));
+    scheduler->PrefetchRange(
+        0, static_cast<uint32_t>(std::min<uint64_t>(blocks, ~0u)));
   }
 }
 
 IoStats SpatialKeywordDatabase::AggregateIo() const {
   IoStats total;
-  for (const BlockDevice* device :
-       {object_device_.get(), rtree_device_.get(), ir2_device_.get(),
-        mir2_device_.get(), kc_device_.get(), iio_device_.get()}) {
-    if (device != nullptr) {
-      total += device->stats();
+  for (const StructureSlot& slot : slots_) {
+    if (slot.device != nullptr) {
+      total += slot.device->stats();
     }
   }
   return total;
+}
+
+SpatialKeywordDatabase::ThreadCounters
+SpatialKeywordDatabase::CurrentThreadCounters() const {
+  ThreadCounters counters;
+  counters.node_decodes = RTreeBase::ThreadNodeDecodes();
+  const std::array<RTreeBase*, kNumStructures> trees = SlotTrees();
+  for (int s = 0; s < kNumStructures; ++s) {
+    const StructureSlot& slot = slots_[s];
+    if (slot.device == nullptr) {
+      continue;
+    }
+    // A tree's demand is counted at the pool this thread reads it through:
+    // a ScopedReadPool override (BatchExecutor workers) or its own.
+    const BufferPool* pool =
+        trees[s] != nullptr ? trees[s]->read_pool() : slot.pool.get();
+    counters.demand += pool->thread_stats();
+    counters.physical += slot.device->thread_stats();
+    counters.speculative += slot.scheduler->speculative_stats();
+  }
+  return counters;
+}
+
+void SpatialKeywordDatabase::AccountSince(const ThreadCounters& before,
+                                          QueryStats* stats) const {
+  const ThreadCounters after = CurrentThreadCounters();
+  stats->io = after.physical - before.physical;
+  stats->demand_io = after.demand - before.demand;
+  stats->speculative_io = after.speculative - before.speculative;
+  stats->node_decodes = after.node_decodes - before.node_decodes;
+  const DiskModel model(options_.disk_model);
+  stats->simulated_disk_ms =
+      model.Ms(stats->io) + model.Ms(stats->speculative_io);
 }
 
 template <typename Fn>
@@ -600,10 +554,7 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
   //   schedulers -> speculative_io  (physical reads by prefetch threads)
   // With prefetching off the schedulers stay idle and the bypass pools add
   // nothing, so io reproduces the historical device-diff values exactly.
-  const IoStats demand_before = PoolThreadIo();
-  const IoStats physical_before = DeviceThreadIo();
-  const IoStats speculative_before = SchedulerIo();
-  const uint64_t decodes_before = RTreeBase::ThreadNodeDecodes();
+  const ThreadCounters before = CurrentThreadCounters();
   // One kQuery span per query (covering the algorithm and the drain);
   // free when no tracer is installed.
   obs::TraceSpan query_span(obs::SpanKind::kQuery);
@@ -616,13 +567,7 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
     DrainSchedulers();
   }
   local.seconds = watch.ElapsedSeconds();
-  local.io = DeviceThreadIo() - physical_before;
-  local.demand_io = PoolThreadIo() - demand_before;
-  local.speculative_io = SchedulerIo() - speculative_before;
-  local.node_decodes = RTreeBase::ThreadNodeDecodes() - decodes_before;
-  const DiskModel model(options_.disk_model);
-  local.simulated_disk_ms =
-      model.Ms(local.io) + model.Ms(local.speculative_io);
+  AccountSince(before, &local);
   const obs::CoreMetrics& metrics = obs::DefaultMetrics();
   metrics.queries_total->Add();
   metrics.query_latency_ms->Record(local.seconds * 1000.0);
@@ -635,249 +580,114 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
   return results;
 }
 
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryRTree(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (rtree_ == nullptr) {
-    return Status::FailedPrecondition("R-Tree was not built");
-  }
-  NNPrefetchOptions prefetch;
-  if (options_.prefetch) {
-    prefetch.node_scheduler = rtree_scheduler_.get();
-    if (options_.prefetch_objects) {
-      prefetch.object_scheduler = object_scheduler_.get();
+StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunAlgorithm(
+    Algorithm algo, const DistanceFirstQuery& q, QueryStats* stats,
+    Ir2QueryScratch* scratch) {
+  IoScheduler* object_scheduler =
+      options_.prefetch ? slots_[kObjects].scheduler.get() : nullptr;
+  // The tree traversals' speculation: frontier prefetch on the tree's own
+  // scheduler, candidate objects only when opted in.
+  const auto tree_prefetch = [&](Structure s) {
+    NNPrefetchOptions prefetch;
+    if (options_.prefetch) {
+      prefetch.node_scheduler = slots_[s].scheduler.get();
+      if (options_.prefetch_objects) {
+        prefetch.object_scheduler = object_scheduler;
+      }
     }
+    return prefetch;
+  };
+  switch (algo) {
+    case Algorithm::kRTree:
+      if (rtree_ == nullptr) {
+        return Status::FailedPrecondition("R-Tree was not built");
+      }
+      MaybeSweepObjectFile(q);
+      return RTreeTopK(*rtree_, *object_store_, tokenizer_, q, stats,
+                       tree_prefetch(kRTree));
+    case Algorithm::kIio:
+      if (iio_ == nullptr) {
+        return Status::FailedPrecondition("Inverted index was not built");
+      }
+      return IioTopK(*iio_, *object_store_, tokenizer_, q, stats,
+                     object_scheduler);
+    case Algorithm::kIr2:
+      if (ir2_ == nullptr) {
+        return Status::FailedPrecondition("IR2-Tree was not built");
+      }
+      MaybeSweepObjectFile(q);
+      return Ir2TopK(*ir2_, *object_store_, tokenizer_, q, stats, scratch,
+                     tree_prefetch(kIr2));
+    case Algorithm::kMir2:
+      if (mir2_ == nullptr) {
+        return Status::FailedPrecondition("MIR2-Tree was not built");
+      }
+      MaybeSweepObjectFile(q);
+      return Ir2TopK(*mir2_, *object_store_, tokenizer_, q, stats, scratch,
+                     tree_prefetch(kMir2));
+    case Algorithm::kKcTree:
+      if (kc_ == nullptr) {
+        return Status::FailedPrecondition("KC-Tree was not built");
+      }
+      MaybeSweepObjectFile(q);
+      return KcTopK(*kc_, *object_store_, tokenizer_, q, stats, scratch,
+                    tree_prefetch(kKcTree));
+    case Algorithm::kAuto:
+      break;
   }
-  return RunQuery(stats, [&](QueryStats* local) {
-    MaybeSweepObjectFile(q);
-    return RTreeTopK(*rtree_, *object_store_, tokenizer_, q, local, prefetch);
-  });
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryIio(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (iio_ == nullptr) {
-    return Status::FailedPrecondition("Inverted index was not built");
-  }
-  return RunQuery(stats, [&](QueryStats* local) {
-    return IioTopK(*iio_, *object_store_, tokenizer_, q, local,
-                   options_.prefetch ? object_scheduler_.get() : nullptr);
-  });
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryIr2(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (ir2_ == nullptr) {
-    return Status::FailedPrecondition("IR2-Tree was not built");
-  }
-  NNPrefetchOptions prefetch;
-  if (options_.prefetch) {
-    prefetch.node_scheduler = ir2_scheduler_.get();
-    if (options_.prefetch_objects) {
-      prefetch.object_scheduler = object_scheduler_.get();
-    }
-  }
-  return RunQuery(stats, [&](QueryStats* local) {
-    MaybeSweepObjectFile(q);
-    return Ir2TopK(*ir2_, *object_store_, tokenizer_, q, local,
-                   /*scratch=*/nullptr, prefetch);
-  });
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryMir2(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (mir2_ == nullptr) {
-    return Status::FailedPrecondition("MIR2-Tree was not built");
-  }
-  NNPrefetchOptions prefetch;
-  if (options_.prefetch) {
-    prefetch.node_scheduler = mir2_scheduler_.get();
-    if (options_.prefetch_objects) {
-      prefetch.object_scheduler = object_scheduler_.get();
-    }
-  }
-  return RunQuery(stats, [&](QueryStats* local) {
-    MaybeSweepObjectFile(q);
-    return Ir2TopK(*mir2_, *object_store_, tokenizer_, q, local,
-                   /*scratch=*/nullptr, prefetch);
-  });
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryKc(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (kc_ == nullptr) {
-    return Status::FailedPrecondition("KC-Tree was not built");
-  }
-  NNPrefetchOptions prefetch;
-  if (options_.prefetch) {
-    prefetch.node_scheduler = kc_scheduler_.get();
-    if (options_.prefetch_objects) {
-      prefetch.object_scheduler = object_scheduler_.get();
-    }
-  }
-  return RunQuery(stats, [&](QueryStats* local) {
-    MaybeSweepObjectFile(q);
-    return KcTopK(*kc_, *object_store_, tokenizer_, q, local,
-                  /*scratch=*/nullptr, prefetch);
-  });
+  return Status::Internal("RunAlgorithm needs a fixed algorithm");
 }
 
 uint64_t SpatialKeywordDatabase::MutationEpoch() const {
   uint64_t epoch = 0;
-  if (rtree_ != nullptr) epoch += rtree_->version();
-  if (ir2_ != nullptr) epoch += ir2_->version();
-  if (mir2_ != nullptr) epoch += mir2_->version();
-  if (kc_ != nullptr) epoch += kc_->version();
+  for (const RTreeBase* tree : SlotTrees()) {
+    if (tree != nullptr) epoch += tree->version();
+  }
   return epoch;
 }
 
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryAuto(
-    const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out) {
-  return QueryAutoCached(q, stats, plan_out, /*check_out=*/nullptr);
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryAutoCached(
-    const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out,
-    CacheReuseCheck* check_out) {
-  // Only plain point top-k queries are cacheable: an area target has no
-  // single center for the triangle-inequality ball, and a max_distance
-  // bound can truncate the over-fetch below K, which would record a radius
-  // the entry does not actually cover.
-  if (result_cache_ == nullptr || q.area.has_value() ||
-      q.max_distance.has_value() || q.k == 0) {
-    return QueryAutoPlanned(q, stats, plan_out);
-  }
-  // One canonical keyword form for the cache key and the executed query.
-  // NormalizeKeywords is idempotent, so the algorithms' own normalization
-  // of the rewritten query is a no-op.
-  DistanceFirstQuery canonical = q;
-  canonical.keywords = tokenizer_.NormalizeKeywords(q.keywords);
-  const uint64_t epoch = MutationEpoch();
-  CacheReuseCheck check;
-  std::vector<QueryResult> cached;
-  if (result_cache_->TryServe(canonical, epoch, &cached, &check)) {
-    if (stats != nullptr) {
-      if (check.exact || check.exhaustive) {
-        ++stats->result_cache_hits;
-      } else {
-        ++stats->result_cache_near_hits;
-      }
+StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Query(
+    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
+    QueryPlan* plan_out) {
+  QueryPlan plan;
+  if (algo == Algorithm::kAuto) {
+    if (planner_ == nullptr) {
+      return Status::FailedPrecondition("Planner was not built");
     }
-    if (check_out != nullptr) *check_out = check;
-    if (plan_out != nullptr) *plan_out = QueryPlan{};  // Nothing planned.
-    return cached;
-  }
-  if (stats != nullptr) {
-    ++stats->result_cache_misses;
-    if (check.stale) ++stats->result_cache_invalidations;
-  }
-  if (check_out != nullptr) *check_out = check;
-  const uint32_t fetch_k = result_cache_->OverfetchK(canonical);
-  if (fetch_k <= canonical.k) {
-    // Admission declined (keyword set too cold): plain planned query.
-    return QueryAutoPlanned(canonical, stats, plan_out);
-  }
-  // Over-fetch: run the same planned path with k = K. The distance-ordered
-  // algorithms produce a deterministic result stream, so the first q.k of
-  // the top-K are exactly the plain top-k answer — truncation loses
-  // nothing but fills the cache with a reusable ball.
-  DistanceFirstQuery overfetch = canonical;
-  overfetch.k = fetch_k;
-  auto fetched = QueryAutoPlanned(overfetch, stats, plan_out);
-  IR2_RETURN_IF_ERROR(fetched.status());
-  result_cache_->Admit(canonical, fetch_k, epoch, fetched.value());
-  std::vector<QueryResult> top = std::move(fetched).value();
-  if (top.size() > canonical.k) top.resize(canonical.k);
-  return top;
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryAutoPlanned(
-    const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out) {
-  if (planner_ == nullptr) {
-    return Status::FailedPrecondition("Planner was not built");
-  }
-  // Planning is pure in-memory arithmetic (pinned by
-  // cold_regime_regression_test), so the executed query's disk profile is
-  // exactly what a direct call to the chosen algorithm would produce.
-  const QueryPlan plan = planner_->Plan(q);
-  if (plan_out != nullptr) {
-    *plan_out = plan;
-  }
-  if (!plan.has_choice) {
-    return Status::FailedPrecondition(
-        "No structure available to answer the query");
+    // Planning is pure in-memory arithmetic (pinned by
+    // cold_regime_regression_test), so the executed query's disk profile is
+    // exactly what a direct call to the chosen algorithm would produce.
+    plan = planner_->Plan(q);
+    if (plan_out != nullptr) {
+      *plan_out = plan;
+    }
+    if (!plan.has_choice) {
+      return Status::FailedPrecondition(
+          "No structure available to answer the query");
+    }
+    algo = plan.chosen;
   }
   QueryStats local;
-  StatusOr<std::vector<QueryResult>> results(std::vector<QueryResult>{});
-  switch (plan.chosen) {
-    case Algorithm::kRTree:
-      results = QueryRTree(q, &local);
-      break;
-    case Algorithm::kIio:
-      results = QueryIio(q, &local);
-      break;
-    case Algorithm::kIr2:
-      results = QueryIr2(q, &local);
-      break;
-    case Algorithm::kMir2:
-      results = QueryMir2(q, &local);
-      break;
-    case Algorithm::kKcTree:
-      results = QueryKc(q, &local);
-      break;
-    case Algorithm::kAuto:
-      return Status::Internal("Planner chose kAuto");
+  IR2_ASSIGN_OR_RETURN(std::vector<QueryResult> results,
+                       RunQuery(&local, [&](QueryStats* run_stats) {
+                         return RunAlgorithm(algo, q, run_stats,
+                                             /*scratch=*/nullptr);
+                       }));
+  if (plan.has_choice) {
+    planner_->RecordOutcome(plan, local.simulated_disk_ms);
+    // Mispricing audit for the serving query log: no-op unless the calling
+    // thread installed a sink (one thread_local load otherwise).
+    obs::ScopedPlanAudit::Record(AlgorithmName(plan.chosen),
+                                 plan.chosen_predicted_ms,
+                                 local.simulated_disk_ms);
   }
-  IR2_RETURN_IF_ERROR(results.status());
-  planner_->RecordOutcome(plan, local.simulated_disk_ms);
-  // Mispricing audit for the serving query log: no-op unless the calling
-  // thread installed a sink (one thread_local load otherwise).
-  obs::ScopedPlanAudit::Record(AlgorithmName(plan.chosen),
-                               plan.chosen_predicted_ms,
-                               local.simulated_disk_ms);
   if (stats != nullptr) {
     *stats += local;
   }
   return results;
 }
 
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Query(
-    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats) {
-  switch (algo) {
-    case Algorithm::kRTree:
-      return QueryRTree(q, stats);
-    case Algorithm::kIio:
-      return QueryIio(q, stats);
-    case Algorithm::kIr2:
-      return QueryIr2(q, stats);
-    case Algorithm::kMir2:
-      return QueryMir2(q, stats);
-    case Algorithm::kKcTree:
-      return QueryKc(q, stats);
-    case Algorithm::kAuto:
-      return QueryAuto(q, stats);
-  }
-  return Status::InvalidArgument("Unknown algorithm");
-}
-
 namespace {
-
-const char* ExplainAlgoName(SpatialKeywordDatabase::ExplainAlgo algo) {
-  switch (algo) {
-    case SpatialKeywordDatabase::ExplainAlgo::kRTree:
-      return "R-Tree";
-    case SpatialKeywordDatabase::ExplainAlgo::kIio:
-      return "IIO";
-    case SpatialKeywordDatabase::ExplainAlgo::kIr2:
-      return "IR2";
-    case SpatialKeywordDatabase::ExplainAlgo::kMir2:
-      return "MIR2";
-    case SpatialKeywordDatabase::ExplainAlgo::kKcTree:
-      return "KCTREE";
-    case SpatialKeywordDatabase::ExplainAlgo::kAuto:
-      return "AUTO";
-  }
-  return "?";
-}
 
 // Selectivities span many decades; %.3g keeps 1e-7 readable where FormatMs
 // would render 0.00.
@@ -912,75 +722,23 @@ void AddIoRow(obs::ExplainSection* section, const char* label,
 
 }  // namespace
 
-void AddCacheReuseSection(obs::ExplainReport* report,
-                          const CacheReuseCheck& check) {
-  obs::ExplainSection* section = report->AddSection("Result cache");
-  char buf[96];
-  if (!check.attempted) {
-    section->AddRow("verdict", "miss (no entry for this keyword set)");
-    return;
-  }
-  if (check.stale) {
-    section->AddRow("verdict", "invalidated (mutation epoch moved)");
-    return;
-  }
-  section->AddRow("cached results (K)", obs::FormatCount(check.cached_results));
-  std::snprintf(buf, sizeof(buf), "%.6f", check.cached_radius);
-  section->AddRow("cached radius r_K", buf);
-  std::snprintf(buf, sizeof(buf), "%.6f", check.center_shift);
-  section->AddRow("center shift dist(p, p')", buf);
-  if (check.exhaustive) {
-    section->AddRow("reuse proof", "entry is exhaustive (every match cached)");
-  } else if (check.exact) {
-    section->AddRow("reuse proof", "exact center, k' <= K (prefix of the "
-                                   "cached total order)");
-  } else {
-    std::snprintf(buf, sizeof(buf), "d'_k' = %.6f %s r_K - shift = %.6f",
-                  check.kth_distance, check.hit ? "<" : ">=",
-                  check.cached_radius - check.center_shift);
-    section->AddRow("reuse inequality", buf);
-  }
-  section->AddRow("verdict", check.hit ? "hit (answered from cache, zero "
-                                         "index I/O)"
-                                       : "miss (inequality not provable)");
-}
-
 StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
-    Explain(const DistanceFirstQuery& q, ExplainAlgo algo) {
-  struct PoolRow {
+    Explain(const DistanceFirstQuery& q, Algorithm algo) {
+  // Pool and scheduler counters before the query, per built structure
+  // (WireIoEngine gives every pool a scheduler).
+  struct SlotRow {
     const char* name;
-    const BufferPool* pool;
-    BufferPoolStats before;
+    const StructureSlot* slot;
+    BufferPoolStats pool_before;
+    IoSchedulerStats scheduler_before;
   };
-  std::vector<PoolRow> pools;
-  for (const auto& [name, pool] :
-       {std::pair<const char*, const BufferPool*>{"objects",
-                                                  object_pool_.get()},
-        {"rtree", rtree_pool_.get()},
-        {"ir2", ir2_pool_.get()},
-        {"mir2", mir2_pool_.get()},
-        {"kctree", kc_pool_.get()},
-        {"iio", iio_pool_.get()}}) {
-    if (pool != nullptr) {
-      pools.push_back(PoolRow{name, pool, pool->Stats()});
-    }
-  }
-  struct SchedulerRow {
-    const char* name;
-    const IoScheduler* scheduler;
-    IoSchedulerStats before;
-  };
-  std::vector<SchedulerRow> schedulers;
-  for (const auto& [name, scheduler] :
-       {std::pair<const char*, const IoScheduler*>{"objects",
-                                                   object_scheduler_.get()},
-        {"rtree", rtree_scheduler_.get()},
-        {"ir2", ir2_scheduler_.get()},
-        {"mir2", mir2_scheduler_.get()},
-        {"kctree", kc_scheduler_.get()},
-        {"iio", iio_scheduler_.get()}}) {
-    if (scheduler != nullptr) {
-      schedulers.push_back(SchedulerRow{name, scheduler, scheduler->stats()});
+  std::vector<SlotRow> slot_rows;
+  for (int s = 0; s < kNumStructures; ++s) {
+    const StructureSlot& slot = slots_[s];
+    if (slot.pool != nullptr) {
+      slot_rows.push_back(SlotRow{kStructureNames[s], &slot,
+                                  slot.pool->Stats(),
+                                  slot.scheduler->stats()});
     }
   }
 
@@ -989,30 +747,10 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   ExplainResult out;
   obs::Tracer tracer;
   QueryPlan plan;
-  CacheReuseCheck cache_check;
   StatusOr<std::vector<QueryResult>> results(std::vector<QueryResult>{});
   {
     obs::ScopedTracer scoped(&tracer);
-    switch (algo) {
-      case ExplainAlgo::kRTree:
-        results = QueryRTree(q, &out.stats);
-        break;
-      case ExplainAlgo::kIio:
-        results = QueryIio(q, &out.stats);
-        break;
-      case ExplainAlgo::kIr2:
-        results = QueryIr2(q, &out.stats);
-        break;
-      case ExplainAlgo::kMir2:
-        results = QueryMir2(q, &out.stats);
-        break;
-      case ExplainAlgo::kKcTree:
-        results = QueryKc(q, &out.stats);
-        break;
-      case ExplainAlgo::kAuto:
-        results = QueryAutoCached(q, &out.stats, &plan, &cache_check);
-        break;
-    }
+    results = Query(q, algo, &out.stats, &plan);
   }
   IR2_RETURN_IF_ERROR(results.status());
   out.results = std::move(results).value();
@@ -1020,18 +758,16 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   const QueryStats& stats = out.stats;
 
   obs::ExplainReport& report = out.report;
-  report.title = std::string("EXPLAIN ") + ExplainAlgoName(algo) +
+  report.title = std::string("EXPLAIN ") + AlgorithmName(algo) +
                  " distance-first top-" + std::to_string(q.k);
 
   obs::ExplainSection* query = report.AddSection("Query");
-  if (algo == ExplainAlgo::kAuto && cache_check.hit) {
-    query->AddRow("algorithm", "auto -> result cache (no plan executed)");
-  } else if (algo == ExplainAlgo::kAuto) {
+  if (algo == Algorithm::kAuto) {
     query->AddRow("algorithm", std::string("auto -> ") +
                                    AlgorithmName(plan.chosen) +
                                    " (cost-based)");
   } else {
-    query->AddRow("algorithm", ExplainAlgoName(algo));
+    query->AddRow("algorithm", AlgorithmName(algo));
   }
   if (q.area.has_value()) {
     query->AddRow("target", "area (MINDIST to rectangle)");
@@ -1049,11 +785,7 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   query->AddRow("prefetch", options_.prefetch ? "on" : "off");
   query->AddRow("simd", simd::LevelName(simd::ActiveLevel()));
 
-  if (algo == ExplainAlgo::kAuto && result_cache_ != nullptr) {
-    AddCacheReuseSection(&report, cache_check);
-  }
-
-  if (algo == ExplainAlgo::kAuto && !cache_check.hit) {
+  if (algo == Algorithm::kAuto) {
     // How the decision was made (docs/planner.md): every candidate's
     // static DiskModel estimate, the feedback-corrected prediction the
     // choice minimized, and how the chosen plan's prediction compared to
@@ -1183,34 +915,31 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   obs::ExplainSection* pool_section =
       report.AddSection("Buffer pools (this query)");
   pool_section->columns = {"pool", "hits", "misses", "hit ratio"};
-  for (const PoolRow& row : pools) {
-    const BufferPoolStats after = row.pool->Stats();
-    const uint64_t hits = CounterDelta(after.hits, row.before.hits);
-    const uint64_t misses = CounterDelta(after.misses, row.before.misses);
+  for (const SlotRow& row : slot_rows) {
+    const BufferPoolStats after = row.slot->pool->Stats();
+    const uint64_t hits = CounterDelta(after.hits, row.pool_before.hits);
+    const uint64_t misses = CounterDelta(after.misses, row.pool_before.misses);
     pool_section->AddRow({row.name, obs::FormatCount(hits),
                           obs::FormatCount(misses),
                           obs::FormatRatio(hits, hits + misses)});
   }
 
-  struct TreeRow {
-    const char* name;
-    RTreeBase* tree;
-  };
   bool any_node_cache = false;
-  for (const TreeRow& row :
-       {TreeRow{"rtree", rtree_.get()}, TreeRow{"ir2", ir2_.get()},
-        TreeRow{"mir2", mir2_.get()}, TreeRow{"kctree", kc_.get()}}) {
-    if (row.tree != nullptr && row.tree->node_cache() != nullptr) {
+  const std::array<RTreeBase*, kNumStructures> slot_trees = SlotTrees();
+  for (int s = 0; s < kNumStructures; ++s) {
+    const RTreeBase* tree = slot_trees[s];
+    if (tree != nullptr && tree->node_cache() != nullptr) {
       if (!any_node_cache) {
         obs::ExplainSection* caches = report.AddSection("Node caches");
         caches->columns = {"tree", "hits", "misses", "hit ratio", "pinned"};
         any_node_cache = true;
       }
-      const NodeCacheStats s = row.tree->node_cache()->Stats();
+      const NodeCacheStats cache = tree->node_cache()->Stats();
       report.sections.back().AddRow(
-          {row.name, obs::FormatCount(s.hits), obs::FormatCount(s.misses),
-           obs::FormatRatio(s.hits, s.hits + s.misses),
-           obs::FormatCount(s.pinned)});
+          {kStructureNames[s], obs::FormatCount(cache.hits),
+           obs::FormatCount(cache.misses),
+           obs::FormatRatio(cache.hits, cache.hits + cache.misses),
+           obs::FormatCount(cache.pinned)});
     }
   }
 
@@ -1219,15 +948,16 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
         report.AddSection("Prefetch schedulers (this query)");
     sched_section->columns = {"scheduler", "requested", "deduped", "runs",
                               "blocks fetched"};
-    for (const SchedulerRow& row : schedulers) {
-      const IoSchedulerStats after = row.scheduler->stats();
+    for (const SlotRow& row : slot_rows) {
+      const IoSchedulerStats after = row.slot->scheduler->stats();
+      const IoSchedulerStats& before = row.scheduler_before;
       sched_section->AddRow(
           {row.name,
-           obs::FormatCount(CounterDelta(after.requested, row.before.requested)),
-           obs::FormatCount(CounterDelta(after.deduped, row.before.deduped)),
-           obs::FormatCount(CounterDelta(after.runs, row.before.runs)),
+           obs::FormatCount(CounterDelta(after.requested, before.requested)),
+           obs::FormatCount(CounterDelta(after.deduped, before.deduped)),
+           obs::FormatCount(CounterDelta(after.runs, before.runs)),
            obs::FormatCount(
-               CounterDelta(after.blocks_fetched, row.before.blocks_fetched))});
+               CounterDelta(after.blocks_fetched, before.blocks_fetched))});
     }
   }
 
@@ -1285,9 +1015,7 @@ StatusOr<std::vector<ObjectRef>> SpatialKeywordDatabase::KeywordMatches(
     IR2_RETURN_IF_ERROR(DropCaches());
   }
   // Same three-way accounting as RunQuery (see the comment there).
-  const IoStats demand_before = PoolThreadIo();
-  const IoStats physical_before = DeviceThreadIo();
-  const IoStats speculative_before = SchedulerIo();
+  const ThreadCounters before = CurrentThreadCounters();
   Stopwatch watch;
   std::vector<std::vector<ObjectRef>> lists;
   lists.reserve(normalized.size());
@@ -1301,35 +1029,12 @@ StatusOr<std::vector<ObjectRef>> SpatialKeywordDatabase::KeywordMatches(
     DrainSchedulers();
   }
   if (stats != nullptr) {
-    stats->seconds += watch.ElapsedSeconds();
-    const IoStats io = DeviceThreadIo() - physical_before;
-    const IoStats speculative = SchedulerIo() - speculative_before;
-    stats->io += io;
-    stats->demand_io += PoolThreadIo() - demand_before;
-    stats->speculative_io += speculative;
-    const DiskModel model(options_.disk_model);
-    stats->simulated_disk_ms += model.Ms(io) + model.Ms(speculative);
+    QueryStats local;
+    local.seconds = watch.ElapsedSeconds();
+    AccountSince(before, &local);
+    *stats += local;
   }
   return matches;
-}
-
-uint64_t SpatialKeywordDatabase::ObjectFileBytes() const {
-  return object_device_ ? object_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::RTreeBytes() const {
-  return rtree_device_ ? rtree_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::Ir2TreeBytes() const {
-  return ir2_device_ ? ir2_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::Mir2TreeBytes() const {
-  return mir2_device_ ? mir2_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::KcTreeBytes() const {
-  return kc_device_ ? kc_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::IioBytes() const {
-  return iio_device_ ? iio_device_->SizeBytes() : 0;
 }
 
 namespace {
@@ -1338,6 +1043,11 @@ constexpr const char* kManifestName = "manifest.txt";
 
 std::string DevicePath(const std::string& directory, const char* name) {
   return directory + "/" + name;
+}
+
+// A structure's file: `<directory>/<name>.dat`.
+std::string StructurePath(const std::string& directory, const char* name) {
+  return DevicePath(directory, name) + ".dat";
 }
 
 // Persists one (possibly absent) device to `<directory>/<name>.dat`,
@@ -1349,7 +1059,7 @@ Status SaveDevice(BlockDevice* device, const std::string& directory,
     return Status::Ok();
   }
   IR2_ASSIGN_OR_RETURN(std::unique_ptr<FileBlockDevice> file,
-                       FileBlockDevice::Create(DevicePath(directory, name),
+                       FileBlockDevice::Create(StructurePath(directory, name),
                                                device->block_size()));
   IR2_RETURN_IF_ERROR(CopyBlocks(device, file.get()));
   return file->Sync();
@@ -1372,9 +1082,31 @@ Status FsyncPath(const std::string& path) {
   return status;
 }
 
+// The manifest is a whitespace-separated token stream, so every stopword
+// must be exactly one token. (A stopword with whitespace in it can never
+// match anyway: the tokenizer splits on it.)
+Status ValidateStopwords(const std::unordered_set<std::string>& stopwords) {
+  for (const std::string& word : stopwords) {
+    const bool has_space =
+        std::any_of(word.begin(), word.end(), [](char c) {
+          return std::isspace(static_cast<unsigned char>(c)) != 0;
+        });
+    if (word.empty() || has_space) {
+      return Status::InvalidArgument(
+          "stopword \"" + word +
+          "\" cannot be saved: it must be one non-empty whitespace-free "
+          "token");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status SpatialKeywordDatabase::Save(const std::string& directory) {
+  // Reject what the manifest cannot hold before creating or writing
+  // anything.
+  IR2_RETURN_IF_ERROR(ValidateStopwords(options_.stopwords));
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
   if (ec) {
@@ -1386,14 +1118,10 @@ Status SpatialKeywordDatabase::Save(const std::string& directory) {
     IR2_RETURN_IF_ERROR(tree->Flush());
   }
 
-  IR2_RETURN_IF_ERROR(SaveDevice(object_device_.get(), directory,
-                                 "objects.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(rtree_device_.get(), directory,
-                                 "rtree.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(ir2_device_.get(), directory, "ir2.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(mir2_device_.get(), directory, "mir2.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(kc_device_.get(), directory, "kctree.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(iio_device_.get(), directory, "iio.dat"));
+  for (int s = 0; s < kNumStructures; ++s) {
+    IR2_RETURN_IF_ERROR(
+        SaveDevice(slots_[s].device.get(), directory, kStructureNames[s]));
+  }
 
   std::ofstream manifest(DevicePath(directory, kManifestName),
                          std::ios::trunc);
@@ -1457,17 +1185,7 @@ Status SpatialKeywordDatabase::Save(const std::string& directory) {
 }
 
 StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
-    Open(const std::string& directory) {
-  return OpenImpl(directory, nullptr);
-}
-
-StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     Open(const std::string& directory, const DatabaseOptions& runtime) {
-  return OpenImpl(directory, &runtime);
-}
-
-StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
-    OpenImpl(const std::string& directory, const DatabaseOptions* runtime) {
   std::ifstream manifest(DevicePath(directory, kManifestName));
   if (!manifest) {
     return Status::NotFound("no manifest in " + directory);
@@ -1517,12 +1235,11 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
       for (SignatureConfig& config : mir2_scheme.per_level) {
         manifest >> config.bits >> config.hashes_per_word;
       }
-    } else if (key == "pool_blocks") {
-      manifest >> options.pool_blocks;
-    } else if (key == "cold_queries") {
-      int flag = 0;
-      manifest >> flag;
-      options.cold_queries = flag != 0;
+    } else if (key == "pool_blocks" || key == "cold_queries") {
+      // Runtime options the manifest records; Open takes them from
+      // `runtime` instead.
+      uint64_t ignored = 0;
+      manifest >> ignored;
     } else if (key == "built") {
       manifest >> built_rtree >> built_ir2 >> built_mir2 >> built_iio;
     } else if (key == "kc_built") {
@@ -1559,53 +1276,47 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   options.build_iio = built_iio;
   options.build_kc = built_kc;
   options.mir2_scheme = mir2_scheme;
-  if (runtime != nullptr) {
-    // Runtime-class knobs come from the caller: how to read the database is
-    // the opener's choice, what is in it stays the manifest's.
-    options.pool_blocks = runtime->pool_blocks;
-    options.cold_queries = runtime->cold_queries;
-    options.prefetch = runtime->prefetch;
-    options.prefetch_objects = runtime->prefetch_objects;
-    options.scheduler = runtime->scheduler;
-    options.disk_model = runtime->disk_model;
-    options.file_device = runtime->file_device;
-    options.async_io_threads = runtime->async_io_threads;
-  }
+  // Runtime-class knobs come from the caller: how to read the database is
+  // the opener's choice, what is in it stays the manifest's.
+  options.pool_blocks = runtime.pool_blocks;
+  options.cold_queries = runtime.cold_queries;
+  options.prefetch = runtime.prefetch;
+  options.prefetch_objects = runtime.prefetch_objects;
+  options.scheduler = runtime.scheduler;
+  options.disk_model = runtime.disk_model;
+  options.file_device = runtime.file_device;
+  options.async_io_threads = runtime.async_io_threads;
   db->tokenizer_ = Tokenizer(options.stopwords);
 
-  // Object file.
-  IR2_ASSIGN_OR_RETURN(
-      std::unique_ptr<FileBlockDevice> object_device,
-      FileBlockDevice::Open(DevicePath(directory, "objects.dat"),
-                            kDefaultBlockSize, options.file_device));
-  db->object_device_ = std::move(object_device);
-  db->object_pool_ = std::make_unique<BufferPool>(
-      db->object_device_.get(), options.prefetch ? options.pool_blocks : 0);
-  db->object_store_ = std::make_unique<ObjectStore>(
-      db->object_pool_.get(), stats.object_file_bytes);
+  // Opens one structure's file behind a pool of `pool_blocks` (0 = the
+  // bypass mode the object file and IIO run in without prefetching).
+  const auto open_slot = [&](Structure s,
+                             size_t pool_blocks) -> StatusOr<BufferPool*> {
+    StructureSlot& slot = db->slots_[s];
+    IR2_ASSIGN_OR_RETURN(
+        slot.device,
+        FileBlockDevice::Open(StructurePath(directory, kStructureNames[s]),
+                              kDefaultBlockSize, options.file_device));
+    slot.pool = std::make_unique<BufferPool>(slot.device.get(), pool_blocks);
+    return slot.pool.get();
+  };
+  const size_t stream_pool_blocks = options.prefetch ? options.pool_blocks : 0;
+
+  IR2_ASSIGN_OR_RETURN(BufferPool* object_pool,
+                       open_slot(kObjects, stream_pool_blocks));
+  db->object_store_ =
+      std::make_unique<ObjectStore>(object_pool, stats.object_file_bytes);
 
   if (built_rtree) {
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "rtree.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->rtree_device_ = std::move(device);
-    db->rtree_pool_ = std::make_unique<BufferPool>(db->rtree_device_.get(),
-                                                   options.pool_blocks);
-    db->rtree_ = std::make_unique<RTree>(db->rtree_pool_.get(),
-                                         options.tree_options);
+    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
+                         open_slot(kRTree, options.pool_blocks));
+    db->rtree_ = std::make_unique<RTree>(pool, options.tree_options);
     IR2_RETURN_IF_ERROR(db->rtree_->Load());
   }
   if (built_ir2) {
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "ir2.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->ir2_device_ = std::move(device);
-    db->ir2_pool_ = std::make_unique<BufferPool>(db->ir2_device_.get(),
-                                                 options.pool_blocks);
-    db->ir2_ = std::make_unique<Ir2Tree>(db->ir2_pool_.get(),
-                                         options.tree_options,
+    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
+                         open_slot(kIr2, options.pool_blocks));
+    db->ir2_ = std::make_unique<Ir2Tree>(pool, options.tree_options,
                                          options.ir2_signature);
     IR2_RETURN_IF_ERROR(db->ir2_->Load());
   }
@@ -1613,17 +1324,12 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     if (mir2_scheme.per_level.empty()) {
       return Status::Corruption("manifest missing mir2_scheme");
     }
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "mir2.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->mir2_device_ = std::move(device);
-    db->mir2_pool_ = std::make_unique<BufferPool>(db->mir2_device_.get(),
-                                                  options.pool_blocks);
-    RTreeOptions mir2_options = options.tree_options;
-    db->mir2_ = std::make_unique<Mir2Tree>(
-        db->mir2_pool_.get(), mir2_options, mir2_scheme,
-        db->object_store_.get(), &db->tokenizer_);
+    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
+                         open_slot(kMir2, options.pool_blocks));
+    db->mir2_ = std::make_unique<Mir2Tree>(pool, options.tree_options,
+                                           mir2_scheme,
+                                           db->object_store_.get(),
+                                           &db->tokenizer_);
     IR2_RETURN_IF_ERROR(db->mir2_->Load());
   }
   if (built_kc) {
@@ -1631,27 +1337,16 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
         KcVocabulary vocab,
         KcVocabulary::FromWords(std::move(kc_words), kc_cold));
     db->kc_vocab_ = std::make_unique<KcVocabulary>(std::move(vocab));
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "kctree.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->kc_device_ = std::move(device);
-    db->kc_pool_ = std::make_unique<BufferPool>(db->kc_device_.get(),
-                                                options.pool_blocks);
-    db->kc_ = std::make_unique<KcTree>(db->kc_pool_.get(),
-                                       options.tree_options,
+    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
+                         open_slot(kKcTree, options.pool_blocks));
+    db->kc_ = std::make_unique<KcTree>(pool, options.tree_options,
                                        db->kc_vocab_.get());
     IR2_RETURN_IF_ERROR(db->kc_->Load());
   }
   if (built_iio) {
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "iio.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->iio_device_ = std::move(device);
-    db->iio_pool_ = std::make_unique<BufferPool>(
-        db->iio_device_.get(), options.prefetch ? options.pool_blocks : 0);
-    IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(db->iio_pool_.get()));
+    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
+                         open_slot(kIio, stream_pool_blocks));
+    IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(pool));
   }
   db->scorer_ = std::make_unique<IrScorer>(
       CorpusStats{stats.num_objects, stats.AvgDocLen()});

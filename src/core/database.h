@@ -1,6 +1,7 @@
 #ifndef IR2TREE_CORE_DATABASE_H_
 #define IR2TREE_CORE_DATABASE_H_
 
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
@@ -8,7 +9,7 @@
 #include <vector>
 
 #include "common/status_or.h"
-#include "core/answer_cache.h"
+#include "core/ir2_search.h"
 #include "core/ir2_tree.h"
 #include "core/kc_tree.h"
 #include "obs/explain.h"
@@ -149,9 +150,27 @@ struct DatabaseOptions {
 };
 
 // Owns one dataset plus every index structure of the paper and exposes the
-// four query algorithms over them. This is the facade the examples and the
-// benchmark harness use; each structure lives on its own MemoryBlockDevice
-// so per-structure disk traffic and sizes (Table 2) can be reported.
+// four query algorithms (plus the KC-Tree and the cost-based kAuto) over
+// them. This is the facade the examples and the benchmark harness use.
+//
+// Structure table: each of the six stored structures — the object file,
+// R-Tree, IR2-Tree, MIR2-Tree, KC-Tree and inverted index — owns one slot
+// holding its block device, the buffer pool over that device and the
+// prefetch scheduler over that pool, so per-structure disk traffic and sizes
+// (Table 2) can be reported. The slots are indexed by structure name
+// ("objects", "rtree", "ir2", "mir2", "kctree", "iio": Save's file stems and
+// EXPLAIN's pool and scheduler rows). Devices are memory-backed when
+// Build()t, file-backed when Open()ed.
+//
+// Every distance-first query runs through one dispatch (RunAlgorithm) and
+// is accounted by one counter diff (AccountSince): Query, Explain and
+// database-mode BatchExecutor all reach the same code.
+//
+// Teardown: the destructor first stops every scheduler (their worker
+// threads touch the pools) and then the async read backends. Member
+// destruction then runs in reverse declaration order: the trees, declared
+// after the slots, flush into live pools, and within each slot the pool
+// flushes into its live device.
 class SpatialKeywordDatabase {
  public:
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Build(
@@ -159,64 +178,69 @@ class SpatialKeywordDatabase {
 
   // Persists every structure plus a manifest into `directory` (created if
   // needed; any previous contents are overwritten). The database remains
-  // usable afterwards.
+  // usable afterwards. Returns InvalidArgument, before touching the
+  // directory, when a stopword cannot be stored as one manifest token
+  // (empty, or containing whitespace).
   Status Save(const std::string& directory);
 
   // Opens a database previously Save()d. Indexes are file-backed; queries
-  // perform real file I/O. Structural options come from the manifest; the
-  // one-argument form also takes every runtime option (cold_queries,
-  // prefetch, schedulers, disk model, file-device flags) from the manifest
-  // or its defaults.
+  // perform real file I/O. Structural fields (signatures, tree geometry,
+  // which indexes exist, stopwords) come from the manifest. Runtime
+  // options — cold_queries, prefetch / prefetch_objects, scheduler,
+  // disk_model, file_device, async_io_threads, pool_blocks — come from
+  // `runtime`, so one saved directory can serve cold and warm regimes,
+  // O_DIRECT on or off, with or without async prefetch.
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Open(
-      const std::string& directory);
-
-  // As above, but runtime options — cold_queries, prefetch /
-  // prefetch_objects, scheduler, disk_model, file_device, async_io_threads,
-  // pool_blocks — are taken from `runtime` instead, so one saved directory
-  // can serve cold and warm regimes, O_DIRECT on or off, with or without
-  // async prefetch. Structural fields (signatures, tree geometry, which
-  // indexes exist) still come from the manifest.
-  static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Open(
-      const std::string& directory, const DatabaseOptions& runtime);
+      const std::string& directory,
+      const DatabaseOptions& runtime = DatabaseOptions());
 
   ~SpatialKeywordDatabase();
   SpatialKeywordDatabase(const SpatialKeywordDatabase&) = delete;
   SpatialKeywordDatabase& operator=(const SpatialKeywordDatabase&) = delete;
 
+  // Runs `q` under `algo`: one of the five fixed algorithms, or kAuto,
+  // which prices every candidate algorithm under the DiskModel (zero I/O —
+  // tree shapes are snapshotted at Build/Open and keyword frequencies come
+  // from the IIO's resident dictionary; see docs/planner.md), executes the
+  // cheapest plan, and feeds the observed simulated-disk time back into the
+  // planner's EWMA corrections. Accumulates into *stats. `plan_out`
+  // (optional) receives kAuto's full decision.
+  StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
+                                           Algorithm algo,
+                                           QueryStats* stats = nullptr,
+                                           QueryPlan* plan_out = nullptr);
+
   // ---- The four distance-first algorithms (Section V) ----
   StatusOr<std::vector<QueryResult>> QueryRTree(const DistanceFirstQuery& q,
-                                                QueryStats* stats = nullptr);
+                                                QueryStats* stats = nullptr) {
+    return Query(q, Algorithm::kRTree, stats);
+  }
   StatusOr<std::vector<QueryResult>> QueryIio(const DistanceFirstQuery& q,
-                                              QueryStats* stats = nullptr);
+                                              QueryStats* stats = nullptr) {
+    return Query(q, Algorithm::kIio, stats);
+  }
   StatusOr<std::vector<QueryResult>> QueryIr2(const DistanceFirstQuery& q,
-                                              QueryStats* stats = nullptr);
+                                              QueryStats* stats = nullptr) {
+    return Query(q, Algorithm::kIr2, stats);
+  }
   StatusOr<std::vector<QueryResult>> QueryMir2(const DistanceFirstQuery& q,
-                                               QueryStats* stats = nullptr);
+                                               QueryStats* stats = nullptr) {
+    return Query(q, Algorithm::kMir2, stats);
+  }
   // Fifth algorithm: KC-Tree traversal (exact hot-word bitmaps + cold-tail
   // signature; see docs/planner.md).
   StatusOr<std::vector<QueryResult>> QueryKc(const DistanceFirstQuery& q,
-                                             QueryStats* stats = nullptr);
-
-  // ---- Cost-based auto mode (see docs/planner.md) ----
-  // Prices every candidate algorithm under the DiskModel (zero I/O — tree
-  // shapes are snapshotted at Build/Open and keyword frequencies come from
-  // the IIO's resident dictionary), executes the cheapest plan, and feeds
-  // the observed simulated-disk time back into the planner's EWMA
-  // corrections. `plan_out` (optional) receives the full decision.
+                                             QueryStats* stats = nullptr) {
+    return Query(q, Algorithm::kKcTree, stats);
+  }
+  // Cost-based auto mode (see Query).
   StatusOr<std::vector<QueryResult>> QueryAuto(const DistanceFirstQuery& q,
                                                QueryStats* stats = nullptr,
-                                               QueryPlan* plan_out = nullptr);
-
-  // Uniform dispatcher over the five fixed algorithms plus kAuto.
-  StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
-                                           Algorithm algo,
-                                           QueryStats* stats = nullptr);
+                                               QueryPlan* plan_out = nullptr) {
+    return Query(q, Algorithm::kAuto, stats, plan_out);
+  }
 
   // ---- EXPLAIN (see docs/observability.md) ----
-  // Historical spelling: EXPLAIN predates Algorithm/kAuto and kept its
-  // enumerator set when the planner subsumed it.
-  using ExplainAlgo = Algorithm;
-
   struct ExplainResult {
     // Where the query's work and simulated milliseconds went; render with
     // report.ToString().
@@ -230,11 +254,10 @@ class SpatialKeywordDatabase {
   // Runs `q` under `algo` with a per-query tracer installed and reports
   // QueryStats, per-level pruning, pool/cache hit ratios, the
   // demand/physical/speculative I/O split, the DiskModel time breakdown,
-  // and a span summary. Exactly the same execution path as the Query*
-  // methods — tracing adds no I/O, so the reported counts match an
-  // untraced run of the same query.
+  // and a span summary. Runs through Query — tracing adds no I/O, so the
+  // reported counts match an untraced run of the same query.
   StatusOr<ExplainResult> Explain(const DistanceFirstQuery& q,
-                                  ExplainAlgo algo = ExplainAlgo::kIr2);
+                                  Algorithm algo = Algorithm::kIr2);
 
   // General ranking-function query (Section V-C) over the IR2- or
   // MIR2-Tree. Requires build_iio (for keyword idfs).
@@ -248,19 +271,10 @@ class SpatialKeywordDatabase {
   StatusOr<std::vector<ObjectRef>> KeywordMatches(
       const std::vector<std::string>& keywords, QueryStats* stats = nullptr);
 
-  // ---- Semantic result cache (core/answer_cache.h) ----
-  // Installs (nullptr detaches) the answer-cache hook QueryAuto consults
-  // before planning. The hook must outlive the database or be detached
-  // first; the fixed-algorithm Query* methods never consult it, so cold
-  // regression goldens are untouched by construction. Serving tiers that
-  // cache above the scatter-gather (ShardedDatabase) leave the per-shard
-  // hooks unset.
-  void SetResultCache(AnswerCacheHook* hook) { result_cache_ = hook; }
-  AnswerCacheHook* result_cache() const { return result_cache_; }
   // Sum of the mutation counters (RTreeBase::version) of every built tree:
-  // moves whenever an Insert/Delete/BulkLoad stores a node. The NodeCache
-  // invalidation rule lifted to whole answers — cached results filled under
-  // an older epoch are rejected on read.
+  // moves whenever an Insert/Delete/BulkLoad stores a node. The serving
+  // tier's result cache (serving/result_cache.h) rejects answers filled
+  // under an older epoch.
   uint64_t MutationEpoch() const;
 
   // ---- Measurement control ----
@@ -293,29 +307,64 @@ class SpatialKeywordDatabase {
   // The simulated-disk cost model QueryStats.simulated_disk_ms is priced
   // under (shared by all devices; they use one block size).
   DiskModel disk_model() const { return DiskModel(options_.disk_model); }
-  // Per-structure prefetch schedulers (null for structures not built).
-  IoScheduler* object_scheduler() { return object_scheduler_.get(); }
-  IoScheduler* rtree_scheduler() { return rtree_scheduler_.get(); }
-  IoScheduler* ir2_scheduler() { return ir2_scheduler_.get(); }
-  IoScheduler* mir2_scheduler() { return mir2_scheduler_.get(); }
-  IoScheduler* kc_scheduler() { return kc_scheduler_.get(); }
-  IoScheduler* iio_scheduler() { return iio_scheduler_.get(); }
 
   // Structure sizes in bytes (Table 2).
-  uint64_t ObjectFileBytes() const;
-  uint64_t RTreeBytes() const;
-  uint64_t Ir2TreeBytes() const;
-  uint64_t Mir2TreeBytes() const;
-  uint64_t KcTreeBytes() const;
-  uint64_t IioBytes() const;
+  uint64_t ObjectFileBytes() const { return DeviceBytes(kObjects); }
+  uint64_t RTreeBytes() const { return DeviceBytes(kRTree); }
+  uint64_t Ir2TreeBytes() const { return DeviceBytes(kIr2); }
+  uint64_t Mir2TreeBytes() const { return DeviceBytes(kMir2); }
+  uint64_t KcTreeBytes() const { return DeviceBytes(kKcTree); }
+  uint64_t IioBytes() const { return DeviceBytes(kIio); }
 
  private:
+  // Database-mode workers run RunAlgorithm with their own scratch and price
+  // their queries with the same counters as RunQuery.
+  friend class BatchExecutor;
+
+  // Slot index of each stored structure; kStructureNames spells them.
+  enum Structure {
+    kObjects,
+    kRTree,
+    kIr2,
+    kMir2,
+    kKcTree,
+    kIio,
+    kNumStructures
+  };
+  static constexpr const char* kStructureNames[kNumStructures] = {
+      "objects", "rtree", "ir2", "mir2", "kctree", "iio"};
+
+  // One structure's storage stack, declared bottom-up so it tears down
+  // top-down. Empty when the structure was not built. The tree pools cache
+  // nodes during construction; the object/IIO pools exist for the prefetch
+  // engine and run in bypass mode (capacity 0) when prefetching is off,
+  // which keeps physical disk counts byte-identical to the pool-less
+  // layering.
+  struct StructureSlot {
+    std::unique_ptr<BlockDevice> device;
+    std::unique_ptr<BufferPool> pool;
+    std::unique_ptr<IoScheduler> scheduler;
+  };
+
+  // Counters a query's QueryStats are diffed from (see RunQuery).
+  struct ThreadCounters {
+    IoStats demand;       // Pool-level (logical) requests.
+    IoStats physical;     // Device accesses.
+    IoStats speculative;  // Prefetch-thread device accesses.
+    uint64_t node_decodes = 0;
+  };
+
   SpatialKeywordDatabase() = default;
 
-  // Shared Open body. When `runtime` is non-null its runtime-class fields
-  // replace the manifest's; null keeps the manifest values (legacy form).
-  static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> OpenImpl(
-      const std::string& directory, const DatabaseOptions* runtime);
+  // The tree stored on each slot (null for the object file, the inverted
+  // index and trees that were not built).
+  std::array<RTreeBase*, kNumStructures> SlotTrees() const {
+    return {nullptr, rtree_.get(), ir2_.get(), mir2_.get(), kc_.get(),
+            nullptr};
+  }
+  uint64_t DeviceBytes(Structure s) const {
+    return slots_[s].device ? slots_[s].device->SizeBytes() : 0;
+  }
 
   // Creates the per-structure prefetch schedulers (plus, when
   // async_io_threads > 0, an AsyncIoBackend per pool) over the existing
@@ -329,13 +378,15 @@ class SpatialKeywordDatabase {
   // snapshot's reads never appear in any measurement.
   Status WirePlanner();
 
-  // QueryAuto minus the result-cache consult: plan, execute, feed back.
-  StatusOr<std::vector<QueryResult>> QueryAutoPlanned(
-      const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out);
-  // Full QueryAuto path with the reuse decision surfaced (EXPLAIN).
-  StatusOr<std::vector<QueryResult>> QueryAutoCached(
-      const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out,
-      CacheReuseCheck* check_out);
+  // The single per-algorithm dispatch: runs fixed algorithm `algo` (never
+  // kAuto) over its structure with this database's prefetch wiring and
+  // object-file sweep policy. Returns FailedPrecondition when the
+  // structure was not built. `scratch` (optional) donates reusable
+  // traversal buffers to the tree searches.
+  StatusOr<std::vector<QueryResult>> RunAlgorithm(Algorithm algo,
+                                                  const DistanceFirstQuery& q,
+                                                  QueryStats* stats,
+                                                  Ir2QueryScratch* scratch);
 
   // Shared prologue/epilogue of every query method: optional cache drop,
   // timing, three-way I/O diffing (demand / physical / speculative) and
@@ -343,14 +394,14 @@ class SpatialKeywordDatabase {
   template <typename Fn>
   StatusOr<std::vector<QueryResult>> RunQuery(QueryStats* stats, Fn&& fn);
 
-  // Per-calling-thread pool-level (logical demand) request counters summed
-  // over every pool.
-  IoStats PoolThreadIo() const;
-  // Per-calling-thread physical device access counters summed over every
-  // device.
-  IoStats DeviceThreadIo() const;
-  // Physical prefetch-thread I/O summed over every scheduler.
-  IoStats SchedulerIo() const;
+  // The calling thread's counters: demand requests at the pools it reads
+  // through, its device accesses, all prefetch-thread accesses and its
+  // node decodes.
+  ThreadCounters CurrentThreadCounters() const;
+  // Fills the I/O fields and node_decodes of *stats with the calling
+  // thread's counters since `before` and prices simulated_disk_ms.
+  void AccountSince(const ThreadCounters& before, QueryStats* stats) const;
+
   // Blocks until no scheduler has work pending or in flight.
   void DrainSchedulers();
 
@@ -369,28 +420,12 @@ class SpatialKeywordDatabase {
   DatabaseOptions options_;
   DatasetStats stats_;
   Tokenizer tokenizer_;
-  AnswerCacheHook* result_cache_ = nullptr;  // Not owned.
 
-  // Devices first, pools second, trees third: members are destroyed in
-  // reverse order, so trees flush into live pools and pools into live
-  // devices. Memory-backed when Build()t, file-backed when Open()ed.
-  std::unique_ptr<BlockDevice> object_device_;
-  std::unique_ptr<BlockDevice> rtree_device_;
-  std::unique_ptr<BlockDevice> ir2_device_;
-  std::unique_ptr<BlockDevice> mir2_device_;
-  std::unique_ptr<BlockDevice> kc_device_;
-  std::unique_ptr<BlockDevice> iio_device_;
-
-  // Tree pools cache nodes during construction; the object/IIO pools exist
-  // for the prefetch engine and run in bypass mode (capacity 0) when
-  // prefetching is off, which keeps physical disk counts byte-identical to
-  // the pool-less layering.
-  std::unique_ptr<BufferPool> object_pool_;
-  std::unique_ptr<BufferPool> rtree_pool_;
-  std::unique_ptr<BufferPool> ir2_pool_;
-  std::unique_ptr<BufferPool> mir2_pool_;
-  std::unique_ptr<BufferPool> kc_pool_;
-  std::unique_ptr<BufferPool> iio_pool_;
+  // Before the trees, so the trees are destroyed (and flush) first.
+  std::array<StructureSlot, kNumStructures> slots_;
+  // Async read backends (one per pool when async_io_threads > 0); stopped
+  // by the destructor right after the schedulers that submit to them.
+  std::vector<std::unique_ptr<AsyncIoBackend>> async_backends_;
 
   std::unique_ptr<ObjectStore> object_store_;
   std::unique_ptr<RTree> rtree_;
@@ -403,20 +438,6 @@ class SpatialKeywordDatabase {
   std::unique_ptr<InvertedIndex> iio_;
   std::unique_ptr<IrScorer> scorer_;
   std::unique_ptr<QueryPlanner> planner_;
-
-  // Async read backends (one per pool when async_io_threads > 0). Declared
-  // before the schedulers so they are destroyed after them — a scheduler's
-  // worker may be blocked in Submit/Reap on its backend until it stops.
-  std::vector<std::unique_ptr<AsyncIoBackend>> async_backends_;
-
-  // Schedulers last: destroyed first, so their worker threads stop touching
-  // the pools before anything above is torn down.
-  std::unique_ptr<IoScheduler> object_scheduler_;
-  std::unique_ptr<IoScheduler> rtree_scheduler_;
-  std::unique_ptr<IoScheduler> ir2_scheduler_;
-  std::unique_ptr<IoScheduler> mir2_scheduler_;
-  std::unique_ptr<IoScheduler> kc_scheduler_;
-  std::unique_ptr<IoScheduler> iio_scheduler_;
 };
 
 }  // namespace ir2

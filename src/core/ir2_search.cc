@@ -101,7 +101,7 @@ class Ir2TopKCursor::Impl {
   std::string own_record_line_;
   StoredObject* candidate_;     // Scratch-donated, or &own_candidate_.
   std::string* record_line_;    // Scratch-donated, or &own_record_line_.
-  std::optional<IncrementalNNCursorT<SignatureEntryFilter>> cursor_;
+  std::optional<IncrementalNNCursor<SignatureEntryFilter>> cursor_;
 };
 
 Ir2TopKCursor::Ir2TopKCursor(const Ir2Tree* tree, const ObjectStore* objects,

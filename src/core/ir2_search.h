@@ -27,9 +27,8 @@ struct SignatureBatchScratch {
 };
 
 // The "S matches W" pruning test of IR2NearestNeighbor in concrete form:
-// handed to IncrementalNNCursorT as a statically-dispatched filter, so the
-// per-entry check is a direct (inlinable) call instead of the std::function
-// indirection the type-erased EntryFilter costs. Holds pointers only — the
+// handed to IncrementalNNCursor as a statically-dispatched filter, so the
+// per-entry check is a direct (inlinable) call. Holds pointers only — the
 // cursor copies the filter by value.
 //
 // When `batch` is set, the cursor's PrepareNode hook precomputes the whole

@@ -457,7 +457,7 @@ class KcTopKCursor::Impl {
   std::string own_record_line_;
   StoredObject* candidate_;
   std::string* record_line_;
-  std::optional<IncrementalNNCursorT<KcEntryFilter>> cursor_;
+  std::optional<IncrementalNNCursor<KcEntryFilter>> cursor_;
 };
 
 KcTopKCursor::KcTopKCursor(const KcTree* tree, const ObjectStore* objects,

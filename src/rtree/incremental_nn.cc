@@ -3,9 +3,8 @@
 namespace ir2 {
 
 // The traversal lives in the header as a template over the entry filter;
-// the common instantiations are anchored here so every call site that uses
-// the type-erased EntryFilter (or no filter) shares one copy.
-template class IncrementalNNCursorT<EntryFilter>;
-template class IncrementalNNCursorT<AcceptAllEntries>;
+// the plain (accept-all) instantiation is anchored here so every unfiltered
+// call site shares one copy.
+template class IncrementalNNCursor<AcceptAllEntries>;
 
 }  // namespace ir2

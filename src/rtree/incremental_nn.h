@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -91,31 +90,14 @@ struct NNPrefetchOptions {
   IoScheduler* object_scheduler = nullptr;
 };
 
-// Returns false to prune an entry of a node from the search (the paper's
-// "if S matches W" test). An empty function prunes nothing (plain NN).
-using EntryFilter = std::function<bool(const Node& node, const Entry& entry)>;
-
-// Filter that accepts everything — the statically-dispatched spelling of an
-// empty EntryFilter for plain NN traversals on the warm path.
+// Filter that accepts everything: the plain NN traversal. A filter is any
+// callable bool(const Node& node, const Entry& entry) returning false to
+// prune the entry from the search (the paper's "if S matches W" test).
 struct AcceptAllEntries {
   bool operator()(const Node&, const Entry&) const { return true; }
 };
 
 namespace internal {
-
-// Statically dispatched filters are invoked directly; the type-erased
-// EntryFilter keeps its "empty means prune nothing" contract. The exact
-// (non-template) overload wins resolution for EntryFilter.
-template <typename Filter>
-inline bool NNFilterAccepts(Filter& filter, const Node& node,
-                            const Entry& entry) {
-  return filter(node, entry);
-}
-
-inline bool NNFilterAccepts(EntryFilter& filter, const Node& node,
-                            const Entry& entry) {
-  return !filter || filter(node, entry);
-}
 
 // Filters that expose PrepareNode(node) have it invoked once per expanded
 // node before the entry scan — the batched-kernel hook (ir2_search's
@@ -142,25 +124,25 @@ inline void NNFilterPrepareNode(Filter& filter, const Node& node) {
 // device's IoStats) or, warm, its decoded-node cache.
 //
 // `Filter` is invoked through static dispatch: a concrete filter type (e.g.
-// ir2_search's SignatureEntryFilter) costs a direct — usually inlined — call
-// per entry instead of the type-erased std::function indirect call. The
-// std::function-filtered spelling survives as IncrementalNNCursor below.
-template <typename Filter = EntryFilter>
-class IncrementalNNCursorT {
+// ir2_search's SignatureEntryFilter, or a lambda — class template argument
+// deduction picks its type) costs a direct, usually inlined, call per
+// entry.
+template <typename Filter = AcceptAllEntries>
+class IncrementalNNCursor {
  public:
   // `tree` must outlive the cursor and not be modified while it is in use.
   // `scratch` (optional) donates heap storage; it must outlive the cursor.
   // `prefetch` (optional schedulers) enables speculative reads; see
   // NNPrefetchOptions.
-  IncrementalNNCursorT(const RTreeBase* tree, const Point& query,
+  IncrementalNNCursor(const RTreeBase* tree, const Point& query,
                        Filter filter = Filter{}, NNScratch* scratch = nullptr,
                        NNPrefetchOptions prefetch = {})
-      : IncrementalNNCursorT(tree, Rect::ForPoint(query), std::move(filter),
+      : IncrementalNNCursor(tree, Rect::ForPoint(query), std::move(filter),
                              scratch, prefetch) {}
 
   // Area-target variant ("a point p, which is the query point (an area
   // could be used instead)"): distances are MINDIST to `query_area`.
-  IncrementalNNCursorT(const RTreeBase* tree, const Rect& query_area,
+  IncrementalNNCursor(const RTreeBase* tree, const Rect& query_area,
                        Filter filter = Filter{}, NNScratch* scratch = nullptr,
                        NNPrefetchOptions prefetch = {})
       : tree_(tree),
@@ -179,8 +161,8 @@ class IncrementalNNCursorT {
                      Rect()});
   }
 
-  IncrementalNNCursorT(const IncrementalNNCursorT&) = delete;
-  IncrementalNNCursorT& operator=(const IncrementalNNCursorT&) = delete;
+  IncrementalNNCursor(const IncrementalNNCursor&) = delete;
+  IncrementalNNCursor& operator=(const IncrementalNNCursor&) = delete;
 
   // The next nearest object passing the filter, or nullopt when the tree is
   // exhausted.
@@ -211,7 +193,7 @@ class IncrementalNNCursorT {
       const uint32_t child_blocks =
           prefetch_children ? tree_->BlocksPerNode(node->level - 1) : 0;
       for (const Entry& entry : node->entries) {
-        if (!internal::NNFilterAccepts(filter_, *node, entry)) {
+        if (!filter_(*node, entry)) {
           ++entries_pruned_;
           continue;
         }
@@ -275,17 +257,7 @@ class IncrementalNNCursorT {
   uint64_t entries_pruned_ = 0;
 };
 
-extern template class IncrementalNNCursorT<EntryFilter>;
-extern template class IncrementalNNCursorT<AcceptAllEntries>;
-
-// The historical type-erased spelling: filters are std::function, an empty
-// one prunes nothing. Statically-filtered call sites use
-// IncrementalNNCursorT<ConcreteFilter> directly.
-class IncrementalNNCursor : public IncrementalNNCursorT<EntryFilter> {
- public:
-  using EntryFilter = ir2::EntryFilter;
-  using IncrementalNNCursorT<ir2::EntryFilter>::IncrementalNNCursorT;
-};
+extern template class IncrementalNNCursor<AcceptAllEntries>;
 
 }  // namespace ir2
 

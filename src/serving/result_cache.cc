@@ -356,6 +356,39 @@ std::vector<ResultCache::EntryRow> ResultCache::Table(size_t limit) const {
   return rows;
 }
 
+void AddCacheReuseSection(obs::ExplainReport* report,
+                          const CacheReuseCheck& check) {
+  obs::ExplainSection* section = report->AddSection("Result cache");
+  char buf[96];
+  if (!check.attempted) {
+    section->AddRow("verdict", "miss (no entry for this keyword set)");
+    return;
+  }
+  if (check.stale) {
+    section->AddRow("verdict", "invalidated (mutation epoch moved)");
+    return;
+  }
+  section->AddRow("cached results (K)", obs::FormatCount(check.cached_results));
+  std::snprintf(buf, sizeof(buf), "%.6f", check.cached_radius);
+  section->AddRow("cached radius r_K", buf);
+  std::snprintf(buf, sizeof(buf), "%.6f", check.center_shift);
+  section->AddRow("center shift dist(p, p')", buf);
+  if (check.exhaustive) {
+    section->AddRow("reuse proof", "entry is exhaustive (every match cached)");
+  } else if (check.exact) {
+    section->AddRow("reuse proof", "exact center, k' <= K (prefix of the "
+                                   "cached total order)");
+  } else {
+    std::snprintf(buf, sizeof(buf), "d'_k' = %.6f %s r_K - shift = %.6f",
+                  check.kth_distance, check.hit ? "<" : ">=",
+                  check.cached_radius - check.center_shift);
+    section->AddRow("reuse inequality", buf);
+  }
+  section->AddRow("verdict", check.hit ? "hit (answered from cache, zero "
+                                         "index I/O)"
+                                       : "miss (inequality not provable)");
+}
+
 std::string RenderCachezJson(const ResultCache::Stats& stats,
                              const std::vector<ResultCache::EntryRow>& rows,
                              uint64_t mutation_epoch) {

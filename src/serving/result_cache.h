@@ -48,11 +48,26 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/answer_cache.h"
 #include "core/query.h"
+#include "obs/explain.h"
 #include "obs/metrics.h"
 
 namespace ir2 {
+
+// The reuse decision for one lookup, with the inequality's actual numbers —
+// surfaced by EXPLAIN so a hit is auditable, not just observable.
+struct CacheReuseCheck {
+  bool attempted = false;    // An entry existed for the keyword set.
+  bool hit = false;          // Served from cache.
+  bool exact = false;        // p' == p (prefix reuse, no inequality needed).
+  bool exhaustive = false;   // Entry holds every match in the database.
+  bool stale = false;        // Entry rejected: mutation epoch moved.
+  double center_shift = 0.0;   // dist(p, p').
+  double cached_radius = 0.0;  // r_K of the entry consulted.
+  double kth_distance = 0.0;   // Re-ranked k'-th distance d'_k'.
+  uint64_t cached_results = 0; // Objects held by the entry (K).
+};
+
 namespace serving {
 
 // Result-cache metrics, registered once in MetricsRegistry::Global() and
@@ -93,22 +108,39 @@ struct ResultCacheOptions {
   uint32_t max_overfetch = 256;
 };
 
-class ResultCache : public AnswerCacheHook {
+class ResultCache {
  public:
   explicit ResultCache(ResultCacheOptions options = ResultCacheOptions());
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  // AnswerCacheHook (core/answer_cache.h). `q.keywords` must already be in
+  // Attempts to answer `q` from the cache. `q.keywords` must already be in
   // canonical normalized form — the facade hoists normalization so the key
-  // and every shard leg share it.
+  // and every shard leg share it. `epoch` is the caller's current mutation
+  // epoch; entries filled under a different epoch are rejected and
+  // dropped. On a provable hit, fills *out with the exact top-k'
+  // (re-ranked around q.point, sorted by (distance, object id, ref)) and
+  // returns true. `check` (optional) receives the reuse decision either
+  // way.
   bool TryServe(const DistanceFirstQuery& q, uint64_t epoch,
-                std::vector<QueryResult>* out,
-                CacheReuseCheck* check) override;
-  uint32_t OverfetchK(const DistanceFirstQuery& q) override;
+                std::vector<QueryResult>* out, CacheReuseCheck* check);
+
+  // Admission policy after a miss: the K > q.k this keyword set should be
+  // over-fetched to so the refill can serve future perturbed repeats, or 0
+  // when the set is too cold to cache. Frequency-aware: hot keyword sets
+  // (per-set EWMA) earn a larger K.
+  uint32_t OverfetchK(const DistanceFirstQuery& q);
+
+  // Stores the over-fetched answer for `q` (the same normalized query given
+  // to OverfetchK, still with its original k; `fetched_k` is the K actually
+  // executed). `results` is the exact top-fetched_k; fewer than fetched_k
+  // results means the database holds fewer matches, making the entry
+  // exhaustive. `epoch` must be the epoch captured before the query ran, so
+  // a mutation racing the fill leaves a stale (rejectable) entry, never a
+  // wrong one.
   void Admit(const DistanceFirstQuery& q, uint32_t fetched_k, uint64_t epoch,
-             std::span<const QueryResult> results) override;
+             std::span<const QueryResult> results);
 
   // Drops every entry *and* its EWMA admission state — a full reset, used
   // by tests and /cachez?clear-style tooling.
@@ -193,6 +225,11 @@ class ResultCache : public AnswerCacheHook {
   mutable std::atomic<uint64_t> admitted_{0};
   mutable std::atomic<uint64_t> evictions_{0};
 };
+
+// Appends a "Result cache" EXPLAIN section showing the reuse inequality's
+// actual numbers (d'_k' < r_K - dist(p, p')) and the verdict.
+void AddCacheReuseSection(obs::ExplainReport* report,
+                          const CacheReuseCheck& check);
 
 // /cachez payload renderer, split from the endpoint so the JSON shape can
 // be pinned by a byte-exact golden over constructed inputs.

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/status_or.h"
-#include "core/answer_cache.h"
 #include "core/database.h"
 #include "core/planner.h"
 #include "core/query.h"

@@ -21,7 +21,6 @@
 #include "core/database.h"
 #include "datagen/workload.h"
 #include "obs/trace.h"
-#include "serving/result_cache.h"
 #include "tests/test_util.h"
 
 namespace ir2 {
@@ -173,38 +172,6 @@ TEST_F(ColdRegimeRegressionTest, KcTreeCountsMatchGolden) {
   EXPECT_EQ(cluster_total, stats.kc_bitmap_prunes);
   EXPECT_EQ(stats.entries_pruned,
             stats.kc_bitmap_prunes + stats.kc_signature_prunes);
-}
-
-// The semantic result cache hangs off QueryAuto only; the fixed-algorithm
-// Query* methods never consult it, by construction. This pins that
-// construction: with a cache installed, every fixed-algorithm cold-regime
-// golden must still match byte for byte, and the cache must not have seen
-// a single request afterwards — the paper's measured profiles cannot be
-// perturbed by a serving-layer cache that happens to be attached.
-TEST_F(ColdRegimeRegressionTest, ResultCachePerturbsNoColdCounts) {
-  serving::ResultCache cache;
-  db_->SetResultCache(&cache);
-  QueryStats ir2_stats =
-      RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryIr2(q, s);
-      });
-  ExpectProfile(ir2_stats, GoldenProfile{217, 13, 992, 10596, 1171, 41},
-                "IR2 with cache attached");
-  QueryStats mir2_stats =
-      RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryMir2(q, s);
-      });
-  ExpectProfile(mir2_stats, GoldenProfile{215, 11, 885, 9374, 1067, 36},
-                "MIR2 with cache attached");
-  const serving::ResultCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.ticks, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(ir2_stats.result_cache_hits + ir2_stats.result_cache_near_hits +
-                ir2_stats.result_cache_misses + mir2_stats.result_cache_hits +
-                mir2_stats.result_cache_near_hits +
-                mir2_stats.result_cache_misses,
-            0u);
-  db_->SetResultCache(nullptr);
 }
 
 // Physical accesses this thread has performed against every device the

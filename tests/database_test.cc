@@ -2,7 +2,9 @@
 
 #include <vector>
 
+#include "core/batch_executor.h"
 #include "core/database.h"
+#include "datagen/workload.h"
 #include "tests/test_util.h"
 
 namespace ir2 {
@@ -10,6 +12,7 @@ namespace {
 
 using testing_util::Figure1Hotels;
 using testing_util::RandomObjects;
+using testing_util::ResultIds;
 
 TEST(DatabaseTest, BuildComputesDatasetStats) {
   std::vector<StoredObject> objects = RandomObjects(1, 200, 30, 5);
@@ -149,6 +152,99 @@ TEST(DatabaseTest, EmptyKeywordsActsAsPureNN) {
                        db->QueryMir2(query).value()}) {
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].object_id, 1u);
+  }
+}
+
+// A cold query's disk-head position decides its random/sequential split;
+// reset every device cursor so each run is a pure function of the query
+// (what database-mode BatchExecutor does before every cold query).
+void ResetCursors(SpatialKeywordDatabase& db) {
+  db.object_store().device()->ResetThreadCursor();
+  if (db.inverted_index() != nullptr) {
+    db.inverted_index()->device()->ResetThreadCursor();
+  }
+  for (RTreeBase* tree : db.trees()) {
+    tree->pool()->device()->ResetThreadCursor();
+  }
+}
+
+void ExpectSameExecution(const std::vector<QueryResult>& expected_results,
+                         const QueryStats& expected,
+                         const std::vector<QueryResult>& results,
+                         const QueryStats& stats, const std::string& where) {
+  EXPECT_EQ(ResultIds(results), ResultIds(expected_results)) << where;
+  ASSERT_EQ(results.size(), expected_results.size()) << where;
+  for (size_t r = 0; r < results.size(); ++r) {
+    EXPECT_EQ(results[r].distance, expected_results[r].distance)
+        << where << " rank " << r;
+  }
+  EXPECT_EQ(stats.objects_loaded, expected.objects_loaded) << where;
+  EXPECT_EQ(stats.false_positives, expected.false_positives) << where;
+  EXPECT_EQ(stats.nodes_visited, expected.nodes_visited) << where;
+  EXPECT_EQ(stats.entries_pruned, expected.entries_pruned) << where;
+  EXPECT_EQ(stats.io, expected.io) << where;
+  EXPECT_EQ(stats.simulated_disk_ms, expected.simulated_disk_ms) << where;
+}
+
+// Query, Explain and database-mode BatchExecutor are three front doors to
+// one execution path: on a cold database every fixed algorithm and kAuto
+// must return the same answers and the same per-query work and disk
+// profile through each of them, at any batch thread count.
+TEST(DatabaseTest, QueryExplainAndBatchShareOneExecutionPath) {
+  std::vector<StoredObject> objects = RandomObjects(21, 400, 30, 5);
+  DatabaseOptions options;
+  options.tree_options.capacity_override = 12;
+  options.ir2_signature = SignatureConfig{128, 3};
+  auto db = SpatialKeywordDatabase::Build(objects, options).value();
+  ASSERT_TRUE(db->options().cold_queries);
+  ASSERT_FALSE(db->options().prefetch);
+
+  WorkloadConfig config;
+  config.seed = 22;
+  config.num_queries = 12;
+  config.num_keywords = 2;
+  config.k = 6;
+  const std::vector<DistanceFirstQuery> queries =
+      GenerateWorkload(objects, db->tokenizer(), config);
+
+  for (Algorithm algo : {Algorithm::kRTree, Algorithm::kIio, Algorithm::kIr2,
+                         Algorithm::kMir2, Algorithm::kKcTree,
+                         Algorithm::kAuto}) {
+    const std::string name = AlgorithmName(algo);
+    std::vector<std::vector<QueryResult>> serial(queries.size());
+    std::vector<QueryStats> serial_stats(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      // Plan against pristine feedback, as the batch workers do.
+      db->planner()->feedback().Reset();
+      ResetCursors(*db);
+      auto results = db->Query(queries[i], algo, &serial_stats[i]);
+      ASSERT_TRUE(results.ok()) << name << ": " << results.status().ToString();
+      serial[i] = std::move(results).value();
+
+      db->planner()->feedback().Reset();
+      ResetCursors(*db);
+      auto explained = db->Explain(queries[i], algo);
+      ASSERT_TRUE(explained.ok())
+          << name << ": " << explained.status().ToString();
+      ExpectSameExecution(serial[i], serial_stats[i], explained->results,
+                          explained->stats,
+                          name + " explain query " + std::to_string(i));
+    }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      db->planner()->feedback().Reset();
+      BatchExecutorOptions batch_options;
+      batch_options.num_threads = threads;
+      batch_options.algorithm = algo;
+      BatchExecutor executor(db.get(), batch_options);
+      auto batch = executor.Run(queries);
+      ASSERT_TRUE(batch.ok()) << name << ": " << batch.status().ToString();
+      for (size_t i = 0; i < queries.size(); ++i) {
+        ExpectSameExecution(serial[i], serial_stats[i], batch->results[i],
+                            batch->per_query[i],
+                            name + " batch x" + std::to_string(threads) +
+                                " query " + std::to_string(i));
+      }
+    }
   }
 }
 

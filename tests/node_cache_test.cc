@@ -127,7 +127,7 @@ struct CachedRTree {
   ~CachedRTree() { tree.SetNodeCache(nullptr); }
 
   std::vector<ObjectRef> NearestRefs(const Point& point, size_t k) {
-    IncrementalNNCursorT<AcceptAllEntries> cursor(&tree, point);
+    IncrementalNNCursor<AcceptAllEntries> cursor(&tree, point);
     std::vector<ObjectRef> refs;
     while (refs.size() < k) {
       std::optional<Neighbor> neighbor = cursor.Next().value();
@@ -163,7 +163,7 @@ TEST(NodeCacheTreeTest, DeleteInvalidatesCachedNodes) {
 
   // Deleting the nearest object must remove it from subsequent results even
   // though the leaf that held it is cached.
-  IncrementalNNCursorT<AcceptAllEntries> locate(&t.tree, query);
+  IncrementalNNCursor<AcceptAllEntries> locate(&t.tree, query);
   std::optional<Neighbor> nearest = locate.Next().value();
   ASSERT_TRUE(nearest.has_value());
   ASSERT_TRUE(t.tree.Delete(nearest->ref, nearest->rect).value());

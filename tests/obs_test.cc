@@ -411,8 +411,7 @@ TEST(ExplainTest, DatabaseExplainProducesReportAndTrace) {
   std::vector<DistanceFirstQuery> queries =
       GenerateWorkload(objects, (*db)->tokenizer(), config);
 
-  auto result =
-      (*db)->Explain(queries.front(), SpatialKeywordDatabase::ExplainAlgo::kIr2);
+  auto result = (*db)->Explain(queries.front(), Algorithm::kIr2);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // The report mirrors the query's QueryStats and the trace is well formed.
   const std::string text = result->report.ToString();
@@ -426,8 +425,7 @@ TEST(ExplainTest, DatabaseExplainProducesReportAndTrace) {
   EXPECT_NE(result->trace_json.find("\"object_verify\""), std::string::npos);
 
   // The same query through every algorithm yields the same result set.
-  auto rtree = (*db)->Explain(queries.front(),
-                              SpatialKeywordDatabase::ExplainAlgo::kRTree);
+  auto rtree = (*db)->Explain(queries.front(), Algorithm::kRTree);
   ASSERT_TRUE(rtree.ok()) << rtree.status().ToString();
   ASSERT_EQ(rtree->results.size(), result->results.size());
   for (size_t i = 0; i < rtree->results.size(); ++i) {

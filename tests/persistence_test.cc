@@ -150,6 +150,27 @@ TEST_F(PersistenceTest, FileBackedQueriesCostIdenticalDiskAccesses) {
   }
 }
 
+// The manifest stores stopwords as whitespace-separated tokens, so Save
+// must refuse one it cannot write as a single token — before it creates
+// the directory or writes any file — instead of writing a manifest Open
+// rejects. (Such a stopword could never match: the tokenizer splits on
+// the whitespace.)
+TEST_F(PersistenceTest, SaveRejectsStopwordTheManifestCannotHold) {
+  std::vector<StoredObject> objects = RandomObjects(67, 60, 10, 3);
+  for (const std::string bad : {"new york", "tab\tword", ""}) {
+    DatabaseOptions options;
+    options.tree_options.capacity_override = 6;
+    options.stopwords = {"the", bad};
+    auto db = SpatialKeywordDatabase::Build(objects, options).value();
+    const Status status = db->Save(directory_);
+    ASSERT_FALSE(status.ok()) << "stopword \"" << bad << "\"";
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("\"" + bad + "\""), std::string::npos)
+        << status.message();
+    EXPECT_FALSE(std::filesystem::exists(directory_));
+  }
+}
+
 TEST_F(PersistenceTest, OpenMissingDirectoryFails) {
   auto result = SpatialKeywordDatabase::Open(directory_ + "/nope");
   ASSERT_FALSE(result.ok());

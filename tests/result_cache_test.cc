@@ -338,17 +338,20 @@ TEST(ResultCacheTest, CachezJsonGolden) {
   EXPECT_EQ(RenderCachezJson(stats, {row}, /*mutation_epoch=*/9), expected);
 }
 
-// ------------------------------------------------- single-database hook
+// ------------------------------------------- single database, one shard
 
-TEST(DatabaseResultCacheTest, QueryAutoConsultsTheHook) {
+// A single database is served with a cache the way examples/serve --open
+// serves a saved one: wrapped as a one-shard tier whose facade holds the
+// cache.
+TEST(WrapSingleResultCacheTest, QueryAutoConsultsTheTierCache) {
   std::vector<StoredObject> objects = RandomObjects(5, 200, 30, 5);
   DatabaseOptions options;
   options.ir2_signature = SignatureConfig{256, 3};
   options.cold_queries = false;
-  auto db = SpatialKeywordDatabase::Build(objects, options).value();
-
-  serving::ResultCache cache;
-  db->SetResultCache(&cache);
+  auto tier = ShardedDatabase::WrapSingle(
+                  SpatialKeywordDatabase::Build(objects, options).value())
+                  .value();
+  tier->EnableResultCache();
 
   DistanceFirstQuery q;
   q.point = Point(500, 500);
@@ -356,13 +359,13 @@ TEST(DatabaseResultCacheTest, QueryAutoConsultsTheHook) {
   q.k = 5;
 
   QueryStats miss_stats;
-  auto first = db->QueryAuto(q, &miss_stats);
+  auto first = tier->Query(q, Algorithm::kAuto, &miss_stats);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(miss_stats.result_cache_misses, 1u);
   EXPECT_EQ(miss_stats.result_cache_hits, 0u);
 
   QueryStats hit_stats;
-  auto second = db->QueryAuto(q, &hit_stats);
+  auto second = tier->Query(q, Algorithm::kAuto, &hit_stats);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(hit_stats.result_cache_hits, 1u);
   // The hit does not touch the planner or the trees.
@@ -375,13 +378,11 @@ TEST(DatabaseResultCacheTest, QueryAutoConsultsTheHook) {
   }
 
   // EXPLAIN surfaces the reuse decision with the inequality's numbers.
-  auto explain = db->Explain(q, Algorithm::kAuto);
+  auto explain = tier->Explain(q, Algorithm::kAuto);
   ASSERT_TRUE(explain.ok());
   const std::string report = explain.value().report.ToString();
   EXPECT_NE(report.find("Result cache"), std::string::npos);
   EXPECT_NE(report.find("verdict"), std::string::npos);
-
-  db->SetResultCache(nullptr);  // Detach before the cache dies.
 }
 
 // ---------------------------------------------- sharded integration/fuzz
