@@ -286,20 +286,24 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   # shared_ptrs from tier-owned node caches, so the cache/tree destruction
   # order on tier teardown is checked here. So do the database suites:
   # SpatialKeywordDatabase's destructor stops schedulers and async
-  # backends before its trees, pools and devices tear down.
+  # backends before its trees, pools and devices tear down. And the cursor
+  # suites: every tree search's filter signatures, batch flags and
+  # candidate buffers live in a query scratch the verified NN cursor owns
+  # or borrows, which is where a dangling pointer would hide.
   cmake --build build-asan -j "$jobs" --target \
     node_cache_test cold_regime_regression_test ir2_tree_test rtree_test \
     algorithms_test simd_test file_device_async_test sharded_database_test \
     server_loop_test tokenizer_test corruption_test storage_test \
     database_test persistence_test batch_executor_test planner_test \
-    result_cache_test io_scheduler_test
+    result_cache_test io_scheduler_test cursor_test kc_tree_test \
+    hybrid_index_test general_cursor_test
   # Both SIMD ways here too: the dispatched kernels read signature and
   # posting buffers in wide chunks, exactly where an out-of-bounds read
   # would hide from the scalar tier. FindToken's lane loads reach up to
   # keyword length - 1 + 32 bytes past a lane start; simd_test searches
   # exactly sized heap copies so a read past the text is reported.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test|tokenizer_test|corruption_test|storage_test|database_test|persistence_test|batch_executor_test|planner_test|result_cache_test|io_scheduler_test)$'
+    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test|tokenizer_test|corruption_test|storage_test|database_test|persistence_test|batch_executor_test|planner_test|result_cache_test|io_scheduler_test|cursor_test|kc_tree_test|hybrid_index_test|general_cursor_test)$'
   IR2_DISABLE_SIMD=1 ctest --test-dir build-asan --output-on-failure \
     -R '^(cold_regime_regression_test|simd_test|tokenizer_test)$'
 fi

@@ -201,7 +201,7 @@ StatusOr<std::vector<QueryResult>> GeneralIr2TopK(
   GeneralIr2TopKCursor cursor(&tree, &objects, &tokenizer, &scorer, terms,
                               query);
   std::vector<QueryResult> results;
-  results.reserve(query.k);
+  results.reserve(AnswerReserve(query.k));
   while (results.size() < query.k) {
     IR2_ASSIGN_OR_RETURN(std::optional<QueryResult> result, cursor.Next());
     if (!result.has_value()) {

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "rtree/incremental_nn.h"
+#include "core/verified_nn_cursor.h"
 
 namespace ir2 {
 
@@ -93,40 +93,23 @@ StatusOr<std::vector<QueryResult>> HybridKeywordIndex::TopK(
     return std::vector<QueryResult>();  // Some keyword matches nothing.
   }
 
-  // One record and one line buffer are recycled across candidates.
-  StoredObject object;
-  std::string line;
-  std::vector<QueryResult> results;
-  results.reserve(query.k);
   auto tree_it = trees_.find(driver);
   if (tree_it != trees_.end()) {
-    // Incremental NN over the driver term's tree; verify the rest.
-    IncrementalNNCursor cursor(tree_it->second.get(), target);
-    while (results.size() < query.k) {
-      IR2_ASSIGN_OR_RETURN(std::optional<Neighbor> neighbor, cursor.Next());
-      if (!neighbor.has_value()) break;
-      IR2_RETURN_IF_ERROR(objects.LoadInto(neighbor->ref, &object, &line));
-      if (stats != nullptr) {
-        ++stats->objects_loaded;
-      }
-      if (ContainsAllNormalizedKeywords(object.text, keywords)) {
-        results.push_back(QueryResult{neighbor->ref, object.id,
-                                      neighbor->distance, 0.0,
-                                      -neighbor->distance,
-                                      Point(object.coords)});
-      } else if (stats != nullptr) {
-        ++stats->false_positives;
-      }
-    }
-    if (stats != nullptr) {
-      stats->nodes_visited += cursor.nodes_visited();
-    }
-    return results;
+    // Incremental NN over the driver term's tree; the shared cursor
+    // verifies the rest of the keywords on each candidate.
+    VerifiedNNCursor<AcceptAllEntries> cursor(
+        tree_it->second.get(), &objects, tokenizer, target, query.keywords,
+        /*scratch=*/nullptr, /*prefetch=*/{}, query.max_distance,
+        NoEntryFilter);
+    return CollectTopK(cursor, query.k, stats);
   }
 
-  // Rare driver term: scan its posting list (IIO-style on one list).
+  // Rare driver term: scan its posting list (IIO-style on one list). One
+  // record and one line buffer are recycled across candidates.
   IR2_ASSIGN_OR_RETURN(std::vector<ObjectRef> postings,
                        inverted_->RetrieveList(driver));
+  StoredObject object;
+  std::string line;
   std::vector<QueryResult> candidates;
   for (ObjectRef ref : postings) {
     IR2_RETURN_IF_ERROR(objects.LoadInto(ref, &object, &line));
@@ -141,6 +124,11 @@ StatusOr<std::vector<QueryResult>> HybridKeywordIndex::TopK(
     }
     Point location(object.coords);
     double distance = target.MinDist(location);
+    // Bounded form: the whole list is loaded regardless, so the inclusive
+    // bound is a pure post-filter, as in IioTopK.
+    if (query.max_distance.has_value() && distance > *query.max_distance) {
+      continue;
+    }
     candidates.push_back(
         QueryResult{ref, object.id, distance, 0.0, -distance, location});
   }

@@ -294,36 +294,12 @@ void KcEntryFilter::PrepareNode(const Node& node) {
   // are counted once here rather than with a global atomic per entry.
   obs::DefaultMetrics().kctree_bitmap_tests->Add(node.entries.size());
   if (stats != nullptr) stats->kc_bitmap_tests += node.entries.size();
-  if (batch == nullptr) return;
-  const simd::BytesContainFn contains = simd::ActiveBytesContainFn();
-  const uint64_t* query_words = query_bits->words().data();
-  const size_t query_bytes = query_bits->num_bytes();
-  batch->entries_base = node.entries.data();
-  batch->count = node.entries.size();
-  batch->flags.resize(node.entries.size());
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    const std::vector<uint8_t>& payload = node.entries[i].payload;
-    // A width mismatch (corrupted node) never prunes — the same contract
-    // as PayloadContainsSignature.
-    batch->flags[i] =
-        payload.size() != query_bytes ||
-                contains(payload.data(), payload.size(), query_words)
-            ? 1
-            : 0;
-  }
+  batch->Prepare(node, *query_bits);
 }
 
 bool KcEntryFilter::operator()(const Node& node, const Entry& entry) const {
   obs::TraceSpan span(obs::SpanKind::kSignatureTest, entry.ref);
-  bool matches;
-  const size_t index = static_cast<size_t>(&entry - node.entries.data());
-  if (batch != nullptr && batch->entries_base == node.entries.data() &&
-      index < batch->count) {
-    matches = batch->flags[index] != 0;
-  } else {
-    matches = PayloadContainsSignature(entry.payload, *query_bits);
-  }
-  if (matches) {
+  if (batch->Matches(node, entry, *query_bits)) {
     return true;
   }
   // Attribute the prune — scalar, on the prune path only, so the batched
@@ -371,109 +347,6 @@ bool KcEntryFilter::operator()(const Node& node, const Entry& entry) const {
   return false;
 }
 
-// Shared machinery of the one-shot and cursor forms — the KC analogue of
-// Ir2TopKCursor::Impl, reusing the same scratch buffers (the query bits
-// live in level_signatures[0], the cold-region temp in [1]).
-class KcTopKCursor::Impl {
- public:
-  Impl(const KcTree* tree, const ObjectStore* objects,
-       const Tokenizer* tokenizer, Rect target,
-       std::vector<std::string> keywords, QueryStats* stats,
-       Ir2QueryScratch* scratch, NNPrefetchOptions prefetch,
-       std::optional<double> max_distance)
-      : objects_(objects),
-        keywords_(tokenizer->NormalizeKeywords(keywords)),
-        stats_(stats),
-        max_distance_(max_distance),
-        candidate_(scratch != nullptr ? &scratch->candidate : &own_candidate_),
-        record_line_(scratch != nullptr ? &scratch->record_line
-                                        : &own_record_line_) {
-    std::vector<uint64_t>& hashes =
-        scratch != nullptr ? scratch->keyword_hashes : own_keyword_hashes_;
-    hashes.clear();
-    hashes.reserve(keywords_.size());
-    for (const std::string& keyword : keywords_) {
-      hashes.push_back(HashWord(keyword));
-    }
-    std::vector<Signature>& signatures =
-        scratch != nullptr ? scratch->level_signatures : own_level_signatures_;
-    signatures.resize(2);
-    tree->QueryBitsInto(hashes, &signatures[0], &signatures[1]);
-    SignatureBatchScratch* batch = scratch != nullptr
-                                       ? &scratch->signature_batch
-                                       : &own_signature_batch_;
-    cursor_.emplace(tree, target,
-                    KcEntryFilter{&tree->vocabulary(), &signatures[0], stats,
-                                  batch},
-                    scratch != nullptr ? &scratch->nn : nullptr, prefetch);
-  }
-
-  StatusOr<std::optional<QueryResult>> Next() {
-    while (true) {
-      IR2_ASSIGN_OR_RETURN(std::optional<Neighbor> neighbor, cursor_->Next());
-      if (!neighbor.has_value() ||
-          (max_distance_.has_value() && neighbor->distance > *max_distance_)) {
-        // Neighbors stream in ascending distance, so the first one past the
-        // bound proves everything farther is out too (the bound is
-        // inclusive: a neighbor AT the bound is still a candidate).
-        if (stats_ != nullptr) {
-          stats_->nodes_visited = cursor_->nodes_visited();
-        }
-        return std::optional<QueryResult>();
-      }
-      // Candidate check: hot keywords are exact, but cold-tail keywords
-      // can still false-positive through the superimposed region — verify
-      // against the actual text, exactly like the IR2 path.
-      obs::TraceSpan verify_span(obs::SpanKind::kObjectVerify, neighbor->ref);
-      obs::DefaultMetrics().objects_verified->Add();
-      IR2_RETURN_IF_ERROR(
-          objects_->LoadInto(neighbor->ref, candidate_, record_line_));
-      if (stats_ != nullptr) {
-        ++stats_->objects_loaded;
-        stats_->nodes_visited = cursor_->nodes_visited();
-      }
-      if (ContainsAllNormalizedKeywords(candidate_->text, keywords_)) {
-        return std::optional<QueryResult>(
-            QueryResult{neighbor->ref, candidate_->id, neighbor->distance, 0.0,
-                        -neighbor->distance, Point(candidate_->coords)});
-      }
-      obs::DefaultMetrics().verification_false_positives->Add();
-      if (stats_ != nullptr) {
-        ++stats_->false_positives;
-      }
-    }
-  }
-
- private:
-  const ObjectStore* objects_;
-  std::vector<std::string> keywords_;
-  QueryStats* stats_;
-  std::optional<double> max_distance_;
-  // Fallbacks used when no scratch donates the buffers.
-  std::vector<uint64_t> own_keyword_hashes_;
-  std::vector<Signature> own_level_signatures_;
-  SignatureBatchScratch own_signature_batch_;
-  StoredObject own_candidate_;
-  std::string own_record_line_;
-  StoredObject* candidate_;
-  std::string* record_line_;
-  std::optional<IncrementalNNCursor<KcEntryFilter>> cursor_;
-};
-
-KcTopKCursor::KcTopKCursor(const KcTree* tree, const ObjectStore* objects,
-                           const Tokenizer* tokenizer, Rect target,
-                           std::vector<std::string> keywords,
-                           Ir2QueryScratch* scratch, NNPrefetchOptions prefetch,
-                           std::optional<double> max_distance)
-    : impl_(new Impl(tree, objects, tokenizer, target, std::move(keywords),
-                     &stats_, scratch, prefetch, max_distance)) {}
-
-KcTopKCursor::~KcTopKCursor() = default;
-
-StatusOr<std::optional<QueryResult>> KcTopKCursor::Next() {
-  return impl_->Next();
-}
-
 StatusOr<std::vector<QueryResult>> KcTopK(const KcTree& tree,
                                           const ObjectStore& objects,
                                           const Tokenizer& tokenizer,
@@ -481,21 +354,19 @@ StatusOr<std::vector<QueryResult>> KcTopK(const KcTree& tree,
                                           QueryStats* stats,
                                           Ir2QueryScratch* scratch,
                                           NNPrefetchOptions prefetch) {
-  KcTopKCursor cursor(&tree, &objects, &tokenizer, query.Target(),
-                      query.keywords, scratch, prefetch, query.max_distance);
-  std::vector<QueryResult> results;
-  results.reserve(query.k);
-  while (results.size() < query.k) {
-    IR2_ASSIGN_OR_RETURN(std::optional<QueryResult> result, cursor.Next());
-    if (!result.has_value()) {
-      break;
-    }
-    results.push_back(*result);
-  }
-  if (stats != nullptr) {
-    *stats += cursor.stats();
-  }
-  return results;
+  VerifiedNNCursor<KcEntryFilter> cursor(
+      &tree, &objects, tokenizer, query.Target(), query.keywords, scratch,
+      prefetch, query.max_distance,
+      [&tree](Ir2QueryScratch& s, QueryStats* stats) {
+        // The query bits live in level_signatures[0], the cold-region temp
+        // in [1].
+        s.level_signatures.resize(2);
+        tree.QueryBitsInto(s.keyword_hashes, &s.level_signatures[0],
+                           &s.level_signatures[1]);
+        return KcEntryFilter{&tree.vocabulary(), &s.level_signatures[0],
+                             stats, &s.signature_batch};
+      });
+  return CollectTopK(cursor, query.k, stats);
 }
 
 }  // namespace ir2

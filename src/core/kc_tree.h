@@ -36,8 +36,8 @@
 #include <vector>
 
 #include "common/status_or.h"
-#include "core/ir2_search.h"
 #include "core/query.h"
+#include "core/verified_nn_cursor.h"
 #include "rtree/incremental_nn.h"
 #include "rtree/rtree_base.h"
 #include "storage/object_store.h"
@@ -194,7 +194,8 @@ class KcPayloadSource final : public PayloadSource {
 // cluster with a missing bit, or to the cold signature when the whole
 // bitmap was contained. PrepareNode counts the node's entry tests (the
 // cursor tests every entry of an expanded node); operator() counts the
-// prunes. Use it only through a cursor that calls PrepareNode.
+// prunes. Use it only through a cursor that calls PrepareNode; `batch`
+// must be set.
 struct KcEntryFilter {
   const KcVocabulary* vocab = nullptr;
   const Signature* query_bits = nullptr;  // One width for all levels.
@@ -205,9 +206,10 @@ struct KcEntryFilter {
   bool operator()(const Node& node, const Entry& entry) const;
 };
 
-// The distance-first KC-Tree algorithm: incremental NN with the KC filter,
-// candidates verified against the object text exactly like IR2TopK (hot
-// bits are exact, but cold-tail keywords can still false-positive).
+// The distance-first KC-Tree algorithm: the shared VerifiedNNCursor with
+// the KC filter, candidates verified against the object text exactly like
+// IR2TopK (hot bits are exact, but cold-tail keywords can still
+// false-positive).
 // `scratch` donates the same reusable buffers as the IR2 path — a
 // BatchExecutor worker shares one Ir2QueryScratch across all tree
 // algorithms. Honors query.max_distance (the bounded-cursor form): the NN
@@ -220,31 +222,6 @@ StatusOr<std::vector<QueryResult>> KcTopK(const KcTree& tree,
                                           QueryStats* stats = nullptr,
                                           Ir2QueryScratch* scratch = nullptr,
                                           NNPrefetchOptions prefetch = {});
-
-// Incremental cursor form (pagination; the sharded radius-capped legs).
-class KcTopKCursor {
- public:
-  KcTopKCursor(const KcTree* tree, const ObjectStore* objects,
-               const Tokenizer* tokenizer, Rect target,
-               std::vector<std::string> keywords,
-               Ir2QueryScratch* scratch = nullptr,
-               NNPrefetchOptions prefetch = {},
-               std::optional<double> max_distance = {});
-  ~KcTopKCursor();
-
-  KcTopKCursor(const KcTopKCursor&) = delete;
-  KcTopKCursor& operator=(const KcTopKCursor&) = delete;
-
-  // Next verified result, or nullopt when exhausted (or past max_distance).
-  StatusOr<std::optional<QueryResult>> Next();
-
-  const QueryStats& stats() const { return stats_; }
-
- private:
-  class Impl;
-  std::unique_ptr<Impl> impl_;
-  QueryStats stats_;
-};
 
 }  // namespace ir2
 

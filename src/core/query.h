@@ -1,6 +1,8 @@
 #ifndef IR2TREE_CORE_QUERY_H_
 #define IR2TREE_CORE_QUERY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -64,6 +66,14 @@ struct QueryResult {
   // needs the locations after the fact (serving/result_cache.h).
   Point location;
 };
+
+// Capacity to reserve for a top-k answer. k is caller input and may dwarf
+// the matches (UINT32_MAX asks for every match), so reserve at most a small
+// cap and let the vector grow on demand past it.
+inline size_t AnswerReserve(uint64_t k) {
+  constexpr size_t kMaxReserve = 256;
+  return static_cast<size_t>(std::min<uint64_t>(k, kMaxReserve));
+}
 
 // Per-query metrics in the units the paper's figures report.
 struct QueryStats {

@@ -233,7 +233,7 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryImpl(
   });
 
   std::vector<QueryResult> merged;
-  merged.reserve(q.k + 1);
+  merged.reserve(AnswerReserve(uint64_t{q.k} + 1));
   // object id -> index into *legs, for results_in_final attribution.
   std::unordered_map<uint32_t, size_t> owner;
   uint64_t queried = 0;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
 #include "core/database.h"
 #include "core/general_search.h"
 #include "core/ir2_search.h"
+#include "serving/sharded_database.h"
 #include "tests/test_util.h"
 
 namespace ir2 {
@@ -242,6 +245,56 @@ TEST(GeneralSearchTest, AllowZeroIrScoreFillsWithNearest) {
   EXPECT_TRUE(db->QueryGeneral(query).value().empty());
   query.allow_zero_ir_score = true;
   EXPECT_EQ(db->QueryGeneral(query).value().size(), 5u);
+}
+
+// ---- k far past the match count ----
+
+// k is caller input (ir2_shell's "top <k> ..."); UINT32_MAX must mean
+// "every match", not a reservation of k results.
+TEST(HugeKTest, UintMaxKReturnsEveryMatch) {
+  std::vector<StoredObject> objects = RandomObjects(61, 300, 20, 4);
+  const DatabaseOptions options = SmallTreeOptions(128);
+  auto db = SpatialKeywordDatabase::Build(objects, options).value();
+  serving::ShardingOptions sharding;
+  sharding.num_shards = 4;
+  auto tier =
+      serving::ShardedDatabase::Build(objects, options, sharding).value();
+
+  DistanceFirstQuery query;
+  query.point = Point(400, 600);
+  query.keywords = {"w3"};
+  query.k = std::numeric_limits<uint32_t>::max();
+  const std::vector<uint32_t> expected =
+      BruteForceDistanceFirst(objects, query.point, query.keywords, query.k);
+  ASSERT_GT(expected.size(), 10u);
+  for (Algorithm algo : {Algorithm::kRTree, Algorithm::kIio, Algorithm::kIr2,
+                         Algorithm::kMir2, Algorithm::kKcTree,
+                         Algorithm::kAuto}) {
+    EXPECT_EQ(ResultIds(db->Query(query, algo).value()), expected)
+        << AlgorithmName(algo);
+    EXPECT_EQ(ResultIds(tier->Query(query, algo).value()), expected)
+        << "4 shards, " << AlgorithmName(algo);
+  }
+
+  // General ranking: every object with a positive IR score, i.e. holding
+  // at least one of the keywords.
+  GeneralQuery general;
+  general.point = query.point;
+  general.keywords = {"w3", "w5"};
+  general.k = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> any_match;
+  for (const std::string& keyword : general.keywords) {
+    for (uint32_t id : BruteForceDistanceFirst(objects, general.point,
+                                               {keyword}, general.k)) {
+      any_match.push_back(id);
+    }
+  }
+  std::sort(any_match.begin(), any_match.end());
+  any_match.erase(std::unique(any_match.begin(), any_match.end()),
+                  any_match.end());
+  std::vector<uint32_t> ranked = ResultIds(db->QueryGeneral(general).value());
+  std::sort(ranked.begin(), ranked.end());
+  EXPECT_EQ(ranked, any_match);
 }
 
 // ---- Stats plumbing ----

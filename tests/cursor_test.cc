@@ -127,5 +127,33 @@ TEST_F(CursorTest, KeywordsAreNormalizedLikeIndexedText) {
   EXPECT_EQ(a->object_id, b->object_id);
 }
 
+TEST_F(CursorTest, BoundedEndLatchesWithoutFurtherTraversal) {
+  const Point point(500, 500);
+  const std::vector<std::string> keywords = {"w3"};
+  const std::vector<uint32_t> all =
+      BruteForceDistanceFirst(objects_, point, keywords, objects_.size());
+  ASSERT_GT(all.size(), 6u);
+  // Inclusive bound at the third match: exactly three results come back.
+  const double bound = Distance(Point(objects_[all[2]].coords), point);
+  Ir2TopKCursor cursor(tree_.get(), store_.get(), &tokenizer_, point,
+                       keywords, /*scratch=*/nullptr, /*prefetch=*/{}, bound);
+  std::vector<uint32_t> found;
+  while (true) {
+    auto next = cursor.Next().value();
+    if (!next.has_value()) break;
+    found.push_back(next->object_id);
+  }
+  EXPECT_EQ(found, std::vector<uint32_t>(all.begin(), all.begin() + 3));
+
+  // The ended stream stays ended without popping or expanding anything.
+  const uint64_t nodes_visited = cursor.stats().nodes_visited;
+  const uint64_t objects_loaded = cursor.stats().objects_loaded;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(cursor.Next().value().has_value());
+  }
+  EXPECT_EQ(cursor.stats().nodes_visited, nodes_visited);
+  EXPECT_EQ(cursor.stats().objects_loaded, objects_loaded);
+}
+
 }  // namespace
 }  // namespace ir2

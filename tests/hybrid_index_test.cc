@@ -141,5 +141,34 @@ TEST(HybridIndexTest, AreaTargetsWork) {
   }
 }
 
+TEST(HybridIndexTest, MaxDistanceIsAnInclusiveBoundOnBothPaths) {
+  std::vector<StoredObject> objects = RandomObjects(44, 400, 25, 5);
+  // Threshold 1 gives every term a tree (tree-driven queries); a sky-high
+  // one serves every driver from its posting list.
+  for (uint32_t threshold : {1u, 1000000u}) {
+    HybridFixture fx(objects, SmallOptions(threshold));
+    EXPECT_EQ(fx.index->num_term_trees() > 0, threshold == 1u);
+    Rng rng(45);
+    for (int iter = 0; iter < 10; ++iter) {
+      DistanceFirstQuery query;
+      query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
+      query.keywords = {"w" + std::to_string(rng.NextUint64(25))};
+      query.k = 20;
+      std::vector<QueryResult> uncapped =
+          fx.index->TopK(*fx.store, fx.tokenizer, query).value();
+      ASSERT_GT(uncapped.size(), 4u);
+      query.max_distance = uncapped[3].distance;
+      std::vector<QueryResult> expected;
+      for (const QueryResult& r : uncapped) {
+        if (r.distance <= *query.max_distance) expected.push_back(r);
+      }
+      std::vector<QueryResult> capped =
+          fx.index->TopK(*fx.store, fx.tokenizer, query).value();
+      EXPECT_EQ(ResultIds(capped), ResultIds(expected))
+          << "threshold " << threshold << ", iter " << iter;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ir2
