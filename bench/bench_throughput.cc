@@ -1,5 +1,6 @@
 // Concurrent query throughput (queries/second) of the BatchExecutor over
-// one shared read-only IR2-/MIR2-Tree, at 1, 2, 4 and 8 worker threads.
+// one shared read-only database — IR2 and MIR2 by default, any algorithm
+// with --algo — at 1, 2, 4 and 8 worker threads.
 //
 // Two regimes (--regime=cold|warm, see docs/performance.md):
 //
@@ -13,8 +14,8 @@
 //     3. Cache traffic — each worker pool's hit/miss/eviction counters are
 //        summed per thread count.
 //
-//   warm — the serving regime: worker pools stay hot across queries and the
-//   tree carries a NodeCache (decoded nodes, inner levels pinned), so
+//   warm — the serving regime: worker pools stay hot across queries and
+//   every tree carries a NodeCache (decoded nodes, inner levels pinned), so
 //   steady-state throughput is measured instead of per-query disk cost.
 //   Per-query profiles depend on cache state, so the determinism check is
 //   skipped.
@@ -27,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,7 +39,6 @@
 #include "obs/trace.h"
 #include "rtree/node_cache.h"
 #include "serving/admin_server.h"
-#include "storage/disk_model.h"
 
 namespace ir2 {
 namespace bench {
@@ -53,8 +54,8 @@ struct RunConfig {
   // run's tail still connects.
   int admin_port = -1;
   int admin_hold_ms = 0;
-  // --algo=NAME: run one algorithm through the database-mode BatchExecutor
-  // (auto plans per query) instead of the IR2/MIR2 tree-mode pair.
+  // --algo=NAME: run one algorithm (auto plans per query) instead of the
+  // default IR2/MIR2 pair.
   bool has_algo = false;
   Algo algo = Algo::kAuto;
   // --device=file: Save the built database to a real directory and re-Open
@@ -93,91 +94,12 @@ bool SameProfile(const QueryStats& a, const QueryStats& b) {
          a.entries_pruned == b.entries_pruned && a.io == b.io;
 }
 
-TreeSeries RunTree(SpatialKeywordDatabase& db, Algo algo,
-                   const std::vector<DistanceFirstQuery>& queries,
-                   const RunConfig& config,
-                   const std::vector<size_t>& thread_counts) {
-  TreeSeries series;
-  series.tree = AlgoName(algo);
-  Ir2Tree* tree = algo == Algo::kMir2
-                      ? static_cast<Ir2Tree*>(db.mir2_tree())
-                      : db.ir2_tree();
-
-  // Serial reference on the database's own (shared-pool) path, so the
-  // refactor's single-thread latency is visible next to the batch numbers.
-  AlgoResult serial = RunWorkload(db, algo, queries);
-  series.serial_mean_ms = serial.ms;
-
-  // Warm regime: decoded-node cache on the tree, inner levels pinned.
-  NodeCacheOptions cache_options;
-  cache_options.pin_min_level = 1;
-  NodeCache node_cache(cache_options);
-  if (config.warm) {
-    tree->SetNodeCache(&node_cache);
-  }
-
-  BatchExecutorOptions options;
-  options.cold_queries = !config.warm;
-  std::vector<QueryStats> reference;
-  for (size_t threads : thread_counts) {
-    options.num_threads = threads;
-    BatchExecutor executor(tree, &db.object_store(), &db.tokenizer(),
-                           options);
-    if (config.warm) {
-      node_cache.Clear();  // Each thread point warms up from empty.
-    }
-    Stopwatch watch;
-    StatusOr<BatchResults> batch = executor.Run(queries);
-    const double elapsed = watch.ElapsedSeconds();
-    IR2_CHECK(batch.ok()) << batch.status().ToString();
-
-    ThroughputPoint point;
-    point.threads = threads;
-    point.seconds = elapsed;
-    point.qps = static_cast<double>(queries.size()) / elapsed;
-    LatencyHistogram latencies;
-    // Modeled disk time is recomputed here from each query's I/O counters
-    // (tree-mode executors don't price I/O themselves); the counters are
-    // pinned medium-independent, so this number is the same whether the
-    // blocks came from memory or a real file — which is exactly what makes
-    // it worth printing next to the wall-clock in --device=file runs.
-    const DiskModel disk_model(db.options().disk_model);
-    for (const QueryStats& stats : batch->per_query) {
-      latencies.Record(stats.seconds * 1000.0);
-      point.sim_disk_ms += disk_model.Ms(stats.io);
-    }
-    point.p50_ms = latencies.P50();
-    point.p95_ms = latencies.P95();
-    point.pool = batch->pool_stats;
-    point.cache = node_cache.Stats();
-    if (threads == thread_counts.front()) {
-      reference = batch->per_query;
-      series.batch1_mean_ms =
-          batch->Aggregate().seconds * 1000.0 / queries.size();
-    } else if (!config.warm) {
-      for (size_t i = 0; i < queries.size(); ++i) {
-        if (!SameProfile(reference[i], batch->per_query[i])) {
-          ++series.profile_mismatches;
-        }
-      }
-    }
-    point.speedup = series.points.empty()
-                        ? 1.0
-                        : series.points.front().seconds / elapsed;
-    series.points.push_back(point);
-  }
-  if (config.warm) {
-    tree->SetNodeCache(nullptr);
-  }
-  return series;
-}
-
-// Database-mode variant of RunTree: the executor plans/dispatches per query
-// via the database, so any Algorithm — including kAuto — can be batched.
-TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
-                             const std::vector<DistanceFirstQuery>& queries,
-                             const RunConfig& config,
-                             const std::vector<size_t>& thread_counts) {
+// One series: the BatchExecutor over `algo` (auto plans per query) at each
+// thread count, next to the serial db.Query loop on the same workload.
+TreeSeries RunSeries(SpatialKeywordDatabase& db, Algo algo,
+                     const std::vector<DistanceFirstQuery>& queries,
+                     const RunConfig& config,
+                     const std::vector<size_t>& thread_counts) {
   TreeSeries series;
   series.tree = AlgoName(algo);
 
@@ -185,16 +107,32 @@ TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
   // thread point, below) from the static model so every point makes the
   // same decisions and the determinism check stays meaningful.
   if (algo == Algo::kAuto) db.planner()->feedback().Reset();
+  // Serial reference on the database's own (shared-pool) path, so the
+  // single-thread latency is visible next to the batch numbers.
   AlgoResult serial = RunWorkload(db, algo, queries);
   series.serial_mean_ms = serial.ms;
 
+  // Warm regime: a decoded-node cache on every tree, inner levels pinned.
+  const std::vector<RTreeBase*> trees = db.trees();
+  std::vector<std::unique_ptr<NodeCache>> node_caches;
+  if (config.warm) {
+    NodeCacheOptions cache_options;
+    cache_options.pin_min_level = 1;
+    for (RTreeBase* tree : trees) {
+      node_caches.push_back(std::make_unique<NodeCache>(cache_options));
+      tree->SetNodeCache(node_caches.back().get());
+    }
+  }
+
   BatchExecutorOptions options;
-  options.cold_queries = !config.warm;
   options.algorithm = algo;
   std::vector<QueryStats> reference;
   for (size_t threads : thread_counts) {
     options.num_threads = threads;
     if (algo == Algo::kAuto) db.planner()->feedback().Reset();
+    for (const auto& cache : node_caches) {
+      cache->Clear();  // Each thread point warms up from empty.
+    }
     BatchExecutor executor(&db, options);
     Stopwatch watch;
     StatusOr<BatchResults> batch = executor.Run(queries);
@@ -206,19 +144,20 @@ TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
     point.seconds = elapsed;
     point.qps = static_cast<double>(queries.size()) / elapsed;
     LatencyHistogram latencies;
-    // Modeled disk time is recomputed here from each query's I/O counters
-    // (tree-mode executors don't price I/O themselves); the counters are
-    // pinned medium-independent, so this number is the same whether the
-    // blocks came from memory or a real file — which is exactly what makes
-    // it worth printing next to the wall-clock in --device=file runs.
-    const DiskModel disk_model(db.options().disk_model);
+    // Modeled disk time is medium-independent (the cold-regime regression
+    // pins that), so this number is the same whether the blocks came from
+    // memory or a real file — which is exactly what makes it worth
+    // printing next to the wall-clock in --device=file runs.
     for (const QueryStats& stats : batch->per_query) {
       latencies.Record(stats.seconds * 1000.0);
-      point.sim_disk_ms += disk_model.Ms(stats.io);
+      point.sim_disk_ms += stats.simulated_disk_ms;
     }
     point.p50_ms = latencies.P50();
     point.p95_ms = latencies.P95();
     point.pool = batch->pool_stats;
+    for (const auto& cache : node_caches) {
+      point.cache += cache->Stats();
+    }
     if (threads == thread_counts.front()) {
       reference = batch->per_query;
       series.batch1_mean_ms =
@@ -234,6 +173,9 @@ TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
                         ? 1.0
                         : series.points.front().seconds / elapsed;
     series.points.push_back(point);
+  }
+  if (config.warm) {
+    for (RTreeBase* tree : trees) tree->SetNodeCache(nullptr);
   }
   return series;
 }
@@ -360,15 +302,13 @@ void Main(const RunConfig& config) {
       config.smoke ? std::vector<size_t>{1, 2}
                    : std::vector<size_t>{1, 2, 4, 8};
 
+  const std::vector<Algo> algos =
+      config.has_algo ? std::vector<Algo>{config.algo}
+                      : std::vector<Algo>{Algo::kIr2, Algo::kMir2};
   std::vector<TreeSeries> trees;
-  if (config.has_algo) {
-    trees.push_back(RunDatabaseSeries(*dataset.db, config.algo, queries,
-                                      config, thread_counts));
-  } else {
+  for (Algo algo : algos) {
     trees.push_back(
-        RunTree(*dataset.db, Algo::kIr2, queries, config, thread_counts));
-    trees.push_back(
-        RunTree(*dataset.db, Algo::kMir2, queries, config, thread_counts));
+        RunSeries(*dataset.db, algo, queries, config, thread_counts));
   }
 
   std::vector<std::string> x_names;

@@ -242,17 +242,18 @@ else
   # prefetch scheduler's worker thread, the async I/O backend's
   # submit/reap ring under demand+prefetch races, the sharded
   # metrics/tracer hammers, the planner's lock-free feedback under
-  # database-mode batches, the serving tier's admission queue +
+  # batches, the facade's per-query step (global metrics and spans) that
+  # every batch worker runs, the serving tier's admission queue +
   # concurrent scatter-gather workers, and the striped result cache's
   # lookup/fill/evict races) — the rest of the suite is single-threaded
   # and covered by the Release run.
   cmake --build build-tsan -j "$jobs" --target \
-    concurrency_test batch_executor_test node_cache_test storage_test \
-    io_scheduler_test file_device_async_test obs_test planner_test \
-    server_loop_test sharded_database_test kc_tree_test telemetry_test \
-    admin_server_test result_cache_test
+    concurrency_test batch_executor_test database_test node_cache_test \
+    storage_test io_scheduler_test file_device_async_test obs_test \
+    planner_test server_loop_test sharded_database_test kc_tree_test \
+    telemetry_test admin_server_test result_cache_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'concurrency_test|batch_executor_test|node_cache_test|storage_test|io_scheduler_test|file_device_async_test|obs_test|planner_test|server_loop_test|sharded_database_test|kc_tree_test|telemetry_test|admin_server_test|result_cache_test'
+    -R '^(concurrency_test|batch_executor_test|database_test|node_cache_test|storage_test|io_scheduler_test|file_device_async_test|obs_test|planner_test|server_loop_test|sharded_database_test|kc_tree_test|telemetry_test|admin_server_test|result_cache_test)$'
 fi
 
 echo
@@ -289,21 +290,23 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   # backends before its trees, pools and devices tear down. And the cursor
   # suites: every tree search's filter signatures, batch flags and
   # candidate buffers live in a query scratch the verified NN cursor owns
-  # or borrows, which is where a dangling pointer would hide.
+  # or borrows, which is where a dangling pointer would hide. The
+  # concurrency suite's batch workers own private pools whose
+  # ScopedReadPool scopes unwind at worker exit.
   cmake --build build-asan -j "$jobs" --target \
     node_cache_test cold_regime_regression_test ir2_tree_test rtree_test \
     algorithms_test simd_test file_device_async_test sharded_database_test \
     server_loop_test tokenizer_test corruption_test storage_test \
     database_test persistence_test batch_executor_test planner_test \
     result_cache_test io_scheduler_test cursor_test kc_tree_test \
-    hybrid_index_test general_cursor_test
+    hybrid_index_test general_cursor_test concurrency_test
   # Both SIMD ways here too: the dispatched kernels read signature and
   # posting buffers in wide chunks, exactly where an out-of-bounds read
   # would hide from the scalar tier. FindToken's lane loads reach up to
   # keyword length - 1 + 32 bytes past a lane start; simd_test searches
   # exactly sized heap copies so a read past the text is reported.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test|tokenizer_test|corruption_test|storage_test|database_test|persistence_test|batch_executor_test|planner_test|result_cache_test|io_scheduler_test|cursor_test|kc_tree_test|hybrid_index_test|general_cursor_test)$'
+    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test|tokenizer_test|corruption_test|storage_test|database_test|persistence_test|batch_executor_test|planner_test|result_cache_test|io_scheduler_test|cursor_test|kc_tree_test|hybrid_index_test|general_cursor_test|concurrency_test)$'
   IR2_DISABLE_SIMD=1 ctest --test-dir build-asan --output-on-failure \
     -R '^(cold_regime_regression_test|simd_test|tokenizer_test)$'
 fi

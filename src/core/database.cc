@@ -329,9 +329,6 @@ StatusOr<PlannerTreeShape> SnapshotTreeShape(const RTreeBase& tree,
 }  // namespace
 
 Status SpatialKeywordDatabase::WirePlanner() {
-  if (!options_.build_planner) {
-    return Status::Ok();
-  }
   PlannerInputs inputs;
   inputs.num_objects = stats_.num_objects;
   inputs.avg_blocks_per_object = std::max(stats_.AvgBlocksPerObject(), 1.0);
@@ -545,9 +542,6 @@ void SpatialKeywordDatabase::AccountSince(const ThreadCounters& before,
 template <typename Fn>
 StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
     QueryStats* stats, Fn&& fn) {
-  if (options_.cold_queries) {
-    IR2_RETURN_IF_ERROR(DropCaches());
-  }
   // Three-way diff, all per-thread so concurrent work cannot bleed in:
   //   pools      -> demand_io       (logical requests by this thread)
   //   devices    -> io              (physical reads by this thread)
@@ -649,11 +643,18 @@ uint64_t SpatialKeywordDatabase::MutationEpoch() const {
 StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Query(
     const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
     QueryPlan* plan_out) {
+  if (options_.cold_queries) {
+    IR2_RETURN_IF_ERROR(DropCaches());
+  }
+  return ExecuteQuery(q, algo, stats, plan_out, /*scratch=*/nullptr,
+                      /*feedback=*/nullptr);
+}
+
+StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::ExecuteQuery(
+    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
+    QueryPlan* plan_out, Ir2QueryScratch* scratch, PlannerFeedback* feedback) {
   QueryPlan plan;
   if (algo == Algorithm::kAuto) {
-    if (planner_ == nullptr) {
-      return Status::FailedPrecondition("Planner was not built");
-    }
     // Planning is pure in-memory arithmetic (pinned by
     // cold_regime_regression_test), so the executed query's disk profile is
     // exactly what a direct call to the chosen algorithm would produce.
@@ -670,11 +671,10 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Query(
   QueryStats local;
   IR2_ASSIGN_OR_RETURN(std::vector<QueryResult> results,
                        RunQuery(&local, [&](QueryStats* run_stats) {
-                         return RunAlgorithm(algo, q, run_stats,
-                                             /*scratch=*/nullptr);
+                         return RunAlgorithm(algo, q, run_stats, scratch);
                        }));
   if (plan.has_choice) {
-    planner_->RecordOutcome(plan, local.simulated_disk_ms);
+    planner_->RecordOutcome(plan, local.simulated_disk_ms, feedback);
     // Mispricing audit for the serving query log: no-op unless the calling
     // thread installed a sink (one thread_local load otherwise).
     obs::ScopedPlanAudit::Record(AlgorithmName(plan.chosen),
@@ -992,6 +992,9 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryGeneral(
   if (iio_ == nullptr) {
     return Status::FailedPrecondition(
         "General queries need the inverted index for keyword idfs");
+  }
+  if (options_.cold_queries) {
+    IR2_RETURN_IF_ERROR(DropCaches());
   }
   return RunQuery(stats, [&](QueryStats* local) {
     std::vector<ScoredQueryTerm> terms =

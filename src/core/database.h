@@ -94,11 +94,6 @@ struct DatabaseOptions {
   // Hot-vocabulary clustering knobs; cold_signature{bits=0} inherits
   // ir2_signature for the cold-tail region.
   KcVocabularyOptions kc_vocabulary;
-  // Cost-based planner behind Algorithm::kAuto (docs/planner.md). Built at
-  // Build/Open time from a one-time tree-stats snapshot; per-query planning
-  // is pure in-memory arithmetic.
-  bool build_planner = true;
-
   // ---- Cold-path I/O engine (see docs/performance.md) ----
 
   // Speculative prefetching: traversals hand likely-next node/object blocks
@@ -162,9 +157,13 @@ struct DatabaseOptions {
 // EXPLAIN's pool and scheduler rows). Devices are memory-backed when
 // Build()t, file-backed when Open()ed.
 //
-// Every distance-first query runs through one dispatch (RunAlgorithm) and
-// is accounted by one counter diff (AccountSince): Query, Explain and
-// database-mode BatchExecutor all reach the same code.
+// Every distance-first query runs one per-query step (ExecuteQuery): plan,
+// dispatch (RunAlgorithm), account (AccountSince), feed back. Query,
+// Explain and BatchExecutor workers all reach that same code.
+//
+// The cost-based planner behind Algorithm::kAuto (docs/planner.md) is
+// built at Build/Open time from a one-time tree-stats snapshot; per-query
+// planning is pure in-memory arithmetic.
 //
 // Teardown: the destructor first stops every scheduler (their worker
 // threads touch the pools) and then the async read backends. Member
@@ -203,8 +202,9 @@ class SpatialKeywordDatabase {
   // tree shapes are snapshotted at Build/Open and keyword frequencies come
   // from the IIO's resident dictionary; see docs/planner.md), executes the
   // cheapest plan, and feeds the observed simulated-disk time back into the
-  // planner's EWMA corrections. Accumulates into *stats. `plan_out`
-  // (optional) receives kAuto's full decision.
+  // planner's EWMA corrections. Under cold_queries every cache is dropped
+  // first. Accumulates into *stats. `plan_out` (optional) receives kAuto's
+  // full decision.
   StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
                                            Algorithm algo,
                                            QueryStats* stats = nullptr,
@@ -299,9 +299,8 @@ class SpatialKeywordDatabase {
   // Every built tree — R-Tree, IR2, MIR2, KC, in that order; structures
   // that were not built are skipped.
   std::vector<RTreeBase*> trees() const;
-  // Cost-based planner behind Algorithm::kAuto (null iff build_planner was
-  // disabled). Thread-safe: Plan and RecordOutcome may run concurrently
-  // from BatchExecutor workers.
+  // Cost-based planner behind Algorithm::kAuto. Thread-safe: Plan and
+  // RecordOutcome may run concurrently from BatchExecutor workers.
   QueryPlanner* planner() { return planner_.get(); }
   const IrScorer& scorer() const { return *scorer_; }
   // The simulated-disk cost model QueryStats.simulated_disk_ms is priced
@@ -317,8 +316,8 @@ class SpatialKeywordDatabase {
   uint64_t IioBytes() const { return DeviceBytes(kIio); }
 
  private:
-  // Database-mode workers run RunAlgorithm with their own scratch and price
-  // their queries with the same counters as RunQuery.
+  // Workers run ExecuteQuery with their own scratch and feedback after
+  // resetting their private pools and device cursors.
   friend class BatchExecutor;
 
   // Slot index of each stored structure; kStructureNames spells them.
@@ -388,9 +387,22 @@ class SpatialKeywordDatabase {
                                                   QueryStats* stats,
                                                   Ir2QueryScratch* scratch);
 
-  // Shared prologue/epilogue of every query method: optional cache drop,
-  // timing, three-way I/O diffing (demand / physical / speculative) and
-  // simulated-time pricing.
+  // The per-query step behind Query and every BatchExecutor worker (the
+  // caller applies its own cold protocol first): plans `algo` under kAuto
+  // (`plan_out`, optional, receives the decision), runs RunAlgorithm with
+  // the optional `scratch` inside RunQuery, then records the outcome into
+  // `feedback` (the planner's own when null) and the plan audit.
+  // Accumulates into *stats.
+  StatusOr<std::vector<QueryResult>> ExecuteQuery(const DistanceFirstQuery& q,
+                                                  Algorithm algo,
+                                                  QueryStats* stats,
+                                                  QueryPlan* plan_out,
+                                                  Ir2QueryScratch* scratch,
+                                                  PlannerFeedback* feedback);
+
+  // Measured run of one query body: timing, the kQuery span, three-way
+  // I/O diffing (demand / physical / speculative), simulated-time pricing
+  // and the core query metrics. Drops no caches; callers do that first.
   template <typename Fn>
   StatusOr<std::vector<QueryResult>> RunQuery(QueryStats* stats, Fn&& fn);
 

@@ -31,8 +31,8 @@
 // (algorithm × selectivity-bucket) EWMAs of the observed-over-estimated
 // simulated-disk-ms ratio, updated after every executed auto query.
 // Updates are lock-free atomics, so BatchExecutor workers can record into
-// worker-private PlannerFeedback instances merged once on drain — the same
-// discipline as their private obs::MetricsRegistry. See docs/planner.md.
+// worker-private PlannerFeedback instances merged once on drain. See
+// docs/planner.md.
 
 #include <array>
 #include <atomic>
@@ -149,8 +149,8 @@ struct QueryPlan {
 // Online correction of the static model: one EWMA of the ratio
 // observed_ms / static_ms per (algorithm × selectivity bucket). All
 // updates are lock-free and safe from concurrent BatchExecutor workers;
-// workers normally record into a private instance and MergeFrom it into
-// the planner's on drain, mirroring the private-MetricsRegistry pattern.
+// workers record into a private instance and MergeFrom it into the
+// planner's on drain.
 class PlannerFeedback {
  public:
   static constexpr int kBuckets = 8;   // floor(-log10(selectivity)), clamped.

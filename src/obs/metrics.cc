@@ -325,72 +325,6 @@ std::string MetricsRegistry::RenderJson() const {
   return out;
 }
 
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  // Snapshot `other` under its lock, then fold in under ours (never both:
-  // Get* takes our lock and could be called re-entrantly by instrumented
-  // allocator-free code, and lock order vs. other would be ambiguous).
-  struct Flat {
-    std::string name;
-    std::string help;
-    uint64_t counter = 0;
-    bool has_counter = false;
-    int64_t gauge = 0;
-    bool has_gauge = false;
-    std::vector<uint64_t> buckets;
-    uint64_t hist_count = 0;
-    double hist_sum = 0;
-    bool has_histogram = false;
-  };
-  std::vector<Flat> flats;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    for (const auto& [name, entry] : other.entries_) {
-      Flat flat;
-      flat.name = name;
-      flat.help = entry.help;
-      if (entry.counter != nullptr) {
-        flat.has_counter = true;
-        flat.counter = entry.counter->Value();
-      }
-      if (entry.gauge != nullptr) {
-        flat.has_gauge = true;
-        flat.gauge = entry.gauge->Value();
-      }
-      if (entry.histogram != nullptr) {
-        flat.has_histogram = true;
-        flat.buckets.resize(Histogram::kNumBuckets);
-        for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-          flat.buckets[i] = entry.histogram->BucketCount(i);
-        }
-        flat.hist_count = entry.histogram->Count();
-        flat.hist_sum = entry.histogram->Sum();
-      }
-      flats.push_back(std::move(flat));
-    }
-  }
-  for (const Flat& flat : flats) {
-    if (flat.has_counter && flat.counter > 0) {
-      GetCounter(flat.name, flat.help)->Add(flat.counter);
-    }
-    if (flat.has_gauge && flat.gauge != 0) {
-      GetGauge(flat.name, flat.help)->Add(flat.gauge);
-    }
-    if (flat.has_histogram && flat.hist_count > 0) {
-      Histogram* h = GetHistogram(flat.name, flat.help);
-      for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-        if (flat.buckets[i] > 0) {
-          h->buckets_[i].fetch_add(flat.buckets[i], std::memory_order_relaxed);
-        }
-      }
-      const size_t cell = internal::ThisThreadCellIndex();
-      h->count_cells_[cell].value.fetch_add(flat.hist_count,
-                                            std::memory_order_relaxed);
-      h->sum_cells_[cell].value.fetch_add(flat.hist_sum,
-                                          std::memory_order_relaxed);
-    }
-  }
-}
-
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, entry] : entries_) {

@@ -5,9 +5,8 @@
 // histograms. Hot paths pay exactly one relaxed atomic add — counters and
 // histograms accumulate into cache-line-padded cells sharded by thread so
 // concurrent writers never contend on a line; snapshots sum the cells.
-// Registries render as Prometheus text or a JSON snapshot, and a local
-// registry (e.g. one per BatchExecutor worker) can be merged into the
-// global one on drain. See docs/observability.md for the metric catalogue.
+// Registries render as Prometheus text or a JSON snapshot. See
+// docs/observability.md for the metric catalogue.
 
 #include <atomic>
 #include <cstddef>
@@ -106,7 +105,6 @@ class Histogram {
   }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
   internal::MetricCell count_cells_[kMetricCells];
   // Sum sharded as bit-cast doubles would lose adds; a double CAS loop
@@ -121,8 +119,7 @@ class Histogram {
 // Named metric registry. Get*() registers on first use and returns a
 // pointer that stays valid for the registry's lifetime — callers cache it
 // so steady state never takes the registry lock. Global() is the
-// process-wide instance; local instances exist so per-worker registries
-// can be merged into the global one on drain (MergeFrom).
+// process-wide instance.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -152,10 +149,6 @@ class MetricsRegistry {
   // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string RenderJson() const;
 
-  // Folds `other`'s values into this registry (counters/histograms add,
-  // gauges add — workers report disjoint contributions). Metrics missing
-  // here are registered with `other`'s help text.
-  void MergeFrom(const MetricsRegistry& other);
   // Zeroes every registered metric (metrics stay registered).
   void Reset();
 

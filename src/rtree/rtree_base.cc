@@ -48,10 +48,6 @@ uint64_t RTreeBase::TotalNodeDecodes() {
   return g_node_decodes.load(std::memory_order_relaxed);
 }
 
-void RTreeBase::ResetTotalNodeDecodes() {
-  g_node_decodes.store(0, std::memory_order_relaxed);
-}
-
 uint64_t RTreeBase::ThreadNodeDecodes() { return t_node_decodes; }
 
 ScopedReadPool::ScopedReadPool(const RTreeBase* tree, BufferPool* pool)

@@ -221,7 +221,6 @@ class RTreeBase {
   // Process-wide count of node deserializations (LoadNode decodes), for the
   // warm-path benches: the decode tax the NodeCache exists to eliminate.
   static uint64_t TotalNodeDecodes();
-  static void ResetTotalNodeDecodes();
   // The calling thread's node decodes since it started (never reset);
   // queries diff it around their execution into QueryStats::node_decodes.
   static uint64_t ThreadNodeDecodes();

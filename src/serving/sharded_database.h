@@ -58,7 +58,8 @@ struct ShardingOptions {
   CurveKind curve = CurveKind::kHilbert;
   uint32_t curve_order = 16;
   // Skip shards whose MBR lower bound cannot beat the current global k-th
-  // distance. Always sound; exposed so benches can measure its win.
+  // distance. Always sound; turned off only by tests, as the unpruned
+  // reference the pruned tier must match.
   bool prune_shards = true;
   // Correctness guard (tests): execute pruned shards anyway and CHECK that
   // every result they return sits at or above the lower bound that justified
@@ -95,8 +96,7 @@ class ShardedDatabase {
 
   // Partitions `objects` along the space-filling curve and builds one
   // SpatialKeywordDatabase per shard with `options` (every shard gets the
-  // same structural and runtime options, including its own planner when
-  // build_planner is set).
+  // same structural and runtime options, and its own planner).
   //
   // Both Build and WrapSingle give every tree of every warm shard
   // (cold_queries off) a tier-owned decoded-node cache (rtree/node_cache.h,

@@ -65,15 +65,14 @@ TEST(BatchExecutorTest, PerQueryProfilesIdenticalAtEveryThreadCount) {
 
   BatchExecutorOptions options;
   options.num_threads = 1;
-  BatchExecutor serial(db->ir2_tree(), &db->object_store(), &db->tokenizer(),
-                       options);
+  options.algorithm = Algorithm::kIr2;
+  BatchExecutor serial(db.get(), options);
   BatchResults base = serial.Run(queries).value();
   ASSERT_EQ(base.results.size(), queries.size());
 
   for (size_t threads : {2u, 8u}) {
     options.num_threads = threads;
-    BatchExecutor executor(db->ir2_tree(), &db->object_store(),
-                           &db->tokenizer(), options);
+    BatchExecutor executor(db.get(), options);
     BatchResults batch = executor.Run(queries).value();
     ASSERT_EQ(batch.results.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -90,8 +89,8 @@ TEST(BatchExecutorTest, MatchesHandRolledSerialColdRuns) {
 
   BatchExecutorOptions options;
   options.num_threads = 4;
-  BatchExecutor executor(db->ir2_tree(), &db->object_store(), &db->tokenizer(),
-                         options);
+  options.algorithm = Algorithm::kIr2;
+  BatchExecutor executor(db.get(), options);
   BatchResults batch = executor.Run(queries).value();
 
   // Reference: one query at a time on this thread, under the exact cold
@@ -99,7 +98,7 @@ TEST(BatchExecutorTest, MatchesHandRolledSerialColdRuns) {
   const Ir2Tree* tree = db->ir2_tree();
   BlockDevice* tree_device = tree->pool()->device();
   BlockDevice* object_device = db->object_store().device();
-  BufferPool reference_pool(tree_device, options.pool_blocks);
+  BufferPool reference_pool(tree_device, db->options().pool_blocks);
   ScopedReadPool scope(tree, &reference_pool);
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(reference_pool.Clear().ok());
@@ -130,12 +129,11 @@ TEST(BatchExecutorTest, RunsOverMir2Tree) {
 
   BatchExecutorOptions options;
   options.num_threads = 1;
-  BatchExecutor serial(db->mir2_tree(), &db->object_store(), &db->tokenizer(),
-                       options);
+  options.algorithm = Algorithm::kMir2;
+  BatchExecutor serial(db.get(), options);
   BatchResults base = serial.Run(queries).value();
   options.num_threads = 8;
-  BatchExecutor parallel(db->mir2_tree(), &db->object_store(),
-                         &db->tokenizer(), options);
+  BatchExecutor parallel(db.get(), options);
   BatchResults batch = parallel.Run(queries).value();
   for (size_t i = 0; i < queries.size(); ++i) {
     ExpectSameResults(base.results[i], batch.results[i], i);
@@ -148,8 +146,9 @@ TEST(BatchExecutorTest, AggregateSumsPerQueryStats) {
   auto db = BuildDatabase(&objects);
   std::vector<DistanceFirstQuery> queries = MakeWorkload(*db, objects);
 
-  BatchExecutor executor(db->ir2_tree(), &db->object_store(), &db->tokenizer(),
-                         BatchExecutorOptions{.num_threads = 4});
+  BatchExecutor executor(
+      db.get(), BatchExecutorOptions{.num_threads = 4,
+                                     .algorithm = Algorithm::kIr2});
   BatchResults batch = executor.Run(queries).value();
   QueryStats total = batch.Aggregate();
   QueryStats expected;
@@ -165,8 +164,8 @@ TEST(BatchExecutorTest, AggregateSumsPerQueryStats) {
 TEST(BatchExecutorTest, EmptyBatchSucceeds) {
   std::vector<StoredObject> objects;
   auto db = BuildDatabase(&objects);
-  BatchExecutor executor(db->ir2_tree(), &db->object_store(),
-                         &db->tokenizer());
+  BatchExecutor executor(db.get(),
+                         BatchExecutorOptions{.algorithm = Algorithm::kIr2});
   BatchResults batch =
       executor.Run(std::span<const DistanceFirstQuery>()).value();
   EXPECT_TRUE(batch.results.empty());

@@ -142,8 +142,8 @@ TEST(ConcurrencyTest, BatchExecutorHammer) {
 
   BatchExecutorOptions exec_options;
   exec_options.num_threads = kThreads;
-  BatchExecutor executor(db->ir2_tree(), &db->object_store(), &db->tokenizer(),
-                         exec_options);
+  exec_options.algorithm = Algorithm::kIr2;
+  BatchExecutor executor(db.get(), exec_options);
   // Repeat to re-cross thread creation/teardown and TLS reuse paths.
   for (int round = 0; round < 3; ++round) {
     BatchResults batch = executor.Run(queries).value();
@@ -188,11 +188,12 @@ TEST(ConcurrencyTest, BatchExecutorWithNodeCacheHammer) {
   NodeCache cache(cache_options);
   db->ir2_tree()->SetNodeCache(&cache);
 
+  // Warm (the database's cold_queries is off): caches stay hot across
+  // queries.
   BatchExecutorOptions exec_options;
   exec_options.num_threads = kThreads;
-  exec_options.cold_queries = false;  // Warm: caches stay hot across queries.
-  BatchExecutor executor(db->ir2_tree(), &db->object_store(), &db->tokenizer(),
-                         exec_options);
+  exec_options.algorithm = Algorithm::kIr2;
+  BatchExecutor executor(db.get(), exec_options);
   for (int round = 0; round < 3; ++round) {
     BatchResults batch = executor.Run(queries).value();
     ASSERT_EQ(batch.results.size(), queries.size());

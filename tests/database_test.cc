@@ -5,6 +5,7 @@
 #include "core/batch_executor.h"
 #include "core/database.h"
 #include "datagen/workload.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace ir2 {
@@ -157,7 +158,7 @@ TEST(DatabaseTest, EmptyKeywordsActsAsPureNN) {
 
 // A cold query's disk-head position decides its random/sequential split;
 // reset every device cursor so each run is a pure function of the query
-// (what database-mode BatchExecutor does before every cold query).
+// (what BatchExecutor does before every cold query).
 void ResetCursors(SpatialKeywordDatabase& db) {
   db.object_store().device()->ResetThreadCursor();
   if (db.inverted_index() != nullptr) {
@@ -186,10 +187,10 @@ void ExpectSameExecution(const std::vector<QueryResult>& expected_results,
   EXPECT_EQ(stats.simulated_disk_ms, expected.simulated_disk_ms) << where;
 }
 
-// Query, Explain and database-mode BatchExecutor are three front doors to
-// one execution path: on a cold database every fixed algorithm and kAuto
-// must return the same answers and the same per-query work and disk
-// profile through each of them, at any batch thread count.
+// Query, Explain and BatchExecutor are three front doors to one execution
+// path: on a cold database every fixed algorithm and kAuto must return the
+// same answers and the same per-query work and disk profile through each
+// of them, at any batch thread count.
 TEST(DatabaseTest, QueryExplainAndBatchShareOneExecutionPath) {
   std::vector<StoredObject> objects = RandomObjects(21, 400, 30, 5);
   DatabaseOptions options;
@@ -246,6 +247,37 @@ TEST(DatabaseTest, QueryExplainAndBatchShareOneExecutionPath) {
       }
     }
   }
+}
+
+// One execution path also means one set of metrics: each query of a
+// 4-worker batch records ir2_queries_total and the ir2_query_* histograms
+// exactly once, like a Query call.
+TEST(DatabaseTest, BatchQueriesRecordTheCoreQueryMetrics) {
+  std::vector<StoredObject> objects = RandomObjects(23, 300, 30, 5);
+  DatabaseOptions options;
+  options.tree_options.capacity_override = 12;
+  options.ir2_signature = SignatureConfig{128, 3};
+  auto db = SpatialKeywordDatabase::Build(objects, options).value();
+
+  WorkloadConfig config;
+  config.seed = 24;
+  config.num_queries = 20;
+  config.num_keywords = 2;
+  config.k = 4;
+  const std::vector<DistanceFirstQuery> queries =
+      GenerateWorkload(objects, db->tokenizer(), config);
+
+  const obs::CoreMetrics& metrics = obs::DefaultMetrics();
+  const uint64_t queries_before = metrics.queries_total->Value();
+  const uint64_t sim_disk_before = metrics.query_sim_disk_ms->Count();
+  BatchExecutorOptions batch_options;
+  batch_options.num_threads = 4;
+  batch_options.algorithm = Algorithm::kAuto;
+  auto batch = BatchExecutor(db.get(), batch_options).Run(queries);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(metrics.queries_total->Value() - queries_before, queries.size());
+  EXPECT_EQ(metrics.query_sim_disk_ms->Count() - sim_disk_before,
+            queries.size());
 }
 
 }  // namespace

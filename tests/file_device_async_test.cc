@@ -302,9 +302,11 @@ TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
             ResultIds(built->QueryIr2(query).value()));
 }
 
-// BatchExecutor over a file-backed database opened with async prefetch:
-// per-query results must match the in-memory serial reference. (In the
-// TSan suite this doubles as the executor-vs-backend race hammer.)
+// BatchExecutor over a file-backed database opened with the default (cold,
+// prefetch-off) runtime options: every query's answers, physical I/O and
+// simulated disk time must match a batch over the in-memory build. The
+// executor drives no scheduler, so backend races are covered by
+// ConcurrentDemandAndAsyncPrefetchHammer, not here.
 TEST_F(FileDeviceAsyncTest, BatchExecutorOverFileBackedDatabase) {
   std::vector<StoredObject> objects = RandomObjects(93, 300, 25, 5);
   DatabaseOptions build_options;
@@ -314,11 +316,9 @@ TEST_F(FileDeviceAsyncTest, BatchExecutorOverFileBackedDatabase) {
   const std::string db_dir = directory_ + "/batch_db";
   ASSERT_TRUE(built->Save(db_dir).ok());
 
-  DatabaseOptions runtime;
-  runtime.cold_queries = false;
-  runtime.prefetch = true;
-  runtime.async_io_threads = 3;
-  auto db = SpatialKeywordDatabase::Open(db_dir, runtime).value();
+  auto db = SpatialKeywordDatabase::Open(db_dir).value();
+  ASSERT_TRUE(db->options().cold_queries);
+  ASSERT_FALSE(db->options().prefetch);
 
   WorkloadConfig config;
   config.seed = 94;
@@ -328,17 +328,12 @@ TEST_F(FileDeviceAsyncTest, BatchExecutorOverFileBackedDatabase) {
   std::vector<DistanceFirstQuery> queries =
       GenerateWorkload(objects, db->tokenizer(), config);
 
-  BatchExecutorOptions serial_options;
-  serial_options.num_threads = 1;
-  BatchExecutor serial(built->ir2_tree(), &built->object_store(),
-                       &built->tokenizer(), serial_options);
-  BatchResults reference = serial.Run(queries).value();
-
   BatchExecutorOptions options;
   options.num_threads = 4;
-  BatchExecutor executor(db->ir2_tree(), &db->object_store(),
-                         &db->tokenizer(), options);
-  BatchResults batch = executor.Run(queries).value();
+  options.algorithm = Algorithm::kIr2;
+  BatchResults reference = BatchExecutor(built.get(), options).Run(queries)
+                               .value();
+  BatchResults batch = BatchExecutor(db.get(), options).Run(queries).value();
   ASSERT_EQ(batch.results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(batch.results[i].size(), reference.results[i].size())
@@ -346,7 +341,14 @@ TEST_F(FileDeviceAsyncTest, BatchExecutorOverFileBackedDatabase) {
     for (size_t r = 0; r < batch.results[i].size(); ++r) {
       EXPECT_EQ(batch.results[i][r].ref, reference.results[i][r].ref)
           << "query " << i << " rank " << r;
+      EXPECT_EQ(batch.results[i][r].distance, reference.results[i][r].distance)
+          << "query " << i << " rank " << r;
     }
+    EXPECT_EQ(batch.per_query[i].io, reference.per_query[i].io)
+        << "query " << i;
+    EXPECT_EQ(batch.per_query[i].simulated_disk_ms,
+              reference.per_query[i].simulated_disk_ms)
+        << "query " << i;
   }
 }
 

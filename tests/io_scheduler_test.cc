@@ -249,8 +249,8 @@ TEST(IoSchedulerTest, HammersSafelyUnderConcurrentBatchExecution) {
 
   BatchExecutorOptions serial_options;
   serial_options.num_threads = 1;
-  BatchExecutor serial(db->ir2_tree(), &db->object_store(), &db->tokenizer(),
-                       serial_options);
+  serial_options.algorithm = Algorithm::kIr2;
+  BatchExecutor serial(db.get(), serial_options);
   const BatchResults baseline = serial.Run(queries).value();
 
   BlockDevice* tree_device = db->ir2_tree()->pool()->device();
@@ -279,8 +279,8 @@ TEST(IoSchedulerTest, HammersSafelyUnderConcurrentBatchExecution) {
 
   BatchExecutorOptions batch_options;
   batch_options.num_threads = 4;
-  BatchExecutor executor(db->ir2_tree(), &db->object_store(), &db->tokenizer(),
-                         batch_options);
+  batch_options.algorithm = Algorithm::kIr2;
+  BatchExecutor executor(db.get(), batch_options);
   const BatchResults concurrent = executor.Run(queries).value();
 
   prefetcher.join();

@@ -125,26 +125,6 @@ TEST(HistogramTest, BucketBoundsBracketEveryValue) {
   EXPECT_EQ(Histogram::BucketFor(-3.0), 0);
 }
 
-TEST(MetricsRegistryTest, MergeFromAddsEverything) {
-  MetricsRegistry worker;
-  worker.GetCounter("queries", "Queries run.")->Add(5);
-  worker.GetGauge("inflight")->Add(3);
-  Histogram* histogram = worker.GetHistogram("latency");
-  histogram->Record(1.0);
-  histogram->Record(2.0);
-
-  MetricsRegistry global;
-  global.MergeFrom(worker);
-  global.MergeFrom(worker);
-  EXPECT_EQ(global.GetCounter("queries")->Value(), 10u);
-  EXPECT_EQ(global.GetGauge("inflight")->Value(), 6);
-  EXPECT_EQ(global.GetHistogram("latency")->Count(), 4u);
-  EXPECT_DOUBLE_EQ(global.GetHistogram("latency")->Sum(), 6.0);
-  // Help text travels with the first merge.
-  EXPECT_NE(global.RenderPrometheus().find("# HELP queries Queries run."),
-            std::string::npos);
-}
-
 TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistrations) {
   MetricsRegistry registry;
   registry.GetCounter("c")->Add(7);

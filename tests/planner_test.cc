@@ -10,7 +10,7 @@
 //   3. Feedback — EWMA seeding/merging, and convergence: a planner whose
 //      feedback was poisoned to favour a terrible algorithm must abandon
 //      it after observing real costs.
-//   4. Concurrency — database-mode BatchExecutor hammering Plan and
+//   4. Concurrency — a BatchExecutor hammering Plan and
 //      RecordOutcome from many workers (run under TSan by check.sh), and
 //      raw concurrent PlannerFeedback::Record.
 
