@@ -30,9 +30,7 @@ int main() {
   for (bool bulk : {false, true}) {
     ir2::DatabaseOptions options =
         ir2::bench::DefaultOptions(ir2::bench::kRestaurantsSignatureBytes);
-    options.build_rtree = false;
-    options.build_mir2 = false;
-    options.build_iio = false;
+    options.structures = {ir2::Structure::kIr2};
     options.bulk_load = bulk;
     options.bulk_fill_fraction = 0.9;
 

@@ -33,9 +33,7 @@ int main() {
       ir2::DatabaseOptions options = ir2::bench::DefaultOptions(
           hotels ? ir2::bench::kHotelsSignatureBytes
                  : ir2::bench::kRestaurantsSignatureBytes);
-      options.build_rtree = false;
-      options.build_ir2 = false;
-      options.build_mir2 = false;
+      options.structures = {ir2::Structure::kIio};
       options.iio_options.compress_postings = compress;
       auto db = ir2::SpatialKeywordDatabase::Build(objects, options).value();
       ir2::bench::AlgoResult result =

@@ -31,9 +31,7 @@ int main() {
   for (uint32_t hashes = 1; hashes <= 6; ++hashes) {
     ir2::DatabaseOptions options;
     options.ir2_signature = ir2::SignatureConfig{signature_bits, hashes};
-    options.build_rtree = false;
-    options.build_iio = false;
-    options.build_mir2 = false;
+    options.structures = {ir2::Structure::kIr2};
     auto db = ir2::SpatialKeywordDatabase::Build(objects, options).value();
 
     ir2::bench::AlgoResult result =

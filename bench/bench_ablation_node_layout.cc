@@ -45,9 +45,7 @@ int main() {
     options.ir2_signature =
         ir2::SignatureConfig{signature_bytes * 8, ir2::bench::kHashesPerWord};
     options.tree_options.capacity_override = layout.capacity;
-    options.build_rtree = false;
-    options.build_iio = false;
-    options.build_mir2 = false;
+    options.structures = {ir2::Structure::kIr2};
     auto db = ir2::SpatialKeywordDatabase::Build(objects, options).value();
     std::fprintf(stderr, "[%s] built\n", layout.name);
 

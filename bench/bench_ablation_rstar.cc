@@ -43,9 +43,7 @@ int main() {
         ir2::bench::DefaultOptions(ir2::bench::kRestaurantsSignatureBytes);
     options.tree_options.split_policy = variant.policy;
     options.tree_options.forced_reinsert_fraction = variant.reinsert;
-    options.build_rtree = false;
-    options.build_mir2 = false;
-    options.build_iio = false;
+    options.structures = {ir2::Structure::kIr2};
 
     ir2::Stopwatch watch;
     auto db = ir2::SpatialKeywordDatabase::Build(objects, options).value();

@@ -277,6 +277,9 @@ int Main(int argc, char** argv) {
   for (uint64_t shards : config.shard_counts) {
     serving::ShardingOptions sharding;
     sharding.num_shards = shards;
+    // Every structure, as in the single-database reference, so the tier's
+    // planners arbitrate the same five candidates.
+    sharding.structures = kAllIndexes;
     build_watch.Reset();
     auto sharded = serving::ShardedDatabase::Build(objects, options, sharding);
     IR2_CHECK(sharded.ok()) << sharded.status().ToString();

@@ -35,8 +35,7 @@ int main() {
     ir2::DatabaseOptions options;
     options.ir2_signature =
         ir2::SignatureConfig{bytes * 8, ir2::bench::kHashesPerWord};
-    options.build_rtree = false;
-    options.build_iio = false;
+    options.structures = {ir2::Structure::kIr2, ir2::Structure::kMir2};
     auto db = ir2::SpatialKeywordDatabase::Build(objects, options).value();
     std::fprintf(stderr, "[Hotels %uB] indexes built\n", bytes);
 

@@ -23,6 +23,13 @@
 // A third section re-prices the restaurant dataset with the NVMe disk
 // model (NvmeDiskModelParams: ~free seeks, 3 GB/s transfer) to show the
 // planner shifting its arbitration with the device it is costed for.
+//
+// Leave-one-out: per dataset and disk model, kAuto re-runs on identical
+// databases built without each candidate's structure in turn, then on one
+// built with only the serving tier's set (serving::kServingStructures).
+// Each pass is scored against the same five-way oracle; the serving set
+// must stay within the 15% bound, which is the evidence behind the sharded
+// tier's default build set (docs/serving.md).
 
 #include <cstdio>
 #include <cstring>
@@ -33,6 +40,7 @@
 #include "common/random.h"
 #include "core/planner.h"
 #include "datagen/synthetic.h"
+#include "serving/sharded_database.h"
 
 namespace ir2 {
 namespace bench {
@@ -40,7 +48,22 @@ namespace {
 
 constexpr Algo kFixedAlgos[] = {Algo::kRTree, Algo::kIio, Algo::kIr2,
                                 Algo::kMir2, Algo::kKcTree};
+// The structure each fixed algorithm runs on.
+constexpr Structure kFixedStructures[] = {Structure::kRTree, Structure::kIio,
+                                          Structure::kIr2, Structure::kMir2,
+                                          Structure::kKcTree};
 constexpr size_t kNumFixed = 5;
+
+// "kctree,iio": the members of `set` in structure-table order.
+std::string StructureList(StructureSet set) {
+  std::string out;
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    if (!set.Has(static_cast<Structure>(s))) continue;
+    if (!out.empty()) out += ",";
+    out += kStructureNames[s];
+  }
+  return out;
+}
 
 struct DatasetReport {
   std::string name;
@@ -55,11 +78,20 @@ struct DatasetReport {
   bool beats_all_fixed = false;
   double auto_vs_oracle = 0;  // auto_total / oracle_total.
 
-  // KC-Tree ablation: kAuto on this database vs kAuto on an identical
-  // database built without the KC-Tree (build_kc off — the planner then
-  // prices KC as infeasible and arbitrates the classic four). Split over
-  // the Zipf hot-keyword slice (where KC is built to win) and the rest of
-  // the workload (where it must not regress).
+  // Leave-one-out: kAuto's total on an identical database built without
+  // each fixed algorithm's structure (the planner then prices that
+  // candidate as infeasible), and on one built with only the serving set;
+  // each over the five-way oracle_total_ms.
+  double without_total_ms[kNumFixed] = {};
+  double without_vs_oracle[kNumFixed] = {};
+  double serving_total_ms = 0;
+  double serving_vs_oracle = 0;
+  bool serving_within_bound = false;
+
+  // KC-Tree ablation, from the leave-one-out pass without the KC-Tree
+  // (the planner then arbitrates the classic four). Split over the Zipf
+  // hot-keyword slice (where KC is built to win) and the rest of the
+  // workload (where it must not regress).
   size_t hot_slice_start = 0;  // Queries [hot_slice_start, end) are hot.
   double auto_hot_ms = 0;       // kAuto with KC, hot slice.
   double auto_rest_ms = 0;      // kAuto with KC, everything else.
@@ -222,15 +254,40 @@ DatasetReport RunDataset(BenchDataset& dataset, bool smoke,
                       : static_cast<double>(matches) /
                             static_cast<double>(queries.size());
 
-  // KC ablation: the same objects and options minus the KC-Tree, so the
-  // planner arbitrates the classic four. The delta between the two kAuto
-  // passes is the end-to-end value of having the fifth candidate.
-  DatabaseOptions no_kc_options = db.options();
-  no_kc_options.build_kc = false;
-  auto no_kc_db =
-      SpatialKeywordDatabase::Build(dataset.objects, no_kc_options);
-  IR2_CHECK(no_kc_db.ok()) << no_kc_db.status().ToString();
-  std::vector<double> no_kc_ms = RunAutoPass(*no_kc_db.value(), queries);
+  report.auto_vs_oracle = report.oracle_total_ms > 0
+                              ? report.auto_total_ms / report.oracle_total_ms
+                              : 0.0;
+
+  // Leave-one-out: the same objects and options with one structure set
+  // narrowed per pass. One database lives at a time.
+  const auto auto_total_over = [&](StructureSet structures,
+                                   double* total_ms) {
+    DatabaseOptions options = db.options();
+    options.structures = structures;
+    auto lean = SpatialKeywordDatabase::Build(dataset.objects, options);
+    IR2_CHECK(lean.ok()) << lean.status().ToString();
+    std::vector<double> ms = RunAutoPass(*lean.value(), queries);
+    *total_ms = 0;
+    for (double m : ms) *total_ms += m;
+    return ms;
+  };
+  const auto over_oracle = [&report](double total_ms) {
+    return report.oracle_total_ms > 0 ? total_ms / report.oracle_total_ms
+                                      : 0.0;
+  };
+  std::vector<double> no_kc_ms;
+  for (size_t a = 0; a < kNumFixed; ++a) {
+    std::vector<double> ms =
+        auto_total_over(kAllIndexes.Without(kFixedStructures[a]),
+                        &report.without_total_ms[a]);
+    report.without_vs_oracle[a] = over_oracle(report.without_total_ms[a]);
+    if (kFixedStructures[a] == Structure::kKcTree) no_kc_ms = std::move(ms);
+  }
+  auto_total_over(serving::kServingStructures, &report.serving_total_ms);
+  report.serving_vs_oracle = over_oracle(report.serving_total_ms);
+  report.serving_within_bound = report.serving_vs_oracle <= 1.15;
+
+  // The end-to-end value of the fifth candidate: kAuto with vs without it.
   for (size_t i = 0; i < queries.size(); ++i) {
     if (i >= report.hot_slice_start) {
       report.auto_hot_ms += auto_ms[i];
@@ -250,9 +307,6 @@ DatasetReport RunDataset(BenchDataset& dataset, bool smoke,
       report.beats_all_fixed = false;
     }
   }
-  report.auto_vs_oracle = report.oracle_total_ms > 0
-                              ? report.auto_total_ms / report.oracle_total_ms
-                              : 0.0;
   return report;
 }
 
@@ -296,6 +350,18 @@ void PrintReport(const DatasetReport& report) {
   std::printf("  KC acceptance: %s\n",
               report.kc_wins_hot_slice && report.kc_no_rest_regression
                   ? "PASS (faster on hot keywords, <=2% elsewhere)"
+                  : "FAIL");
+  std::printf("  leave-one-out auto vs oracle:");
+  for (size_t a = 0; a < kNumFixed; ++a) {
+    std::printf(" -%s=%.3fx", AlgoName(kFixedAlgos[a]),
+                report.without_vs_oracle[a]);
+  }
+  std::printf("\n  serving set {%s}: %.3fx of oracle\n",
+              StructureList(serving::kServingStructures).c_str(),
+              report.serving_vs_oracle);
+  std::printf("  serving-set acceptance: %s\n",
+              report.serving_within_bound
+                  ? "PASS (within 15% of the five-way oracle)"
                   : "FAIL");
 }
 
@@ -342,11 +408,26 @@ void WriteJson(const char* path, bool smoke,
                  "        \"auto_rest_sim_ms\": %.2f,\n"
                  "        \"auto_without_kc_rest_sim_ms\": %.2f,\n"
                  "        \"kc_wins_hot_slice\": %s,\n"
-                 "        \"kc_no_rest_regression\": %s\n      }\n    }%s\n",
+                 "        \"kc_no_rest_regression\": %s\n      },\n",
                  r.num_queries - r.hot_slice_start, r.auto_hot_ms,
                  r.no_kc_hot_ms, r.auto_rest_ms, r.no_kc_rest_ms,
                  r.kc_wins_hot_slice ? "true" : "false",
-                 r.kc_no_rest_regression ? "true" : "false",
+                 r.kc_no_rest_regression ? "true" : "false");
+    std::fprintf(f, "      \"leave_one_out\": {");
+    for (size_t a = 0; a < kNumFixed; ++a) {
+      std::fprintf(f,
+                   "\"without_%s\": {\"auto_total_sim_ms\": %.2f, "
+                   "\"auto_vs_oracle\": %.4f}, ",
+                   AlgorithmName(kFixedAlgos[a]), r.without_total_ms[a],
+                   r.without_vs_oracle[a]);
+    }
+    std::fprintf(f,
+                 "\"serving_set\": {\"structures\": \"%s\", "
+                 "\"auto_total_sim_ms\": %.2f, \"auto_vs_oracle\": %.4f, "
+                 "\"within_15pct_of_oracle\": %s}}\n    }%s\n",
+                 StructureList(serving::kServingStructures).c_str(),
+                 r.serving_total_ms, r.serving_vs_oracle,
+                 r.serving_within_bound ? "true" : "false",
                  d + 1 < reports.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

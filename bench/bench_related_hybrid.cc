@@ -19,7 +19,8 @@ int main() {
   // The facade for IR2/MIR2 + an object store shared with the hybrid.
   ir2::DatabaseOptions db_options =
       ir2::bench::DefaultOptions(ir2::bench::kRestaurantsSignatureBytes);
-  db_options.build_rtree = false;
+  db_options.structures = {ir2::Structure::kIr2, ir2::Structure::kMir2,
+                           ir2::Structure::kIio};
   auto db = ir2::SpatialKeywordDatabase::Build(objects, db_options).value();
   std::fprintf(stderr, "[hybrid] IR2/MIR2 built\n");
 

@@ -61,8 +61,7 @@ int main() {
 
   ir2::DatabaseOptions options =
       ir2::bench::DefaultOptions(ir2::bench::kRestaurantsSignatureBytes);
-  options.build_rtree = false;
-  options.build_mir2 = false;
+  options.structures = {ir2::Structure::kIr2, ir2::Structure::kIio};
   auto db = ir2::SpatialKeywordDatabase::Build(objects, options).value();
 
   // Flat signature file over the same object refs.

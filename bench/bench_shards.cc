@@ -289,6 +289,9 @@ int Main(int argc, char** argv) {
   for (uint64_t shards : config.shard_counts) {
     serving::ShardingOptions sharding;
     sharding.num_shards = shards;
+    // Every structure: --algo may name any fixed algorithm (IR2 by
+    // default).
+    sharding.structures = kAllIndexes;
     build_watch.Reset();
     auto sharded =
         serving::ShardedDatabase::Build(objects, options, sharding);

@@ -27,12 +27,9 @@ void PrintRow(const ir2::bench::BenchDataset& dataset) {
 }  // namespace
 
 int main() {
-  // Only the object file matters here; skip the tree builds for speed.
+  // Only the object file matters here; skip the index builds for speed.
   ir2::DatabaseOptions options;
-  options.build_rtree = false;
-  options.build_ir2 = false;
-  options.build_mir2 = false;
-  options.build_iio = false;
+  options.structures = {};
 
   ir2::bench::BenchDataset hotels = ir2::bench::BuildHotels(options);
   ir2::bench::BenchDataset restaurants =

@@ -69,8 +69,9 @@ int main() {
   ir2::DatabaseOptions options;
   options.ir2_signature =
       ir2::SignatureConfig{ir2::OptimalSignatureBits(41, 3), 3};
-  options.build_rtree = false;  // The general algorithm needs IR2 + IIO.
-  options.build_mir2 = true;
+  // The general algorithm needs IR2 (or MIR2) and the IIO.
+  options.structures = {ir2::Structure::kIr2, ir2::Structure::kMir2,
+                        ir2::Structure::kIio};
   auto db = ir2::SpatialKeywordDatabase::Build(listings, options);
   if (!db.ok()) {
     std::fprintf(stderr, "build failed: %s\n",

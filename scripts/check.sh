@@ -50,8 +50,10 @@ for d in json.load(open("build/BENCH_planner.json"))["datasets"]:
     kc = d["kc_ablation"]
     assert kc["kc_wins_hot_slice"], (d["dataset"], kc)
     assert kc["kc_no_rest_regression"], (d["dataset"], kc)
+    serving = d["leave_one_out"]["serving_set"]
+    assert serving["within_15pct_of_oracle"], (d["dataset"], serving)
 print("planner bench acceptance: auto beats fixed, KC-Tree ablation wins"
-      " hot slice, no rest regression")
+      " hot slice, no rest regression, serving set within 15% of oracle")
 PYEOF
 fi
 (cd build && ./examples/explain_query --algo=auto) | grep -q 'Planner' \
@@ -177,6 +179,11 @@ if command -v python3 > /dev/null 2>&1; then
   python3 -m json.tool build/serve_cachez.json > /dev/null \
     && echo "admin /cachez: valid JSON"
 fi
+# Each shard row names the structures the shard built (the serving set);
+# a missing list fails the check.
+curl -fsS "$serve_url/statusz" > build/serve_statusz.json
+grep -q '"structures":\["kctree","iio"\]' build/serve_statusz.json
+echo "admin /statusz: shard structures listed"
 wait "$serve_pid"
 grep -Eq 'result cache: [1-9][0-9]* hits' build/serve_cache.log \
   && echo "cached serve run: hits recorded"

@@ -63,7 +63,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   const size_t stream_pool_blocks = options.prefetch ? options.pool_blocks : 0;
 
   // 1. Object file (the paper's tab-delimited plain text file).
-  StructureSlot& object_slot = db->slots_[kObjects];
+  StructureSlot& object_slot = db->slot(kObjects);
   object_slot.device = std::make_unique<MemoryBlockDevice>();
   ObjectStoreWriter writer(object_slot.device.get());
   std::vector<ObjectRef> refs;
@@ -120,7 +120,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   // Every tree lives on a fresh memory device behind a pool of
   // pool_blocks; returns that pool.
   const auto new_tree_slot = [&db, &options](Structure s) {
-    StructureSlot& slot = db->slots_[s];
+    StructureSlot& slot = db->slot(s);
     slot.device = std::make_unique<MemoryBlockDevice>();
     slot.pool =
         std::make_unique<BufferPool>(slot.device.get(), options.pool_blocks);
@@ -141,13 +141,13 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     IR2_RETURN_IF_ERROR(compacted->Init());
     IR2_RETURN_IF_ERROR(tree->CompactInto(compacted.get()));
     tree = std::move(compacted);
-    db->slots_[s].pool = std::move(pool);
-    db->slots_[s].device = std::move(device);
+    db->slot(s).pool = std::move(pool);
+    db->slot(s).device = std::move(device);
     return Status::Ok();
   };
 
   // 3. Plain R-Tree (baseline).
-  if (options.build_rtree) {
+  if (options.structures.Has(kRTree)) {
     const auto make = [&](BufferPool* pool) {
       return std::make_unique<RTree>(pool, options.tree_options);
     };
@@ -175,7 +175,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   }
 
   // 4. IR2-Tree.
-  if (options.build_ir2) {
+  if (options.structures.Has(kIr2)) {
     const auto make = [&](BufferPool* pool) {
       return std::make_unique<Ir2Tree>(pool, options.tree_options,
                                        options.ir2_signature);
@@ -198,7 +198,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
 
   // 5. MIR2-Tree: bulk load with deferred inner signatures, then one
   // recomputation pass (each object loaded once).
-  if (options.build_mir2) {
+  if (options.structures.Has(kMir2)) {
     BufferPool* mir2_pool = new_tree_slot(kMir2);
     MultilevelScheme scheme = options.mir2_scheme;
     RTreeOptions mir2_options = options.tree_options;
@@ -244,7 +244,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   // hot vocabulary (clustered by frequency tier + co-occurrence), a shared
   // cold-tail signature for everything else. Same node layout and I/O
   // engine as the other trees.
-  if (options.build_kc) {
+  if (options.structures.Has(kKcTree)) {
     db->kc_vocab_ = std::make_unique<KcVocabulary>(KcVocabulary::Build(
         distinct_words, options.kc_vocabulary, options.ir2_signature));
     const auto make = [&](BufferPool* pool) {
@@ -274,8 +274,8 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   }
 
   // 7. Inverted index (IIO baseline).
-  if (options.build_iio) {
-    StructureSlot& slot = db->slots_[kIio];
+  if (options.structures.Has(kIio)) {
+    StructureSlot& slot = db->slot(kIio);
     slot.device = std::make_unique<MemoryBlockDevice>();
     InvertedIndexBuilder builder(slot.device.get(), options.iio_options);
     for (size_t i = 0; i < objects.size(); ++i) {
@@ -335,7 +335,7 @@ Status SpatialKeywordDatabase::WirePlanner() {
   inputs.object_file_blocks = stats_.object_file_blocks;
   inputs.iio_present = iio_ != nullptr;
   inputs.disk_model = options_.disk_model;
-  inputs.block_size = slots_[kObjects].device->block_size();
+  inputs.block_size = slot(kObjects).device->block_size();
   if (rtree_ != nullptr) {
     IR2_ASSIGN_OR_RETURN(inputs.rtree, SnapshotTreeShape(*rtree_, nullptr));
   }
@@ -404,11 +404,11 @@ void SpatialKeywordDatabase::WireIoEngine() {
       slot.scheduler->SetAsyncBackend(async_backends_.back().get());
     }
   }
-  if (iio_ != nullptr && slots_[kIio].scheduler != nullptr) {
+  if (iio_ != nullptr && slot(kIio).scheduler != nullptr) {
     // Posting lists always stream through the scheduler's ReadRun path —
     // the identical block sequence as direct reads, so this is safe to
     // wire unconditionally (prefetch on or off).
-    iio_->SetScheduler(slots_[kIio].scheduler.get());
+    iio_->SetScheduler(slot(kIio).scheduler.get());
   }
 }
 
@@ -459,11 +459,11 @@ void SpatialKeywordDatabase::DrainSchedulers() {
 
 void SpatialKeywordDatabase::MaybeSweepObjectFile(
     const DistanceFirstQuery& q) {
-  IoScheduler* scheduler = slots_[kObjects].scheduler.get();
+  IoScheduler* scheduler = slot(kObjects).scheduler.get();
   if (!options_.prefetch || scheduler == nullptr || q.k == 0) {
     return;
   }
-  const BufferPool* pool = slots_[kObjects].pool.get();
+  const BufferPool* pool = slot(kObjects).pool.get();
   const uint64_t blocks = pool->NumBlocks();
   if (blocks == 0) {
     return;
@@ -511,7 +511,7 @@ SpatialKeywordDatabase::CurrentThreadCounters() const {
   ThreadCounters counters;
   counters.node_decodes = RTreeBase::ThreadNodeDecodes();
   const std::array<RTreeBase*, kNumStructures> trees = SlotTrees();
-  for (int s = 0; s < kNumStructures; ++s) {
+  for (size_t s = 0; s < kNumStructures; ++s) {
     const StructureSlot& slot = slots_[s];
     if (slot.device == nullptr) {
       continue;
@@ -578,13 +578,13 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunAlgorithm(
     Algorithm algo, const DistanceFirstQuery& q, QueryStats* stats,
     Ir2QueryScratch* scratch) {
   IoScheduler* object_scheduler =
-      options_.prefetch ? slots_[kObjects].scheduler.get() : nullptr;
+      options_.prefetch ? slot(kObjects).scheduler.get() : nullptr;
   // The tree traversals' speculation: frontier prefetch on the tree's own
   // scheduler, candidate objects only when opted in.
   const auto tree_prefetch = [&](Structure s) {
     NNPrefetchOptions prefetch;
     if (options_.prefetch) {
-      prefetch.node_scheduler = slots_[s].scheduler.get();
+      prefetch.node_scheduler = slot(s).scheduler.get();
       if (options_.prefetch_objects) {
         prefetch.object_scheduler = object_scheduler;
       }
@@ -733,7 +733,7 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
     IoSchedulerStats scheduler_before;
   };
   std::vector<SlotRow> slot_rows;
-  for (int s = 0; s < kNumStructures; ++s) {
+  for (size_t s = 0; s < kNumStructures; ++s) {
     const StructureSlot& slot = slots_[s];
     if (slot.pool != nullptr) {
       slot_rows.push_back(SlotRow{kStructureNames[s], &slot,
@@ -926,7 +926,7 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
 
   bool any_node_cache = false;
   const std::array<RTreeBase*, kNumStructures> slot_trees = SlotTrees();
-  for (int s = 0; s < kNumStructures; ++s) {
+  for (size_t s = 0; s < kNumStructures; ++s) {
     const RTreeBase* tree = slot_trees[s];
     if (tree != nullptr && tree->node_cache() != nullptr) {
       if (!any_node_cache) {
@@ -1121,7 +1121,7 @@ Status SpatialKeywordDatabase::Save(const std::string& directory) {
     IR2_RETURN_IF_ERROR(tree->Flush());
   }
 
-  for (int s = 0; s < kNumStructures; ++s) {
+  for (size_t s = 0; s < kNumStructures; ++s) {
     IR2_RETURN_IF_ERROR(
         SaveDevice(slots_[s].device.get(), directory, kStructureNames[s]));
   }
@@ -1183,6 +1183,17 @@ Status SpatialKeywordDatabase::Save(const std::string& directory) {
   // missing or partially written device files.
   IR2_RETURN_IF_ERROR(FsyncPath(DevicePath(directory, kManifestName)));
   IR2_RETURN_IF_ERROR(FsyncPath(directory));
+  // Only now drop the files of structures this database did not build (an
+  // earlier, fuller save's): the committed manifest no longer names them,
+  // so a crash here leaves stale files at worst, never a broken database.
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    if (slots_[s].device != nullptr) continue;
+    const std::string path = StructurePath(directory, kStructureNames[s]);
+    std::filesystem::remove(path, ec);
+    if (ec) {
+      return Status::IoError("remove " + path + ": " + ec.message());
+    }
+  }
   ResetIoStats();
   return Status::Ok();
 }
@@ -1196,8 +1207,9 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   std::unique_ptr<SpatialKeywordDatabase> db(new SpatialKeywordDatabase());
   DatabaseOptions& options = db->options_;
   DatasetStats& stats = db->stats_;
-  bool built_rtree = false, built_ir2 = false, built_mir2 = false,
-       built_iio = false, built_kc = false;
+  // The manifest's `built` and `kc_built` lines; a structure they do not
+  // mention was not built.
+  StructureSet built;
   MultilevelScheme mir2_scheme;
   SignatureConfig kc_cold{0, 0};
   std::vector<KcVocabulary::Word> kc_words;
@@ -1244,11 +1256,16 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
       uint64_t ignored = 0;
       manifest >> ignored;
     } else if (key == "built") {
-      manifest >> built_rtree >> built_ir2 >> built_mir2 >> built_iio;
+      // One 0/1 flag each, in this order.
+      for (Structure s : {kRTree, kIr2, kMir2, kIio}) {
+        int flag = 0;
+        manifest >> flag;
+        if (flag != 0) built = built.With(s);
+      }
     } else if (key == "kc_built") {
       int flag = 0;
       manifest >> flag;
-      built_kc = flag != 0;
+      if (flag != 0) built = built.With(kKcTree);
     } else if (key == "kc_cold") {
       manifest >> kc_cold.bits >> kc_cold.hashes_per_word;
     } else if (key == "kc_hot") {
@@ -1273,11 +1290,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
       return Status::Corruption("malformed manifest value for " + key);
     }
   }
-  options.build_rtree = built_rtree;
-  options.build_ir2 = built_ir2;
-  options.build_mir2 = built_mir2;
-  options.build_iio = built_iio;
-  options.build_kc = built_kc;
+  options.structures = built;
   options.mir2_scheme = mir2_scheme;
   // Runtime-class knobs come from the caller: how to read the database is
   // the opener's choice, what is in it stays the manifest's.
@@ -1295,11 +1308,12 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   // bypass mode the object file and IIO run in without prefetching).
   const auto open_slot = [&](Structure s,
                              size_t pool_blocks) -> StatusOr<BufferPool*> {
-    StructureSlot& slot = db->slots_[s];
+    StructureSlot& slot = db->slot(s);
     IR2_ASSIGN_OR_RETURN(
         slot.device,
-        FileBlockDevice::Open(StructurePath(directory, kStructureNames[s]),
-                              kDefaultBlockSize, options.file_device));
+        FileBlockDevice::Open(
+            StructurePath(directory, kStructureNames[static_cast<size_t>(s)]),
+            kDefaultBlockSize, options.file_device));
     slot.pool = std::make_unique<BufferPool>(slot.device.get(), pool_blocks);
     return slot.pool.get();
   };
@@ -1310,20 +1324,20 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   db->object_store_ =
       std::make_unique<ObjectStore>(object_pool, stats.object_file_bytes);
 
-  if (built_rtree) {
+  if (built.Has(kRTree)) {
     IR2_ASSIGN_OR_RETURN(BufferPool* pool,
                          open_slot(kRTree, options.pool_blocks));
     db->rtree_ = std::make_unique<RTree>(pool, options.tree_options);
     IR2_RETURN_IF_ERROR(db->rtree_->Load());
   }
-  if (built_ir2) {
+  if (built.Has(kIr2)) {
     IR2_ASSIGN_OR_RETURN(BufferPool* pool,
                          open_slot(kIr2, options.pool_blocks));
     db->ir2_ = std::make_unique<Ir2Tree>(pool, options.tree_options,
                                          options.ir2_signature);
     IR2_RETURN_IF_ERROR(db->ir2_->Load());
   }
-  if (built_mir2) {
+  if (built.Has(kMir2)) {
     if (mir2_scheme.per_level.empty()) {
       return Status::Corruption("manifest missing mir2_scheme");
     }
@@ -1335,7 +1349,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
                                            &db->tokenizer_);
     IR2_RETURN_IF_ERROR(db->mir2_->Load());
   }
-  if (built_kc) {
+  if (built.Has(kKcTree)) {
     IR2_ASSIGN_OR_RETURN(
         KcVocabulary vocab,
         KcVocabulary::FromWords(std::move(kc_words), kc_cold));
@@ -1346,7 +1360,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
                                        db->kc_vocab_.get());
     IR2_RETURN_IF_ERROR(db->kc_->Load());
   }
-  if (built_iio) {
+  if (built.Has(kIio)) {
     IR2_ASSIGN_OR_RETURN(BufferPool* pool,
                          open_slot(kIio, stream_pool_blocks));
     IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(pool));

@@ -2,6 +2,8 @@
 #define IR2TREE_CORE_DATABASE_H_
 
 #include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
@@ -51,6 +53,47 @@ struct DatasetStats {
   double AvgBlocksPerObject() const;
 };
 
+// The six stored structures, one slot each in SpatialKeywordDatabase's
+// structure table, in table order.
+enum class Structure : uint8_t { kObjects, kRTree, kIr2, kMir2, kKcTree, kIio };
+inline constexpr size_t kNumStructures = 6;
+// Save's file stems and EXPLAIN's pool and scheduler rows, by table slot.
+inline constexpr const char* kStructureNames[kNumStructures] = {
+    "objects", "rtree", "ir2", "mir2", "kctree", "iio"};
+
+// A set of structures: one bit per slot of the structure table.
+class StructureSet {
+ public:
+  constexpr StructureSet() = default;
+  constexpr StructureSet(std::initializer_list<Structure> members) {
+    for (Structure s : members) bits_ |= Bit(s);
+  }
+  constexpr bool Has(Structure s) const { return (bits_ & Bit(s)) != 0; }
+  constexpr StructureSet With(Structure s) const {
+    StructureSet out = *this;
+    out.bits_ |= Bit(s);
+    return out;
+  }
+  constexpr StructureSet Without(Structure s) const {
+    StructureSet out = *this;
+    out.bits_ &= ~Bit(s);
+    return out;
+  }
+  constexpr bool operator==(const StructureSet&) const = default;
+
+ private:
+  static constexpr uint32_t Bit(Structure s) {
+    return 1u << static_cast<uint32_t>(s);
+  }
+  uint32_t bits_ = 0;
+};
+
+// Every index structure: the paper's R-Tree, IR2-Tree, MIR2-Tree and
+// inverted index, plus the KC-Tree.
+inline constexpr StructureSet kAllIndexes{Structure::kRTree, Structure::kIr2,
+                                          Structure::kMir2, Structure::kKcTree,
+                                          Structure::kIio};
+
 struct DatabaseOptions {
   // Uniform signature of the IR2-Tree (and leaf level of the MIR2-Tree).
   // The paper's defaults: 189 bytes (Hotels), 8 bytes (Restaurants), k=3.
@@ -83,15 +126,13 @@ struct DatabaseOptions {
   bool bulk_load = false;
   double bulk_fill_fraction = 0.8;
 
-  bool build_rtree = true;
-  bool build_ir2 = true;
-  bool build_mir2 = true;
-  bool build_iio = true;
-  // Keyword-clustered hybrid tree (core/kc_tree.h): exact per-entry bitmaps
-  // for the hot vocabulary, a shared superimposed signature for the cold
-  // tail. The fifth planner candidate.
-  bool build_kc = true;
-  // Hot-vocabulary clustering knobs; cold_signature{bits=0} inherits
+  // The index structures to build; the object file is always stored. A
+  // query whose fixed algorithm needs a structure outside the set returns
+  // FailedPrecondition, and kAuto prices that candidate as infeasible.
+  StructureSet structures = kAllIndexes;
+  // Hot-vocabulary clustering knobs of the KC-Tree (core/kc_tree.h: exact
+  // per-entry bitmaps for the hot vocabulary, a shared superimposed
+  // signature for the cold tail); cold_signature{bits=0} inherits
   // ir2_signature for the cold-tail region.
   KcVocabularyOptions kc_vocabulary;
   // ---- Cold-path I/O engine (see docs/performance.md) ----
@@ -152,10 +193,9 @@ struct DatabaseOptions {
 // R-Tree, IR2-Tree, MIR2-Tree, KC-Tree and inverted index — owns one slot
 // holding its block device, the buffer pool over that device and the
 // prefetch scheduler over that pool, so per-structure disk traffic and sizes
-// (Table 2) can be reported. The slots are indexed by structure name
-// ("objects", "rtree", "ir2", "mir2", "kctree", "iio": Save's file stems and
-// EXPLAIN's pool and scheduler rows). Devices are memory-backed when
-// Build()t, file-backed when Open()ed.
+// (Table 2) can be reported. The slots are indexed by Structure; a slot is
+// empty when options().structures leaves its structure out. Devices are
+// memory-backed when Build()t, file-backed when Open()ed.
 //
 // Every distance-first query runs one per-query step (ExecuteQuery): plan,
 // dispatch (RunAlgorithm), account (AccountSince), feed back. Query,
@@ -175,11 +215,13 @@ class SpatialKeywordDatabase {
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Build(
       std::span<const StoredObject> objects, const DatabaseOptions& options);
 
-  // Persists every structure plus a manifest into `directory` (created if
-  // needed; any previous contents are overwritten). The database remains
-  // usable afterwards. Returns InvalidArgument, before touching the
-  // directory, when a stopword cannot be stored as one manifest token
-  // (empty, or containing whitespace).
+  // Persists every built structure plus a manifest into `directory`
+  // (created if needed; any previous contents are overwritten). After the
+  // manifest commits, the files of structures this database did not build
+  // are removed, so a lean save over a fuller one leaves no stale files.
+  // The database remains usable afterwards. Returns InvalidArgument, before
+  // touching the directory, when a stopword cannot be stored as one
+  // manifest token (empty, or containing whitespace).
   Status Save(const std::string& directory);
 
   // Opens a database previously Save()d. Indexes are file-backed; queries
@@ -260,14 +302,14 @@ class SpatialKeywordDatabase {
                                   Algorithm algo = Algorithm::kIr2);
 
   // General ranking-function query (Section V-C) over the IR2- or
-  // MIR2-Tree. Requires build_iio (for keyword idfs).
+  // MIR2-Tree. Requires the inverted index (for keyword idfs).
   StatusOr<std::vector<QueryResult>> QueryGeneral(const GeneralQuery& q,
                                                   QueryStats* stats = nullptr,
                                                   bool use_mir2 = false);
 
   // Pure Boolean keyword query (Section II's Ans(Q_w), no spatial
   // component): refs of every object containing all keywords, ascending.
-  // Served by posting-list intersection; requires build_iio.
+  // Served by posting-list intersection; requires the inverted index.
   StatusOr<std::vector<ObjectRef>> KeywordMatches(
       const std::vector<std::string>& keywords, QueryStats* stats = nullptr);
 
@@ -307,31 +349,23 @@ class SpatialKeywordDatabase {
   // under (shared by all devices; they use one block size).
   DiskModel disk_model() const { return DiskModel(options_.disk_model); }
 
-  // Structure sizes in bytes (Table 2).
-  uint64_t ObjectFileBytes() const { return DeviceBytes(kObjects); }
-  uint64_t RTreeBytes() const { return DeviceBytes(kRTree); }
-  uint64_t Ir2TreeBytes() const { return DeviceBytes(kIr2); }
-  uint64_t Mir2TreeBytes() const { return DeviceBytes(kMir2); }
-  uint64_t KcTreeBytes() const { return DeviceBytes(kKcTree); }
-  uint64_t IioBytes() const { return DeviceBytes(kIio); }
+  // Structure sizes in bytes (Table 2); 0 for a structure not built.
+  uint64_t StructureBytes(Structure s) const {
+    return slot(s).device ? slot(s).device->SizeBytes() : 0;
+  }
+  uint64_t ObjectFileBytes() const { return StructureBytes(kObjects); }
+  uint64_t RTreeBytes() const { return StructureBytes(kRTree); }
+  uint64_t Ir2TreeBytes() const { return StructureBytes(kIr2); }
+  uint64_t Mir2TreeBytes() const { return StructureBytes(kMir2); }
+  uint64_t KcTreeBytes() const { return StructureBytes(kKcTree); }
+  uint64_t IioBytes() const { return StructureBytes(kIio); }
 
  private:
+  using enum Structure;
+
   // Workers run ExecuteQuery with their own scratch and feedback after
   // resetting their private pools and device cursors.
   friend class BatchExecutor;
-
-  // Slot index of each stored structure; kStructureNames spells them.
-  enum Structure {
-    kObjects,
-    kRTree,
-    kIr2,
-    kMir2,
-    kKcTree,
-    kIio,
-    kNumStructures
-  };
-  static constexpr const char* kStructureNames[kNumStructures] = {
-      "objects", "rtree", "ir2", "mir2", "kctree", "iio"};
 
   // One structure's storage stack, declared bottom-up so it tears down
   // top-down. Empty when the structure was not built. The tree pools cache
@@ -361,8 +395,9 @@ class SpatialKeywordDatabase {
     return {nullptr, rtree_.get(), ir2_.get(), mir2_.get(), kc_.get(),
             nullptr};
   }
-  uint64_t DeviceBytes(Structure s) const {
-    return slots_[s].device ? slots_[s].device->SizeBytes() : 0;
+  StructureSlot& slot(Structure s) { return slots_[static_cast<size_t>(s)]; }
+  const StructureSlot& slot(Structure s) const {
+    return slots_[static_cast<size_t>(s)];
   }
 
   // Creates the per-structure prefetch schedulers (plus, when

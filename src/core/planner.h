@@ -95,9 +95,9 @@ struct PlannerInputs {
   // real dictionary geometry is unavailable (cost-model unit tests feed
   // synthetic document frequencies); d-gap varints average ~2.5 bytes.
   double iio_bytes_per_posting = 2.5;
-  // Selectivity assumed per keyword when no inverted index exists to ask
-  // (build_iio = false): keyword frequencies are unknowable, so every
-  // keyword is assumed to match this fraction of the corpus.
+  // Selectivity assumed per keyword when the inverted index was not built:
+  // keyword frequencies are unknowable, so every keyword is assumed to
+  // match this fraction of the corpus.
   double default_keyword_selectivity = 0.01;
   DiskModelParams disk_model;
   size_t block_size = kDefaultBlockSize;

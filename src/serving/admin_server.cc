@@ -260,7 +260,23 @@ std::string RenderStatusJson(const StatusSnapshot& snapshot) {
     out += ",\"objects\":" + std::to_string(row.num_objects);
     out += ",\"bounds\":[" + FormatDouble(row.lo_x) + "," +
            FormatDouble(row.lo_y) + "," + FormatDouble(row.hi_x) + "," +
-           FormatDouble(row.hi_y) + "]}";
+           FormatDouble(row.hi_y) + "]";
+    // "structures" lists the built indexes in table order; "bytes" sizes
+    // the object file and each of them.
+    std::string structures;
+    std::string bytes =
+        "\"objects\":" +
+        std::to_string(row.bytes[static_cast<size_t>(Structure::kObjects)]);
+    for (size_t s = 0; s < kNumStructures; ++s) {
+      const Structure structure = static_cast<Structure>(s);
+      if (structure == Structure::kObjects || !row.structures.Has(structure)) {
+        continue;
+      }
+      const std::string name = std::string("\"") + kStructureNames[s] + "\"";
+      structures += (structures.empty() ? "" : ",") + name;
+      bytes += "," + name + ":" + std::to_string(row.bytes[s]);
+    }
+    out += ",\"structures\":[" + structures + "],\"bytes\":{" + bytes + "}}";
   }
   out += "]}";
   return out;
@@ -311,6 +327,11 @@ void MountAdminEndpoints(AdminServer* admin, const AdminEndpoints& endpoints) {
           row.lo_y = info.bounds.lo()[1];
           row.hi_x = info.bounds.hi()[0];
           row.hi_y = info.bounds.hi()[1];
+        }
+        const SpatialKeywordDatabase& shard = *endpoints.db->shard(i);
+        row.structures = shard.options().structures;
+        for (size_t s = 0; s < kNumStructures; ++s) {
+          row.bytes[s] = shard.StructureBytes(static_cast<Structure>(s));
         }
         snapshot.shards.push_back(row);
       }

@@ -96,6 +96,11 @@ struct StatusSnapshot {
     uint32_t shard = 0;
     uint64_t num_objects = 0;
     double lo_x = 0.0, lo_y = 0.0, hi_x = 0.0, hi_y = 0.0;
+    // The index structures the shard built (a fixed algorithm outside the
+    // set fails with FailedPrecondition) and the bytes of every stored
+    // structure by table slot, the object file included.
+    StructureSet structures;
+    uint64_t bytes[kNumStructures] = {};
   };
   std::vector<ShardRow> shards;
   // Semantic result-cache totals (serving/result_cache.h); rendered as

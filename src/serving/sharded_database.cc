@@ -77,13 +77,15 @@ StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Build(
   std::vector<ShardAssignment> assignment =
       PartitionBySpaceFillingCurve(objects, partition);
 
+  DatabaseOptions shard_options = options;
+  shard_options.structures = sharding.structures;
   db->shards_.reserve(assignment.size());
   db->info_.reserve(assignment.size());
   for (const ShardAssignment& shard : assignment) {
     std::vector<StoredObject> members;
     members.reserve(shard.members.size());
     for (uint32_t index : shard.members) members.push_back(objects[index]);
-    auto built = SpatialKeywordDatabase::Build(members, options);
+    auto built = SpatialKeywordDatabase::Build(members, shard_options);
     IR2_RETURN_IF_ERROR(built.status());
     db->shards_.push_back(std::move(built).value());
     db->info_.push_back(ShardInfo{shard.bounds, shard.members.size()});
@@ -113,6 +115,7 @@ StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::WrapSingle(
   }
   auto db = std::unique_ptr<ShardedDatabase>(new ShardedDatabase());
   db->sharding_.num_shards = 1;
+  db->sharding_.structures = single->options().structures;
   db->shards_.push_back(std::move(single));
   db->info_.push_back(std::move(info));
   db->AttachNodeCaches();

@@ -3,9 +3,11 @@
 
 // Horizontally partitioned serving tier (docs/serving.md): one dataset split
 // across N SpatialKeywordDatabase shards by space-filling-curve cell of the
-// object location, with a scatter-gather executor on top. Each shard is a
-// complete database — its own devices, pools, trees, and cost planner — so
+// object location, with a scatter-gather executor on top. Each shard is its
+// own database — its own devices, pools, trees, and cost planner — so
 // per-shard plans adapt to that shard's tree shape and term frequencies.
+// A built tier's shards hold only ShardingOptions::structures (by default
+// the serving set kAuto runs: the inverted index and the KC-Tree).
 //
 // Scatter-gather visits shards in ascending order of the lower-bound
 // distance from the query target to the shard's MBR and maintains the
@@ -52,11 +54,23 @@ struct ServingMetrics {
 
 const ServingMetrics& DefaultServingMetrics();
 
+// The structures kAuto runs on a serving workload: the inverted index for
+// selective keyword sets and the KC-Tree for the rest. bench_planner's
+// leave-one-out keeps kAuto over this set within its 15% bound of the
+// five-way oracle (docs/serving.md, "What each shard builds").
+inline constexpr StructureSet kServingStructures{Structure::kKcTree,
+                                                 Structure::kIio};
+
 struct ShardingOptions {
   // Effective shard count is clamped to [1, num_objects].
   uint64_t num_shards = 4;
   CurveKind curve = CurveKind::kHilbert;
   uint32_t curve_order = 16;
+  // The index structures every shard builds; Build uses this set in place
+  // of the DatabaseOptions' own. A fixed-algorithm query whose structure is
+  // left out returns FailedPrecondition. Tiers that run fixed R-Tree, IR2
+  // or MIR2 queries set kAllIndexes.
+  StructureSet structures = kServingStructures;
   // Skip shards whose MBR lower bound cannot beat the current global k-th
   // distance. Always sound; turned off only by tests, as the unpruned
   // reference the pruned tier must match.
@@ -95,8 +109,10 @@ class ShardedDatabase {
   };
 
   // Partitions `objects` along the space-filling curve and builds one
-  // SpatialKeywordDatabase per shard with `options` (every shard gets the
-  // same structural and runtime options, and its own planner).
+  // SpatialKeywordDatabase per shard with `options`, except that each shard
+  // builds `sharding.structures` instead of `options.structures` (every
+  // shard gets the same structural and runtime options, and its own
+  // planner).
   //
   // Both Build and WrapSingle give every tree of every warm shard
   // (cold_queries off) a tier-owned decoded-node cache (rtree/node_cache.h,
@@ -112,9 +128,9 @@ class ShardedDatabase {
 
   // Wraps an already-built (typically Open()ed) single database as a
   // one-shard serving tier, so ServerLoop and the admin server can front a
-  // saved database (examples/serve --open). The shard bounds are the MBR
-  // of the stored object locations (one sequential scan here); pruning is
-  // moot at one shard.
+  // saved database (examples/serve --open). The shard keeps the structures
+  // it was built with. The shard bounds are the MBR of the stored object
+  // locations (one sequential scan here); pruning is moot at one shard.
   static StatusOr<std::unique_ptr<ShardedDatabase>> WrapSingle(
       std::unique_ptr<SpatialKeywordDatabase> single);
 

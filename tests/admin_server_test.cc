@@ -12,6 +12,8 @@
 #include <string>
 
 #include "serving/admin_server.h"
+#include "serving/sharded_database.h"
+#include "tests/test_util.h"
 
 namespace ir2 {
 namespace serving {
@@ -147,6 +149,42 @@ TEST(AdminServerTest, PortAlreadyTakenFailsStart) {
     return HttpResponse{};
   });
   EXPECT_FALSE(second.Start().ok());
+}
+
+// /statusz names each shard's structures and their bytes, so an operator
+// can see why a fixed-algorithm request failed and what the tier stores.
+TEST(AdminServerTest, StatuszNamesEachShardsStructures) {
+  const std::vector<StoredObject> objects =
+      testing_util::RandomObjects(31, 200, 20, 4);
+  DatabaseOptions options;
+  options.cold_queries = false;
+  ShardingOptions sharding;
+  sharding.num_shards = 2;
+  auto tier = ShardedDatabase::Build(objects, options, sharding).value();
+
+  AdminServer admin;
+  AdminEndpoints endpoints;
+  endpoints.db = tier.get();
+  MountAdminEndpoints(&admin, endpoints);
+  ASSERT_TRUE(admin.Start().ok());
+  const std::string body =
+      BodyOf(HttpGet(admin.port(), "GET /statusz HTTP/1.1"));
+  for (size_t s = 0; s < tier->num_shards(); ++s) {
+    const SpatialKeywordDatabase& shard = *tier->shard(s);
+    const std::string row =
+        "\"shard\":" + std::to_string(s) + ",\"objects\":" +
+        std::to_string(shard.stats().num_objects);
+    const size_t at = body.find(row);
+    ASSERT_NE(at, std::string::npos) << body;
+    const std::string structures =
+        "\"structures\":[\"kctree\",\"iio\"],\"bytes\":{\"objects\":" +
+        std::to_string(shard.ObjectFileBytes()) + ",\"kctree\":" +
+        std::to_string(shard.KcTreeBytes()) + ",\"iio\":" +
+        std::to_string(shard.IioBytes()) + "}}";
+    EXPECT_NE(body.find(structures, at), std::string::npos) << body;
+  }
+  EXPECT_EQ(body.find("\"ir2\""), std::string::npos) << body;
+  admin.Stop();
 }
 
 }  // namespace

@@ -257,6 +257,7 @@ TEST(HugeKTest, UintMaxKReturnsEveryMatch) {
   auto db = SpatialKeywordDatabase::Build(objects, options).value();
   serving::ShardingOptions sharding;
   sharding.num_shards = 4;
+  sharding.structures = kAllIndexes;  // Every fixed algorithm runs below.
   auto tier =
       serving::ShardedDatabase::Build(objects, options, sharding).value();
 

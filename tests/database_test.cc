@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/batch_executor.h"
@@ -11,6 +13,7 @@
 namespace ir2 {
 namespace {
 
+using testing_util::BruteForceDistanceFirst;
 using testing_util::Figure1Hotels;
 using testing_util::RandomObjects;
 using testing_util::ResultIds;
@@ -54,8 +57,7 @@ TEST(DatabaseTest, SelectiveBuildSkipsStructures) {
   std::vector<StoredObject> objects = RandomObjects(3, 50, 10, 3);
   DatabaseOptions options;
   options.tree_options.capacity_override = 4;
-  options.build_rtree = false;
-  options.build_mir2 = false;
+  options.structures = {Structure::kIr2, Structure::kKcTree, Structure::kIio};
   auto db = SpatialKeywordDatabase::Build(objects, options).value();
   EXPECT_EQ(db->RTreeBytes(), 0u);
   EXPECT_EQ(db->Mir2TreeBytes(), 0u);
@@ -278,6 +280,84 @@ TEST(DatabaseTest, BatchQueriesRecordTheCoreQueryMetrics) {
   EXPECT_EQ(metrics.queries_total->Value() - queries_before, queries.size());
   EXPECT_EQ(metrics.query_sim_disk_ms->Count() - sim_disk_before,
             queries.size());
+}
+
+// A database built without one structure: that structure's fixed
+// algorithm fails cleanly through Query and Explain, kAuto never plans it,
+// every other algorithm still returns the brute-force answer, and the
+// narrowed set survives Save and Open.
+TEST(DatabaseTest, EachUnbuiltStructureIsInfeasibleEverywhere) {
+  std::vector<StoredObject> objects = RandomObjects(25, 300, 20, 4);
+  const std::pair<Structure, Algorithm> structures[] = {
+      {Structure::kRTree, Algorithm::kRTree},
+      {Structure::kIr2, Algorithm::kIr2},
+      {Structure::kMir2, Algorithm::kMir2},
+      {Structure::kKcTree, Algorithm::kKcTree},
+      {Structure::kIio, Algorithm::kIio}};
+  const Algorithm runnable[] = {Algorithm::kRTree, Algorithm::kIio,
+                                Algorithm::kIr2,   Algorithm::kMir2,
+                                Algorithm::kKcTree, Algorithm::kAuto};
+  WorkloadConfig config;
+  config.seed = 26;
+  config.num_queries = 6;
+  config.num_keywords = 2;
+  config.k = 10;
+  for (const auto& [missing, missing_algo] : structures) {
+    const std::string name = kStructureNames[static_cast<size_t>(missing)];
+    DatabaseOptions options;
+    options.tree_options.capacity_override = 8;
+    options.ir2_signature = SignatureConfig{128, 3};
+    options.structures = kAllIndexes.Without(missing);
+    auto db = SpatialKeywordDatabase::Build(objects, options).value();
+    EXPECT_EQ(db->StructureBytes(missing), 0u) << name;
+    std::vector<DistanceFirstQuery> queries =
+        GenerateWorkload(objects, db->tokenizer(), config);
+    // One single-keyword query keeps the matches dense.
+    queries.push_back(queries.front());
+    queries.back().keywords.resize(1);
+
+    for (const DistanceFirstQuery& q : queries) {
+      auto fixed = db->Query(q, missing_algo);
+      EXPECT_EQ(fixed.status().code(), StatusCode::kFailedPrecondition)
+          << name;
+      auto explain = db->Explain(q, missing_algo);
+      EXPECT_EQ(explain.status().code(), StatusCode::kFailedPrecondition)
+          << name;
+
+      QueryPlan plan;
+      auto chosen = db->QueryAuto(q, nullptr, &plan);
+      ASSERT_TRUE(chosen.ok()) << name << ": " << chosen.status().ToString();
+      EXPECT_FALSE(plan.Candidate(missing_algo).feasible) << name;
+      EXPECT_NE(plan.chosen, missing_algo) << name;
+
+      const std::vector<uint32_t> expected =
+          BruteForceDistanceFirst(objects, q.point, q.keywords, q.k);
+      for (Algorithm algo : runnable) {
+        if (algo == missing_algo) continue;
+        auto results = db->Query(q, algo);
+        ASSERT_TRUE(results.ok())
+            << name << " " << AlgorithmName(algo) << ": "
+            << results.status().ToString();
+        EXPECT_EQ(ResultIds(results.value()), expected)
+            << "without " << name << ", " << AlgorithmName(algo);
+      }
+    }
+
+    const std::string directory =
+        ::testing::TempDir() + "/ir2db_database_test_without_" + name;
+    std::filesystem::remove_all(directory);
+    ASSERT_TRUE(db->Save(directory).ok()) << name;
+    auto reopened = SpatialKeywordDatabase::Open(directory).value();
+    EXPECT_EQ(reopened->options().structures, options.structures) << name;
+    EXPECT_EQ(reopened->StructureBytes(missing), 0u) << name;
+    EXPECT_EQ(reopened->Query(queries.front(), missing_algo).status().code(),
+              StatusCode::kFailedPrecondition)
+        << name;
+    EXPECT_EQ(ResultIds(reopened->QueryAuto(queries.back()).value()),
+              ResultIds(db->QueryAuto(queries.back()).value()))
+        << name;
+    std::filesystem::remove_all(directory);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -77,8 +79,7 @@ TEST_F(PersistenceTest, PartialBuildsRoundTrip) {
   std::vector<StoredObject> objects = RandomObjects(63, 100, 20, 4);
   DatabaseOptions options;
   options.tree_options.capacity_override = 4;
-  options.build_rtree = false;
-  options.build_mir2 = false;
+  options.structures = {Structure::kIr2, Structure::kKcTree, Structure::kIio};
   auto built = SpatialKeywordDatabase::Build(objects, options).value();
   ASSERT_TRUE(built->Save(directory_).ok());
 
@@ -92,6 +93,48 @@ TEST_F(PersistenceTest, PartialBuildsRoundTrip) {
   EXPECT_FALSE(reopened->QueryRTree(query).ok());
   EXPECT_TRUE(reopened->QueryIr2(query).ok());
   EXPECT_TRUE(reopened->QueryIio(query).ok());
+}
+
+// Saving a lean database over a fuller save removes the files of the
+// structures the lean one did not build: the directory then holds exactly
+// the manifest and the lean set's files, and opens as the lean database.
+TEST_F(PersistenceTest, LeanSaveOverFullSaveLeavesNoStaleFiles) {
+  std::vector<StoredObject> objects = RandomObjects(65, 200, 20, 4);
+  DatabaseOptions options;
+  options.tree_options.capacity_override = 6;
+  auto full = SpatialKeywordDatabase::Build(objects, options).value();
+  ASSERT_TRUE(full->Save(directory_).ok());
+  options.structures = {Structure::kKcTree, Structure::kIio};
+  auto lean = SpatialKeywordDatabase::Build(objects, options).value();
+  ASSERT_TRUE(lean->Save(directory_).ok());
+
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"manifest.txt", "objects.dat",
+                                          "kctree.dat", "iio.dat"}));
+
+  auto reopened = SpatialKeywordDatabase::Open(directory_).value();
+  EXPECT_EQ(reopened->options().structures, options.structures);
+  EXPECT_EQ(reopened->rtree(), nullptr);
+  EXPECT_EQ(reopened->ir2_tree(), nullptr);
+  EXPECT_EQ(reopened->mir2_tree(), nullptr);
+  Rng rng(66);
+  for (int iter = 0; iter < 8; ++iter) {
+    DistanceFirstQuery query;
+    query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
+    query.keywords = {"w" + std::to_string(rng.NextUint64(20))};
+    query.k = 10;
+    for (Algorithm algo :
+         {Algorithm::kIio, Algorithm::kKcTree, Algorithm::kAuto}) {
+      EXPECT_EQ(ResultIds(reopened->Query(query, algo).value()),
+                ResultIds(lean->Query(query, algo).value()))
+          << AlgorithmName(algo);
+    }
+    EXPECT_EQ(reopened->Query(query, Algorithm::kIr2).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST_F(PersistenceTest, ReopenedDatabaseAcceptsUpdates) {

@@ -397,6 +397,7 @@ class ShardedResultCacheTest : public ::testing::Test {
     single_ = SpatialKeywordDatabase::Build(objects_, options).value();
     ShardingOptions sharding;
     sharding.num_shards = 4;
+    sharding.structures = kAllIndexes;  // Fixed IR2 queries run below.
     sharded_ = ShardedDatabase::Build(objects_, options, sharding).value();
     sharded_->EnableResultCache();
 

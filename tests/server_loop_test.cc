@@ -41,6 +41,7 @@ class ServerLoopTest : public ::testing::Test {
     objects_ = RandomObjects(21, 400, 40, 5);
     ShardingOptions sharding;
     sharding.num_shards = 4;
+    sharding.structures = kAllIndexes;  // Fixed IR2 requests run below.
     db_ = ShardedDatabase::Build(objects_, WarmOptions(), sharding).value();
     ASSERT_TRUE(db_->SafeForConcurrentQueries());
 

@@ -115,9 +115,12 @@ class ShardedDatabaseTest : public ::testing::Test {
     queries_ = GenerateWorkload(objects_, single_->tokenizer(), config);
   }
 
+  // Every structure, not the serving set: these tests run each fixed
+  // algorithm on the tier.
   std::unique_ptr<ShardedDatabase> BuildSharded(
       uint64_t num_shards, ShardingOptions sharding = {}) {
     sharding.num_shards = num_shards;
+    sharding.structures = kAllIndexes;
     DatabaseOptions options;
     options.ir2_signature = SignatureConfig{256, 3};
     return ShardedDatabase::Build(objects_, options, sharding).value();
@@ -244,6 +247,7 @@ TEST_F(ShardedDatabaseTest, LegRadiusCapPreservesAnswersAndShrinksWork) {
   options.tree_options.capacity_override = 8;
   ShardingOptions capped_opts;
   capped_opts.num_shards = 8;
+  capped_opts.structures = kAllIndexes;
   ShardingOptions no_cap = capped_opts;
   no_cap.cap_leg_radius = false;
   auto capped_db =
@@ -316,7 +320,8 @@ TEST_F(ShardedDatabaseTest, ExplainReportsFanoutAndMerge) {
 }
 
 // The serving regime (ServerLoop requires it): warm shards, so the tier
-// attaches its decoded-node caches.
+// attaches its decoded-node caches. Every structure is built, so each
+// fixed algorithm runs.
 std::unique_ptr<ShardedDatabase> BuildWarmTier(
     const std::vector<StoredObject>& objects, uint64_t num_shards) {
   DatabaseOptions options;
@@ -324,6 +329,7 @@ std::unique_ptr<ShardedDatabase> BuildWarmTier(
   options.cold_queries = false;
   ShardingOptions sharding;
   sharding.num_shards = num_shards;
+  sharding.structures = kAllIndexes;
   return ShardedDatabase::Build(objects, options, sharding).value();
 }
 
@@ -456,6 +462,58 @@ TEST_F(ShardedDatabaseTest, KcTreeInsertInvalidatesShardNodeCache) {
   for (size_t r = 0; r < after.value().size(); ++r) {
     EXPECT_EQ(after.value()[r].object_id, before.value()[r].object_id);
   }
+}
+
+// The default tier builds only the serving set on every shard, whatever
+// the DatabaseOptions ask for; kAuto still returns the brute-force answer
+// and a fixed algorithm outside the set fails cleanly.
+TEST_F(ShardedDatabaseTest, DefaultTierBuildsOnlyTheServingSet) {
+  DatabaseOptions options;
+  options.ir2_signature = SignatureConfig{256, 3};
+  options.cold_queries = false;
+  ASSERT_EQ(options.structures, kAllIndexes);
+  ShardingOptions sharding;
+  ASSERT_EQ(sharding.structures, serving::kServingStructures);
+  auto tier = ShardedDatabase::Build(objects_, options, sharding).value();
+  ASSERT_EQ(tier->num_shards(), 4u);
+  for (size_t s = 0; s < tier->num_shards(); ++s) {
+    SpatialKeywordDatabase* shard = tier->shard(s);
+    EXPECT_EQ(shard->options().structures, serving::kServingStructures);
+    const std::vector<RTreeBase*> trees = shard->trees();
+    ASSERT_EQ(trees.size(), 1u) << "shard " << s;
+    EXPECT_EQ(trees[0], shard->kc_tree()) << "shard " << s;
+    EXPECT_NE(shard->inverted_index(), nullptr) << "shard " << s;
+    EXPECT_EQ(shard->RTreeBytes(), 0u) << "shard " << s;
+    EXPECT_EQ(shard->Ir2TreeBytes(), 0u) << "shard " << s;
+    EXPECT_EQ(shard->Mir2TreeBytes(), 0u) << "shard " << s;
+    EXPECT_GT(shard->KcTreeBytes(), 0u) << "shard " << s;
+    EXPECT_GT(shard->IioBytes(), 0u) << "shard " << s;
+  }
+
+  for (uint32_t k : {1u, 10u, 50u}) {
+    for (const DistanceFirstQuery& base : queries_) {
+      for (size_t n : {size_t{1}, base.keywords.size()}) {
+        DistanceFirstQuery q = base;
+        q.keywords.resize(n);
+        q.k = k;
+        auto results = tier->Query(q, Algorithm::kAuto);
+        ASSERT_TRUE(results.ok()) << results.status().ToString();
+        EXPECT_EQ(testing_util::ResultIds(results.value()),
+                  testing_util::BruteForceDistanceFirst(objects_, q.point,
+                                                        q.keywords, k))
+            << "k=" << k << " keywords=" << n;
+      }
+    }
+  }
+
+  for (Algorithm algo :
+       {Algorithm::kRTree, Algorithm::kIr2, Algorithm::kMir2}) {
+    auto fixed = tier->Query(queries_.front(), algo);
+    EXPECT_EQ(fixed.status().code(), StatusCode::kFailedPrecondition)
+        << AlgorithmName(algo);
+  }
+  EXPECT_TRUE(tier->Query(queries_.front(), Algorithm::kIio).ok());
+  EXPECT_TRUE(tier->Query(queries_.front(), Algorithm::kKcTree).ok());
 }
 
 TEST(QueryStatsTest, AccumulatesShardCounters) {

@@ -281,6 +281,10 @@ TEST(StatusJsonTest, ShapeGolden) {
   shard.lo_y = 0.0;
   shard.hi_x = 1.0;
   shard.hi_y = 1.0;
+  shard.structures = {Structure::kKcTree, Structure::kIio};
+  shard.bytes[static_cast<size_t>(Structure::kObjects)] = 4096;
+  shard.bytes[static_cast<size_t>(Structure::kKcTree)] = 8192;
+  shard.bytes[static_cast<size_t>(Structure::kIio)] = 12288;
   snapshot.shards.push_back(shard);
 
   const std::string tenants_and_window =
@@ -299,7 +303,9 @@ TEST(StatusJsonTest, ShapeGolden) {
       "\"totals\":{\"admitted\":7,\"rejected_queue_full\":2,"
       "\"rejected_quota\":1,\"completed\":4},";
   const std::string shards =
-      "\"shards\":[{\"shard\":0,\"objects\":250,\"bounds\":[0,0,1,1]}]}";
+      "\"shards\":[{\"shard\":0,\"objects\":250,\"bounds\":[0,0,1,1],"
+      "\"structures\":[\"kctree\",\"iio\"],"
+      "\"bytes\":{\"objects\":4096,\"kctree\":8192,\"iio\":12288}}]}";
 
   // Without a cache the section renders null.
   EXPECT_EQ(RenderStatusJson(snapshot),
