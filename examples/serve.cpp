@@ -176,7 +176,6 @@ int main(int argc, char** argv) {
   loop_options.num_workers = workers;
   loop_options.slo.latency_threshold_ms = slo_ms;
   loop_options.query_log.sample_rate = sample_rate;
-  loop_options.query_log.slow_threshold_ms = slo_ms;
   ServerLoop loop(db.get(), loop_options);
 
   AdminServer::Options admin_options;

@@ -40,14 +40,53 @@ double DatasetStats::AvgBlocksPerObject() const {
   return 1.0 + (record_bytes - 1.0) / 4096.0;
 }
 
+namespace {
+
+// The tree slots, in table order.
+constexpr Structure kTreeStructures[] = {Structure::kRTree, Structure::kIr2,
+                                         Structure::kMir2, Structure::kKcTree};
+
+// The structure each fixed algorithm runs over, indexed by Algorithm.
+constexpr Structure kAlgorithmStructure[kNumPlannableAlgorithms] = {
+    Structure::kRTree, Structure::kIio, Structure::kIr2, Structure::kMir2,
+    Structure::kKcTree};
+
+}  // namespace
+
 SpatialKeywordDatabase::~SpatialKeywordDatabase() {
   // Scheduler workers read through the pools and submit to the async
-  // backends: stop them, then the backends. The remaining members tear down
-  // in reverse declaration order (see the class comment).
+  // backends: stop them, then the backends. The trees go next, while their
+  // pools, the object store and the KC vocabulary are alive; the remaining
+  // members tear down in reverse declaration order.
   for (StructureSlot& slot : slots_) {
     slot.scheduler.reset();
   }
   async_backends_.clear();
+  for (StructureSlot& slot : slots_) {
+    slot.tree.reset();
+  }
+}
+
+std::unique_ptr<RTreeBase> SpatialKeywordDatabase::MakeTree(
+    Structure s, BufferPool* pool) const {
+  const RTreeOptions& tree_options = options_.tree_options;
+  switch (s) {
+    case kRTree:
+      return std::make_unique<RTree>(pool, tree_options);
+    case kIr2:
+      return std::make_unique<Ir2Tree>(pool, tree_options,
+                                       options_.ir2_signature);
+    case kMir2:
+      return std::make_unique<Mir2Tree>(pool, tree_options,
+                                        options_.mir2_scheme,
+                                        object_store_.get(), &tokenizer_);
+    case kKcTree:
+      return std::make_unique<KcTree>(pool, tree_options, kc_vocab_.get());
+    case kObjects:
+    case kIio:
+      break;
+  }
+  return nullptr;
 }
 
 StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
@@ -103,177 +142,92 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   stats.object_file_bytes = writer.bytes_written();
   stats.object_file_blocks = object_slot.device->NumBlocks();
 
-  const auto point_rect = [](const StoredObject& object) {
-    return Rect::ForPoint(Point(object.coords));
-  };
+  // 3. Structural options the trees are made with, resolved up front. The
+  // MIR2 per-level widths, unless given, derive from the dataset statistics
+  // (the probe tree only computes the node capacity).
+  DatabaseOptions& resolved = db->options_;
+  if (options.structures.Has(kMir2) && resolved.mir2_scheme.per_level.empty()) {
+    RTree capacity_probe(object_slot.pool.get(), options.tree_options);
+    const uint32_t capacity = capacity_probe.node_capacity();
+    const uint32_t max_levels =
+        2 + static_cast<uint32_t>(
+                std::log(std::max<double>(2.0, objects.size())) /
+                std::log(std::max(2.0, 0.7 * capacity)));
+    resolved.mir2_scheme = DeriveMultilevelScheme(
+        options.ir2_signature.bits, options.ir2_signature.hashes_per_word,
+        stats.AvgDistinctWordsPerObject(), stats.vocabulary_size, capacity,
+        /*expected_fill=*/0.7, max_levels);
+  }
+  // The KC-Tree's keyword clustering: exact bitmaps for the hot vocabulary
+  // (clustered by frequency tier + co-occurrence), a shared cold-tail
+  // signature for everything else.
+  if (options.structures.Has(kKcTree)) {
+    db->kc_vocab_ = std::make_unique<KcVocabulary>(KcVocabulary::Build(
+        distinct_words, options.kc_vocabulary, options.ir2_signature));
+  }
 
-  // Shared bulk-load input for the signature trees.
-  std::vector<Ir2Tree::BulkObject> bulk_objects;
+  // 4. The trees, one loop: each on a fresh memory device behind a pool of
+  // pool_blocks, filled by the STR bulk loader or by repeated inserts.
+  const auto point_rect = [&objects](size_t i) {
+    return Rect::ForPoint(Point(objects[i].coords));
+  };
+  std::vector<RTreeBase::BulkObject> bulk_objects;
   if (options.bulk_load) {
     bulk_objects.reserve(objects.size());
     for (size_t i = 0; i < objects.size(); ++i) {
-      bulk_objects.push_back(Ir2Tree::BulkObject{
-          refs[i], point_rect(objects[i]), word_hashes[i]});
+      bulk_objects.push_back(
+          RTreeBase::BulkObject{refs[i], point_rect(i), word_hashes[i]});
     }
   }
-
-  // Every tree lives on a fresh memory device behind a pool of
-  // pool_blocks; returns that pool.
-  const auto new_tree_slot = [&db, &options](Structure s) {
+  for (Structure s : kTreeStructures) {
+    if (!options.structures.Has(s)) {
+      continue;
+    }
     StructureSlot& slot = db->slot(s);
     slot.device = std::make_unique<MemoryBlockDevice>();
     slot.pool =
         std::make_unique<BufferPool>(slot.device.get(), options.pool_blocks);
-    return slot.pool.get();
-  };
-  // locality_placement: incremental splits scatter siblings, so rewrite the
-  // finished tree into the DFS layout (bulk loads already produce it
-  // natively) on a fresh slot, built by the tree's own `make`.
-  const auto compact = [&db, &options](Structure s, auto& tree,
-                                       const auto& make) -> Status {
-    if (!options.locality_placement || options.bulk_load) {
-      return Status::Ok();
+    std::unique_ptr<RTreeBase> tree = db->MakeTree(s, slot.pool.get());
+    IR2_RETURN_IF_ERROR(tree->Init());
+    // A MIR2 parent signature superimposes every object below it (§IV), so
+    // the load defers the inner signatures and one pass then rebuilds them,
+    // loading each object once.
+    auto* mir2 = s == kMir2 ? static_cast<Mir2Tree*>(tree.get()) : nullptr;
+    if (mir2 != nullptr) {
+      mir2->set_defer_inner_payload_maintenance(true);
     }
-    auto device = std::make_unique<MemoryBlockDevice>();
-    auto pool =
-        std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-    auto compacted = make(pool.get());
-    IR2_RETURN_IF_ERROR(compacted->Init());
-    IR2_RETURN_IF_ERROR(tree->CompactInto(compacted.get()));
-    tree = std::move(compacted);
-    db->slot(s).pool = std::move(pool);
-    db->slot(s).device = std::move(device);
-    return Status::Ok();
-  };
-
-  // 3. Plain R-Tree (baseline).
-  if (options.structures.Has(kRTree)) {
-    const auto make = [&](BufferPool* pool) {
-      return std::make_unique<RTree>(pool, options.tree_options);
-    };
-    db->rtree_ = make(new_tree_slot(kRTree));
-    IR2_RETURN_IF_ERROR(db->rtree_->Init());
     if (options.bulk_load) {
-      std::vector<RTreeBase::BulkItem> items;
-      items.reserve(objects.size());
-      for (size_t i = 0; i < objects.size(); ++i) {
-        items.push_back(RTreeBase::BulkItem{refs[i], point_rect(objects[i])});
-      }
-      EmptyPayloadSource empty;
-      IR2_RETURN_IF_ERROR(db->rtree_->BulkLoad(
-          std::move(items),
-          [&empty](size_t) -> const PayloadSource& { return empty; },
-          options.bulk_fill_fraction));
+      IR2_RETURN_IF_ERROR(
+          tree->BulkLoad(bulk_objects, options.bulk_fill_fraction));
     } else {
       for (size_t i = 0; i < objects.size(); ++i) {
         IR2_RETURN_IF_ERROR(
-            db->rtree_->Insert(refs[i], point_rect(objects[i])));
+            tree->InsertObject(refs[i], point_rect(i), word_hashes[i]));
       }
     }
-    IR2_RETURN_IF_ERROR(db->rtree_->Flush());
-    IR2_RETURN_IF_ERROR(compact(kRTree, db->rtree_, make));
+    if (mir2 != nullptr) {
+      IR2_RETURN_IF_ERROR(mir2->RecomputeAllSignatures());
+      mir2->set_defer_inner_payload_maintenance(false);
+    }
+    IR2_RETURN_IF_ERROR(tree->Flush());
+    if (options.locality_placement && !options.bulk_load) {
+      // Incremental splits scatter siblings, so rewrite the finished tree
+      // into the DFS layout (bulk loads already produce it natively) on a
+      // fresh slot; payloads are copied verbatim.
+      auto device = std::make_unique<MemoryBlockDevice>();
+      auto pool =
+          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
+      std::unique_ptr<RTreeBase> compacted = db->MakeTree(s, pool.get());
+      IR2_RETURN_IF_ERROR(compacted->Init());
+      IR2_RETURN_IF_ERROR(tree->CompactInto(compacted.get()));
+      tree = std::move(compacted);
+      slot.pool = std::move(pool);
+      slot.device = std::move(device);
+    }
+    slot.tree = std::move(tree);
   }
 
-  // 4. IR2-Tree.
-  if (options.structures.Has(kIr2)) {
-    const auto make = [&](BufferPool* pool) {
-      return std::make_unique<Ir2Tree>(pool, options.tree_options,
-                                       options.ir2_signature);
-    };
-    db->ir2_ = make(new_tree_slot(kIr2));
-    IR2_RETURN_IF_ERROR(db->ir2_->Init());
-    if (options.bulk_load) {
-      IR2_RETURN_IF_ERROR(db->ir2_->BulkLoadObjects(
-          bulk_objects, options.bulk_fill_fraction));
-    } else {
-      for (size_t i = 0; i < objects.size(); ++i) {
-        IR2_RETURN_IF_ERROR(db->ir2_->InsertObject(
-            refs[i], point_rect(objects[i]),
-            std::span<const uint64_t>(word_hashes[i])));
-      }
-    }
-    IR2_RETURN_IF_ERROR(db->ir2_->Flush());
-    IR2_RETURN_IF_ERROR(compact(kIr2, db->ir2_, make));
-  }
-
-  // 5. MIR2-Tree: bulk load with deferred inner signatures, then one
-  // recomputation pass (each object loaded once).
-  if (options.structures.Has(kMir2)) {
-    BufferPool* mir2_pool = new_tree_slot(kMir2);
-    MultilevelScheme scheme = options.mir2_scheme;
-    RTreeOptions mir2_options = options.tree_options;
-    mir2_options.defer_inner_payload_maintenance = true;
-    if (scheme.per_level.empty()) {
-      // Derive per-level widths from the dataset statistics. The probe tree
-      // is only used to compute the node capacity.
-      RTree capacity_probe(mir2_pool, options.tree_options);
-      uint32_t capacity = capacity_probe.node_capacity();
-      uint32_t max_levels =
-          2 + static_cast<uint32_t>(
-                  std::log(std::max<double>(2.0, objects.size())) /
-                  std::log(std::max(2.0, 0.7 * capacity)));
-      scheme = DeriveMultilevelScheme(
-          options.ir2_signature.bits, options.ir2_signature.hashes_per_word,
-          stats.AvgDistinctWordsPerObject(), stats.vocabulary_size, capacity,
-          /*expected_fill=*/0.7, max_levels);
-    }
-    // The compaction below copies the recomputed signatures verbatim.
-    const auto make = [&](BufferPool* pool) {
-      return std::make_unique<Mir2Tree>(pool, mir2_options, scheme,
-                                        db->object_store_.get(),
-                                        &db->tokenizer_);
-    };
-    db->mir2_ = make(mir2_pool);
-    IR2_RETURN_IF_ERROR(db->mir2_->Init());
-    if (options.bulk_load) {
-      IR2_RETURN_IF_ERROR(db->mir2_->BulkLoadObjects(
-          bulk_objects, options.bulk_fill_fraction));
-    } else {
-      for (size_t i = 0; i < objects.size(); ++i) {
-        IR2_RETURN_IF_ERROR(db->mir2_->InsertObject(
-            refs[i], point_rect(objects[i]),
-            std::span<const uint64_t>(word_hashes[i])));
-      }
-    }
-    IR2_RETURN_IF_ERROR(db->mir2_->RecomputeAllSignatures());
-    IR2_RETURN_IF_ERROR(db->mir2_->Flush());
-    IR2_RETURN_IF_ERROR(compact(kMir2, db->mir2_, make));
-  }
-
-  // 6. KC-Tree: keyword-clustered hybrid payloads — exact bitmaps for the
-  // hot vocabulary (clustered by frequency tier + co-occurrence), a shared
-  // cold-tail signature for everything else. Same node layout and I/O
-  // engine as the other trees.
-  if (options.structures.Has(kKcTree)) {
-    db->kc_vocab_ = std::make_unique<KcVocabulary>(KcVocabulary::Build(
-        distinct_words, options.kc_vocabulary, options.ir2_signature));
-    const auto make = [&](BufferPool* pool) {
-      return std::make_unique<KcTree>(pool, options.tree_options,
-                                      db->kc_vocab_.get());
-    };
-    db->kc_ = make(new_tree_slot(kKcTree));
-    IR2_RETURN_IF_ERROR(db->kc_->Init());
-    if (options.bulk_load) {
-      std::vector<KcTree::BulkObject> kc_bulk;
-      kc_bulk.reserve(objects.size());
-      for (size_t i = 0; i < objects.size(); ++i) {
-        kc_bulk.push_back(KcTree::BulkObject{
-            refs[i], point_rect(objects[i]), word_hashes[i]});
-      }
-      IR2_RETURN_IF_ERROR(db->kc_->BulkLoadObjects(
-          kc_bulk, options.bulk_fill_fraction));
-    } else {
-      for (size_t i = 0; i < objects.size(); ++i) {
-        IR2_RETURN_IF_ERROR(db->kc_->InsertObject(
-            refs[i], point_rect(objects[i]),
-            std::span<const uint64_t>(word_hashes[i])));
-      }
-    }
-    IR2_RETURN_IF_ERROR(db->kc_->Flush());
-    IR2_RETURN_IF_ERROR(compact(kKcTree, db->kc_, make));
-  }
-
-  // 7. Inverted index (IIO baseline).
+  // 5. Inverted index (IIO baseline).
   if (options.structures.Has(kIio)) {
     StructureSlot& slot = db->slot(kIio);
     slot.device = std::make_unique<MemoryBlockDevice>();
@@ -299,11 +253,10 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
 
 namespace {
 
-// One tree's shape as the planner prices it. `signatures` supplies the
-// per-level signature scheme ((M)IR2-Trees); null for the plain R-Tree,
-// whose levels keep signature_bits == 0 (no filter, fp = 1).
-StatusOr<PlannerTreeShape> SnapshotTreeShape(const RTreeBase& tree,
-                                             const Ir2Tree* signatures) {
+// One tree's shape as the planner prices it, each level's signature
+// geometry from the tree's payload filter (none for the plain R-Tree,
+// whose levels keep signature_bits == 0: no filter, fp = 1).
+StatusOr<PlannerTreeShape> SnapshotTreeShape(const RTreeBase& tree) {
   IR2_ASSIGN_OR_RETURN(TreeStatsReport report, ComputeTreeStats(tree));
   PlannerTreeShape shape;
   shape.levels.reserve(report.levels.size());
@@ -315,10 +268,10 @@ StatusOr<PlannerTreeShape> SnapshotTreeShape(const RTreeBase& tree,
         level.nodes == 0 ? 1.0
                          : static_cast<double>(level.blocks_used) /
                                static_cast<double>(level.nodes);
-    if (signatures != nullptr) {
-      const SignatureConfig config = signatures->LevelConfig(level.level);
-      out.signature_bits = config.bits;
-      out.hashes_per_word = config.hashes_per_word;
+    const PayloadFilter filter = tree.PayloadFilterAt(level.level);
+    if (filter.bits > 0) {
+      out.signature_bits = filter.bits;
+      out.hashes_per_word = filter.hashes_per_word;
       out.payload_density = level.PayloadDensity();
     }
     shape.levels.push_back(out);
@@ -336,39 +289,16 @@ Status SpatialKeywordDatabase::WirePlanner() {
   inputs.iio_present = iio_ != nullptr;
   inputs.disk_model = options_.disk_model;
   inputs.block_size = slot(kObjects).device->block_size();
-  if (rtree_ != nullptr) {
-    IR2_ASSIGN_OR_RETURN(inputs.rtree, SnapshotTreeShape(*rtree_, nullptr));
-  }
-  if (ir2_ != nullptr) {
-    IR2_ASSIGN_OR_RETURN(inputs.ir2, SnapshotTreeShape(*ir2_, ir2_.get()));
-  }
-  if (mir2_ != nullptr) {
-    IR2_ASSIGN_OR_RETURN(inputs.mir2, SnapshotTreeShape(*mir2_, mir2_.get()));
-  }
-  if (kc_ != nullptr && kc_vocab_ != nullptr) {
-    // The KC payload is not an Ir2Tree signature scheme, so snapshot its
-    // shape directly: signature_bits spans the whole payload (hot bitmap +
-    // cold tail) and payload_density measures set bits over that span —
-    // exactly the quantities KcCost's synthetic cold level is derived from.
-    IR2_ASSIGN_OR_RETURN(TreeStatsReport kc_report, ComputeTreeStats(*kc_));
-    PlannerTreeShape shape;
-    shape.levels.reserve(kc_report.levels.size());
-    const uint32_t payload_bits =
-        static_cast<uint32_t>(kc_vocab_->payload_bytes()) * 8;
-    for (const LevelStats& level : kc_report.levels) {
-      PlannerLevel out;
-      out.nodes = level.nodes;
-      out.entries = level.entries;
-      out.blocks_per_node =
-          level.nodes == 0 ? 1.0
-                           : static_cast<double>(level.blocks_used) /
-                                 static_cast<double>(level.nodes);
-      out.signature_bits = payload_bits;
-      out.hashes_per_word = kc_vocab_->cold_config().hashes_per_word;
-      out.payload_density = level.PayloadDensity();
-      shape.levels.push_back(out);
+  for (size_t a = 0; a < kNumPlannableAlgorithms; ++a) {
+    const RTreeBase* algo_tree = tree(kAlgorithmStructure[a]);
+    if (algo_tree != nullptr) {
+      IR2_ASSIGN_OR_RETURN(*inputs.TreeShape(static_cast<Algorithm>(a)),
+                           SnapshotTreeShape(*algo_tree));
     }
-    inputs.kc = std::move(shape);
+  }
+  if (kc_vocab_ != nullptr) {
+    // The KC cost model prices hot keywords through exact containment and
+    // only the cold tail through the superimposed-coding model.
     inputs.kc_hot_bits = kc_vocab_->hot_bits();
     inputs.kc_cold_bits = kc_vocab_->cold_config().bits;
     inputs.kc_cold_hashes = kc_vocab_->cold_config().hashes_per_word;
@@ -433,8 +363,8 @@ Status SpatialKeywordDatabase::DropCaches() {
 
 std::vector<RTreeBase*> SpatialKeywordDatabase::trees() const {
   std::vector<RTreeBase*> built;
-  for (RTreeBase* tree : SlotTrees()) {
-    if (tree != nullptr) built.push_back(tree);
+  for (const StructureSlot& slot : slots_) {
+    if (slot.tree != nullptr) built.push_back(slot.tree.get());
   }
   return built;
 }
@@ -510,16 +440,14 @@ SpatialKeywordDatabase::ThreadCounters
 SpatialKeywordDatabase::CurrentThreadCounters() const {
   ThreadCounters counters;
   counters.node_decodes = RTreeBase::ThreadNodeDecodes();
-  const std::array<RTreeBase*, kNumStructures> trees = SlotTrees();
-  for (size_t s = 0; s < kNumStructures; ++s) {
-    const StructureSlot& slot = slots_[s];
+  for (const StructureSlot& slot : slots_) {
     if (slot.device == nullptr) {
       continue;
     }
     // A tree's demand is counted at the pool this thread reads it through:
     // a ScopedReadPool override (BatchExecutor workers) or its own.
     const BufferPool* pool =
-        trees[s] != nullptr ? trees[s]->read_pool() : slot.pool.get();
+        slot.tree != nullptr ? slot.tree->read_pool() : slot.pool.get();
     counters.demand += pool->thread_stats();
     counters.physical += slot.device->thread_stats();
     counters.speculative += slot.scheduler->speculative_stats();
@@ -577,65 +505,48 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
 StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunAlgorithm(
     Algorithm algo, const DistanceFirstQuery& q, QueryStats* stats,
     Ir2QueryScratch* scratch) {
-  IoScheduler* object_scheduler =
-      options_.prefetch ? slot(kObjects).scheduler.get() : nullptr;
-  // The tree traversals' speculation: frontier prefetch on the tree's own
-  // scheduler, candidate objects only when opted in.
-  const auto tree_prefetch = [&](Structure s) {
-    NNPrefetchOptions prefetch;
-    if (options_.prefetch) {
-      prefetch.node_scheduler = slot(s).scheduler.get();
-      if (options_.prefetch_objects) {
-        prefetch.object_scheduler = object_scheduler;
-      }
-    }
-    return prefetch;
-  };
+  if (algo == Algorithm::kAuto) {
+    return Status::Internal("RunAlgorithm needs a fixed algorithm");
+  }
+  const Structure s = kAlgorithmStructure[static_cast<size_t>(algo)];
+  if (slot(s).device == nullptr) {
+    return Status::FailedPrecondition(
+        std::string(kStructureNames[static_cast<size_t>(s)]) +
+        " was not built");
+  }
+  if (algo == Algorithm::kIio) {
+    return IioTopK(*iio_, *object_store_, tokenizer_, q, stats,
+                   options_.prefetch ? slot(kObjects).scheduler.get()
+                                     : nullptr);
+  }
+  // The tree traversals speculate on their frontier through the tree's own
+  // scheduler.
+  IoScheduler* node_scheduler =
+      options_.prefetch ? slot(s).scheduler.get() : nullptr;
+  const RTreeBase& algo_tree = *tree(s);
+  MaybeSweepObjectFile(q);
   switch (algo) {
     case Algorithm::kRTree:
-      if (rtree_ == nullptr) {
-        return Status::FailedPrecondition("R-Tree was not built");
-      }
-      MaybeSweepObjectFile(q);
-      return RTreeTopK(*rtree_, *object_store_, tokenizer_, q, stats,
-                       tree_prefetch(kRTree));
-    case Algorithm::kIio:
-      if (iio_ == nullptr) {
-        return Status::FailedPrecondition("Inverted index was not built");
-      }
-      return IioTopK(*iio_, *object_store_, tokenizer_, q, stats,
-                     object_scheduler);
+      return RTreeTopK(algo_tree, *object_store_, tokenizer_, q, stats,
+                       node_scheduler);
     case Algorithm::kIr2:
-      if (ir2_ == nullptr) {
-        return Status::FailedPrecondition("IR2-Tree was not built");
-      }
-      MaybeSweepObjectFile(q);
-      return Ir2TopK(*ir2_, *object_store_, tokenizer_, q, stats, scratch,
-                     tree_prefetch(kIr2));
     case Algorithm::kMir2:
-      if (mir2_ == nullptr) {
-        return Status::FailedPrecondition("MIR2-Tree was not built");
-      }
-      MaybeSweepObjectFile(q);
-      return Ir2TopK(*mir2_, *object_store_, tokenizer_, q, stats, scratch,
-                     tree_prefetch(kMir2));
+      return Ir2TopK(static_cast<const Ir2Tree&>(algo_tree), *object_store_,
+                     tokenizer_, q, stats, scratch, node_scheduler);
     case Algorithm::kKcTree:
-      if (kc_ == nullptr) {
-        return Status::FailedPrecondition("KC-Tree was not built");
-      }
-      MaybeSweepObjectFile(q);
-      return KcTopK(*kc_, *object_store_, tokenizer_, q, stats, scratch,
-                    tree_prefetch(kKcTree));
+      return KcTopK(static_cast<const KcTree&>(algo_tree), *object_store_,
+                    tokenizer_, q, stats, scratch, node_scheduler);
+    case Algorithm::kIio:
     case Algorithm::kAuto:
       break;
   }
-  return Status::Internal("RunAlgorithm needs a fixed algorithm");
+  return Status::Internal("unreachable algorithm dispatch");
 }
 
 uint64_t SpatialKeywordDatabase::MutationEpoch() const {
   uint64_t epoch = 0;
-  for (const RTreeBase* tree : SlotTrees()) {
-    if (tree != nullptr) epoch += tree->version();
+  for (const RTreeBase* built : trees()) {
+    epoch += built->version();
   }
   return epoch;
 }
@@ -925,9 +836,8 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   }
 
   bool any_node_cache = false;
-  const std::array<RTreeBase*, kNumStructures> slot_trees = SlotTrees();
   for (size_t s = 0; s < kNumStructures; ++s) {
-    const RTreeBase* tree = slot_trees[s];
+    const RTreeBase* tree = slots_[s].tree.get();
     if (tree != nullptr && tree->node_cache() != nullptr) {
       if (!any_node_cache) {
         obs::ExplainSection* caches = report.AddSection("Node caches");
@@ -985,7 +895,7 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
 
 StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryGeneral(
     const GeneralQuery& q, QueryStats* stats, bool use_mir2) {
-  Ir2Tree* tree = use_mir2 ? mir2_.get() : ir2_.get();
+  Ir2Tree* tree = use_mir2 ? mir2_tree() : ir2_tree();
   if (tree == nullptr) {
     return Status::FailedPrecondition("Requested tree was not built");
   }
@@ -1145,18 +1055,21 @@ Status SpatialKeywordDatabase::Save(const std::string& directory) {
            << "\n";
   manifest << "ir2_signature " << options_.ir2_signature.bits << " "
            << options_.ir2_signature.hashes_per_word << "\n";
-  if (mir2_ != nullptr) {
-    manifest << "mir2_scheme " << mir2_->scheme().per_level.size();
-    for (const SignatureConfig& config : mir2_->scheme().per_level) {
+  if (options_.structures.Has(kMir2)) {
+    manifest << "mir2_scheme " << options_.mir2_scheme.per_level.size();
+    for (const SignatureConfig& config : options_.mir2_scheme.per_level) {
       manifest << " " << config.bits << " " << config.hashes_per_word;
     }
     manifest << "\n";
   }
   manifest << "pool_blocks " << options_.pool_blocks << "\n";
   manifest << "cold_queries " << (options_.cold_queries ? 1 : 0) << "\n";
-  manifest << "built " << (rtree_ != nullptr) << " " << (ir2_ != nullptr)
-           << " " << (mir2_ != nullptr) << " " << (iio_ != nullptr) << "\n";
-  if (kc_ != nullptr && kc_vocab_ != nullptr) {
+  manifest << "built";
+  for (Structure s : {kRTree, kIr2, kMir2, kIio}) {
+    manifest << " " << options_.structures.Has(s);
+  }
+  manifest << "\n";
+  if (kc_vocab_ != nullptr) {
     // KC keys are additive: a manifest without them (pre-KC save) opens
     // with the KC-Tree absent, and the word list is everything FromWords
     // needs to reconstruct the vocabulary bit-for-bit (hashes recomputed).
@@ -1297,7 +1210,6 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   options.pool_blocks = runtime.pool_blocks;
   options.cold_queries = runtime.cold_queries;
   options.prefetch = runtime.prefetch;
-  options.prefetch_objects = runtime.prefetch_objects;
   options.scheduler = runtime.scheduler;
   options.disk_model = runtime.disk_model;
   options.file_device = runtime.file_device;
@@ -1324,41 +1236,22 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   db->object_store_ =
       std::make_unique<ObjectStore>(object_pool, stats.object_file_bytes);
 
-  if (built.Has(kRTree)) {
-    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
-                         open_slot(kRTree, options.pool_blocks));
-    db->rtree_ = std::make_unique<RTree>(pool, options.tree_options);
-    IR2_RETURN_IF_ERROR(db->rtree_->Load());
-  }
-  if (built.Has(kIr2)) {
-    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
-                         open_slot(kIr2, options.pool_blocks));
-    db->ir2_ = std::make_unique<Ir2Tree>(pool, options.tree_options,
-                                         options.ir2_signature);
-    IR2_RETURN_IF_ERROR(db->ir2_->Load());
-  }
-  if (built.Has(kMir2)) {
-    if (mir2_scheme.per_level.empty()) {
-      return Status::Corruption("manifest missing mir2_scheme");
-    }
-    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
-                         open_slot(kMir2, options.pool_blocks));
-    db->mir2_ = std::make_unique<Mir2Tree>(pool, options.tree_options,
-                                           mir2_scheme,
-                                           db->object_store_.get(),
-                                           &db->tokenizer_);
-    IR2_RETURN_IF_ERROR(db->mir2_->Load());
+  if (built.Has(kMir2) && mir2_scheme.per_level.empty()) {
+    return Status::Corruption("manifest missing mir2_scheme");
   }
   if (built.Has(kKcTree)) {
     IR2_ASSIGN_OR_RETURN(
         KcVocabulary vocab,
         KcVocabulary::FromWords(std::move(kc_words), kc_cold));
     db->kc_vocab_ = std::make_unique<KcVocabulary>(std::move(vocab));
-    IR2_ASSIGN_OR_RETURN(BufferPool* pool,
-                         open_slot(kKcTree, options.pool_blocks));
-    db->kc_ = std::make_unique<KcTree>(pool, options.tree_options,
-                                       db->kc_vocab_.get());
-    IR2_RETURN_IF_ERROR(db->kc_->Load());
+  }
+  for (Structure s : kTreeStructures) {
+    if (!built.Has(s)) {
+      continue;
+    }
+    IR2_ASSIGN_OR_RETURN(BufferPool* pool, open_slot(s, options.pool_blocks));
+    db->slot(s).tree = db->MakeTree(s, pool);
+    IR2_RETURN_IF_ERROR(db->slot(s).tree->Load());
   }
   if (built.Has(kIio)) {
     IR2_ASSIGN_OR_RETURN(BufferPool* pool,

@@ -100,7 +100,8 @@ struct DatabaseOptions {
   SignatureConfig ir2_signature{/*bits=*/1512, /*hashes_per_word=*/3};
 
   // Per-level widths of the MIR2-Tree; leave empty to derive from the
-  // dataset statistics with DeriveMultilevelScheme.
+  // dataset statistics with DeriveMultilevelScheme (options() then reports
+  // the derived scheme).
   MultilevelScheme mir2_scheme;
 
   RTreeOptions tree_options;
@@ -137,22 +138,15 @@ struct DatabaseOptions {
   KcVocabularyOptions kc_vocabulary;
   // ---- Cold-path I/O engine (see docs/performance.md) ----
 
-  // Speculative prefetching: traversals hand likely-next node/object blocks
-  // to per-structure IoSchedulers, whose coalesced reads complete into the
+  // Speculative prefetching: tree traversals hand their frontier's node
+  // blocks, and the IIO algorithm its candidates' object blocks, to
+  // per-structure IoSchedulers, whose coalesced reads complete into the
   // pools ahead of the demand reads. Results and demand (pool-level)
   // accounting are invariant; QueryStats splits the physical I/O into
   // io (demand thread) and speculative_io (prefetch threads). When off,
   // the object/IIO pools run in bypass mode (capacity 0), which keeps
   // every physical disk count byte-identical to the pre-prefetch engine.
   bool prefetch = false;
-  // Also speculate on leaf-candidate *object* blocks during NN traversals.
-  // Off by default: a top-k search strands the candidates it never pops,
-  // and under the disk-time model stranded random reads are pure loss —
-  // object speculation only pays when candidate verification loads nearly
-  // everything enqueued (see docs/performance.md). The IIO algorithm,
-  // which verifies every intersection candidate, always prefetches its
-  // object blocks when `prefetch` is on, independent of this flag.
-  bool prefetch_objects = false;
   // Scheduler tuning; set scheduler.synchronous for deterministic benches.
   IoSchedulerOptions scheduler;
 
@@ -191,11 +185,22 @@ struct DatabaseOptions {
 //
 // Structure table: each of the six stored structures — the object file,
 // R-Tree, IR2-Tree, MIR2-Tree, KC-Tree and inverted index — owns one slot
-// holding its block device, the buffer pool over that device and the
-// prefetch scheduler over that pool, so per-structure disk traffic and sizes
-// (Table 2) can be reported. The slots are indexed by Structure; a slot is
-// empty when options().structures leaves its structure out. Devices are
-// memory-backed when Build()t, file-backed when Open()ed.
+// holding its block device, the buffer pool over that device, the prefetch
+// scheduler over that pool and, for the four trees, the tree itself, so
+// per-structure disk traffic and sizes (Table 2) can be reported. The slots
+// are indexed by Structure; a slot is empty when options().structures
+// leaves its structure out. Devices are memory-backed when Build()t,
+// file-backed when Open()ed.
+//
+// The four trees are one R-Tree (RTreeBase) with different entry payloads,
+// as the paper defines the IR2- and MIR2-Tree (§IV). MakeTree is the one
+// place that knows which subclass and options a tree slot gets; Build (its
+// insert or bulk-load loop and the locality_placement compaction) and Open
+// both create trees through it, and everything else — the planner's
+// tree-shape snapshot, MutationEpoch, trees(), the not-built checks — reads
+// the table. A new tree kind is an enum entry and name, one MakeTree case,
+// its RTreeBase::FillObjectPayload, one RunAlgorithm case and its planner
+// cost.
 //
 // Every distance-first query runs one per-query step (ExecuteQuery): plan,
 // dispatch (RunAlgorithm), account (AccountSince), feed back. Query,
@@ -206,10 +211,11 @@ struct DatabaseOptions {
 // planning is pure in-memory arithmetic.
 //
 // Teardown: the destructor first stops every scheduler (their worker
-// threads touch the pools) and then the async read backends. Member
-// destruction then runs in reverse declaration order: the trees, declared
-// after the slots, flush into live pools, and within each slot the pool
-// flushes into its live device.
+// threads touch the pools), then the async read backends, then destroys
+// the trees while their pools, the object store and the KC vocabulary they
+// point into are alive. Member destruction then runs in reverse
+// declaration order; within each slot the pool flushes into its live
+// device.
 class SpatialKeywordDatabase {
  public:
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Build(
@@ -227,10 +233,10 @@ class SpatialKeywordDatabase {
   // Opens a database previously Save()d. Indexes are file-backed; queries
   // perform real file I/O. Structural fields (signatures, tree geometry,
   // which indexes exist, stopwords) come from the manifest. Runtime
-  // options — cold_queries, prefetch / prefetch_objects, scheduler,
-  // disk_model, file_device, async_io_threads, pool_blocks — come from
-  // `runtime`, so one saved directory can serve cold and warm regimes,
-  // O_DIRECT on or off, with or without async prefetch.
+  // options — cold_queries, prefetch, scheduler, disk_model, file_device,
+  // async_io_threads, pool_blocks — come from `runtime`, so one saved
+  // directory can serve cold and warm regimes, O_DIRECT on or off, with or
+  // without async prefetch.
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Open(
       const std::string& directory,
       const DatabaseOptions& runtime = DatabaseOptions());
@@ -332,10 +338,10 @@ class SpatialKeywordDatabase {
   const DatabaseOptions& options() const { return options_; }
   const Tokenizer& tokenizer() const { return tokenizer_; }
   const ObjectStore& object_store() const { return *object_store_; }
-  RTree* rtree() { return rtree_.get(); }
-  Ir2Tree* ir2_tree() { return ir2_.get(); }
-  Mir2Tree* mir2_tree() { return mir2_.get(); }
-  KcTree* kc_tree() { return kc_.get(); }
+  RTree* rtree() { return static_cast<RTree*>(tree(kRTree)); }
+  Ir2Tree* ir2_tree() { return static_cast<Ir2Tree*>(tree(kIr2)); }
+  Mir2Tree* mir2_tree() { return static_cast<Mir2Tree*>(tree(kMir2)); }
+  KcTree* kc_tree() { return static_cast<KcTree*>(tree(kKcTree)); }
   const KcVocabulary* kc_vocabulary() const { return kc_vocab_.get(); }
   InvertedIndex* inverted_index() { return iio_.get(); }
   // Every built tree — R-Tree, IR2, MIR2, KC, in that order; structures
@@ -372,11 +378,12 @@ class SpatialKeywordDatabase {
   // nodes during construction; the object/IIO pools exist for the prefetch
   // engine and run in bypass mode (capacity 0) when prefetching is off,
   // which keeps physical disk counts byte-identical to the pool-less
-  // layering.
+  // layering. `tree` is set on the four tree slots only.
   struct StructureSlot {
     std::unique_ptr<BlockDevice> device;
     std::unique_ptr<BufferPool> pool;
     std::unique_ptr<IoScheduler> scheduler;
+    std::unique_ptr<RTreeBase> tree;
   };
 
   // Counters a query's QueryStats are diffed from (see RunQuery).
@@ -389,16 +396,19 @@ class SpatialKeywordDatabase {
 
   SpatialKeywordDatabase() = default;
 
-  // The tree stored on each slot (null for the object file, the inverted
+  // The tree stored on slot `s` (null for the object file, the inverted
   // index and trees that were not built).
-  std::array<RTreeBase*, kNumStructures> SlotTrees() const {
-    return {nullptr, rtree_.get(), ir2_.get(), mir2_.get(), kc_.get(),
-            nullptr};
-  }
+  RTreeBase* tree(Structure s) const { return slot(s).tree.get(); }
   StructureSlot& slot(Structure s) { return slots_[static_cast<size_t>(s)]; }
   const StructureSlot& slot(Structure s) const {
     return slots_[static_cast<size_t>(s)];
   }
+
+  // The empty tree of kind `s` over `pool`: the one place that knows which
+  // RTreeBase subclass and options each tree slot gets. Reads the resolved
+  // structural options (MIR2 scheme, KC vocabulary) and the object store;
+  // null for the object file and the inverted index.
+  std::unique_ptr<RTreeBase> MakeTree(Structure s, BufferPool* pool) const;
 
   // Creates the per-structure prefetch schedulers (plus, when
   // async_io_threads > 0, an AsyncIoBackend per pool) over the existing
@@ -468,20 +478,17 @@ class SpatialKeywordDatabase {
   DatasetStats stats_;
   Tokenizer tokenizer_;
 
-  // Before the trees, so the trees are destroyed (and flush) first.
+  // Every structure's storage stack and tree; the destructor destroys the
+  // trees before any other member.
   std::array<StructureSlot, kNumStructures> slots_;
   // Async read backends (one per pool when async_io_threads > 0); stopped
   // by the destructor right after the schedulers that submit to them.
   std::vector<std::unique_ptr<AsyncIoBackend>> async_backends_;
 
+  // The MIR2-Tree loads objects through the store and the KC-Tree reads
+  // the vocabulary; both outlive the trees.
   std::unique_ptr<ObjectStore> object_store_;
-  std::unique_ptr<RTree> rtree_;
-  std::unique_ptr<Ir2Tree> ir2_;
-  std::unique_ptr<Mir2Tree> mir2_;
-  // Vocabulary before the tree: the tree holds a pointer into it, so the
-  // reverse destruction order keeps the vocabulary alive longer.
   std::unique_ptr<KcVocabulary> kc_vocab_;
-  std::unique_ptr<KcTree> kc_;
   std::unique_ptr<InvertedIndex> iio_;
   std::unique_ptr<IrScorer> scorer_;
   std::unique_ptr<QueryPlanner> planner_;

@@ -51,16 +51,13 @@ HybridKeywordIndex::Builder::Finish() {
     auto tree = std::make_unique<RTree>(index->pool_.get(),
                                         options_.tree_options);
     IR2_RETURN_IF_ERROR(tree->Init());
-    std::vector<RTreeBase::BulkItem> items;
+    std::vector<RTreeBase::BulkObject> items;
     items.reserve(postings.size());
     for (const Posting& posting : postings) {
-      items.push_back(RTreeBase::BulkItem{
-          posting.ref, Rect::ForPoint(posting.location)});
+      items.push_back(RTreeBase::BulkObject{
+          posting.ref, Rect::ForPoint(posting.location), {}});
     }
-    EmptyPayloadSource empty;
-    IR2_RETURN_IF_ERROR(tree->BulkLoad(
-        std::move(items),
-        [&empty](size_t) -> const PayloadSource& { return empty; }));
+    IR2_RETURN_IF_ERROR(tree->BulkLoad(items));
     index->trees_.emplace(term, std::move(tree));
   }
   term_objects_.clear();
@@ -99,7 +96,7 @@ StatusOr<std::vector<QueryResult>> HybridKeywordIndex::TopK(
     // verifies the rest of the keywords on each candidate.
     VerifiedNNCursor<AcceptAllEntries> cursor(
         tree_it->second.get(), &objects, tokenizer, target, query.keywords,
-        /*scratch=*/nullptr, /*prefetch=*/{}, query.max_distance,
+        /*scratch=*/nullptr, /*node_scheduler=*/nullptr, query.max_distance,
         NoEntryFilter);
     return CollectTopK(cursor, query.k, stats);
   }

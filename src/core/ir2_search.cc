@@ -6,10 +6,10 @@ Ir2TopKCursor::Ir2TopKCursor(const Ir2Tree* tree, const ObjectStore* objects,
                              const Tokenizer* tokenizer, const Rect& target,
                              const std::vector<std::string>& keywords,
                              Ir2QueryScratch* scratch,
-                             NNPrefetchOptions prefetch,
+                             IoScheduler* node_scheduler,
                              std::optional<double> max_distance)
     : VerifiedNNCursor(
-          tree, objects, *tokenizer, target, keywords, scratch, prefetch,
+          tree, objects, *tokenizer, target, keywords, scratch, node_scheduler,
           max_distance, [tree](Ir2QueryScratch& s, QueryStats* stats) {
             // W <- Signature(Q.t), one per level width (identical widths
             // for the uniform IR2-Tree; per-level for the MIR2-Tree). Built
@@ -31,9 +31,10 @@ StatusOr<std::vector<QueryResult>> Ir2TopK(const Ir2Tree& tree,
                                            const DistanceFirstQuery& query,
                                            QueryStats* stats,
                                            Ir2QueryScratch* scratch,
-                                           NNPrefetchOptions prefetch) {
+                                           IoScheduler* node_scheduler) {
   Ir2TopKCursor cursor(&tree, &objects, &tokenizer, query.Target(),
-                       query.keywords, scratch, prefetch, query.max_distance);
+                       query.keywords, scratch, node_scheduler,
+                       query.max_distance);
   return CollectTopK(cursor, query.k, stats);
 }
 

@@ -69,16 +69,13 @@ struct SignatureEntryFilter {
 // search queue — followed by a false-positive check on each candidate
 // object. Operates unchanged on a Mir2Tree (the per-level query signatures
 // come from the tree's LevelConfig). `scratch` (optional) donates reusable
-// buffers; it must not back another live query. `prefetch` (optional)
-// enables speculative node/object reads; see NNPrefetchOptions — results
-// and pool-level demand accounting are invariant to it.
-StatusOr<std::vector<QueryResult>> Ir2TopK(const Ir2Tree& tree,
-                                           const ObjectStore& objects,
-                                           const Tokenizer& tokenizer,
-                                           const DistanceFirstQuery& query,
-                                           QueryStats* stats = nullptr,
-                                           Ir2QueryScratch* scratch = nullptr,
-                                           NNPrefetchOptions prefetch = {});
+// buffers; it must not back another live query. `node_scheduler`
+// (optional) prefetches the traversal's frontier; see IncrementalNNCursor —
+// results and pool-level demand accounting are invariant to it.
+StatusOr<std::vector<QueryResult>> Ir2TopK(
+    const Ir2Tree& tree, const ObjectStore& objects, const Tokenizer& tokenizer,
+    const DistanceFirstQuery& query, QueryStats* stats = nullptr,
+    Ir2QueryScratch* scratch = nullptr, IoScheduler* node_scheduler = nullptr);
 
 // Incremental cursor form of the same algorithm, for callers that consume
 // results lazily (e.g. "next matching hotel" pagination): the shared
@@ -91,17 +88,17 @@ class Ir2TopKCursor : public VerifiedNNCursor<SignatureEntryFilter> {
                 const Tokenizer* tokenizer, Point point,
                 const std::vector<std::string>& keywords,
                 Ir2QueryScratch* scratch = nullptr,
-                NNPrefetchOptions prefetch = {},
+                IoScheduler* node_scheduler = nullptr,
                 std::optional<double> max_distance = {})
       : Ir2TopKCursor(tree, objects, tokenizer, Rect::ForPoint(point),
-                      keywords, scratch, prefetch, max_distance) {}
+                      keywords, scratch, node_scheduler, max_distance) {}
 
   // Area-target variant: results ordered by MINDIST to `target`.
   Ir2TopKCursor(const Ir2Tree* tree, const ObjectStore* objects,
                 const Tokenizer* tokenizer, const Rect& target,
                 const std::vector<std::string>& keywords,
                 Ir2QueryScratch* scratch = nullptr,
-                NNPrefetchOptions prefetch = {},
+                IoScheduler* node_scheduler = nullptr,
                 std::optional<double> max_distance = {});
 };
 

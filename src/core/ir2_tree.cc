@@ -16,18 +16,12 @@ bool PayloadContainsSignature(std::span<const uint8_t> payload,
   return BytesContainSignature(payload, query);
 }
 
-void SignaturePayloadSource::FillPayload(uint32_t level,
-                                         std::span<uint8_t> out) const {
-  const SignatureConfig config = tree_->LevelConfig(level);
+void Ir2Tree::FillObjectPayload(std::span<const uint64_t> word_hashes,
+                                uint32_t level, std::span<uint8_t> out) const {
+  const SignatureConfig config = LevelConfig(level);
   IR2_CHECK_EQ(out.size(), config.bytes());
-  Signature sig = MakeSignatureFromHashes(word_hashes_, config);
+  Signature sig = MakeSignatureFromHashes(word_hashes, config);
   std::memcpy(out.data(), sig.bytes().data(), out.size());
-}
-
-Status Ir2Tree::InsertObject(ObjectRef ref, const Rect& rect,
-                             std::span<const uint64_t> word_hashes) {
-  SignaturePayloadSource source(this, word_hashes);
-  return Insert(ref, rect, source);
 }
 
 Status Ir2Tree::InsertObject(ObjectRef ref, const Rect& rect,
@@ -43,38 +37,6 @@ Status Ir2Tree::InsertObject(ObjectRef ref, const Rect& rect,
 Signature Ir2Tree::QuerySignature(std::span<const uint64_t> keyword_hashes,
                                   uint32_t level) const {
   return MakeSignatureFromHashes(keyword_hashes, LevelConfig(level));
-}
-
-Status Ir2Tree::BulkLoadObjects(std::span<const BulkObject> objects,
-                                double fill_fraction) {
-  std::vector<BulkItem> items;
-  items.reserve(objects.size());
-  for (const BulkObject& object : objects) {
-    items.push_back(BulkItem{object.ref, object.rect});
-  }
-  // One adapter, repointed at the current item by the callback: BulkLoad
-  // consumes each source before requesting the next.
-  struct IndexedSource final : public PayloadSource {
-    const Ir2Tree* tree = nullptr;
-    std::span<const BulkObject> objects;
-    mutable size_t index = 0;
-
-    void FillPayload(uint32_t level, std::span<uint8_t> out) const override {
-      SignaturePayloadSource source(
-          tree, std::span<const uint64_t>(objects[index].word_hashes));
-      source.FillPayload(level, out);
-    }
-  };
-  IndexedSource source;
-  source.tree = this;
-  source.objects = objects;
-  return BulkLoad(
-      std::move(items),
-      [&source](size_t i) -> const PayloadSource& {
-        source.index = i;
-        return source;
-      },
-      fill_fraction);
 }
 
 }  // namespace ir2

@@ -39,12 +39,16 @@ class Ir2Tree : public RTreeBase {
     return signature_;
   }
 
-  // Inserts an object whose (normalized, distinct) words have the given
-  // stable hashes (HashWord). The entry signatures at every level are
-  // derived from these hashes.
-  Status InsertObject(ObjectRef ref, const Rect& rect,
-                      std::span<const uint64_t> word_hashes);
+  // The object's signature at LevelConfig(level).
+  void FillObjectPayload(std::span<const uint64_t> word_hashes, uint32_t level,
+                         std::span<uint8_t> out) const override;
 
+  PayloadFilter PayloadFilterAt(uint32_t level) const override {
+    const SignatureConfig config = LevelConfig(level);
+    return {config.bits, config.hashes_per_word};
+  }
+
+  using RTreeBase::InsertObject;
   // Convenience: hashes `distinct_words` first.
   Status InsertObject(ObjectRef ref, const Rect& rect,
                       std::span<const std::string> distinct_words);
@@ -54,19 +58,6 @@ class Ir2Tree : public RTreeBase {
   StatusOr<bool> DeleteObject(ObjectRef ref, const Rect& rect) {
     return Delete(ref, rect);
   }
-
-  // One object handed to BulkLoadObjects.
-  struct BulkObject {
-    ObjectRef ref;
-    Rect rect;
-    std::vector<uint64_t> word_hashes;  // HashWord of each distinct word.
-  };
-
-  // STR bulk load with signature payloads (see RTreeBase::BulkLoad). On a
-  // Mir2Tree, construct with defer_inner_payload_maintenance and run
-  // RecomputeAllSignatures() afterwards.
-  Status BulkLoadObjects(std::span<const BulkObject> objects,
-                         double fill_fraction = 0.7);
 
   // Signature of a conjunctive query (OR of the keywords' signatures) at
   // the width used by nodes at `level` — the W of IR2NearestNeighbor.
@@ -84,21 +75,6 @@ class Ir2Tree : public RTreeBase {
 // into a Signature.
 bool PayloadContainsSignature(std::span<const uint8_t> payload,
                               const Signature& query);
-
-// PayloadSource adapter: supplies an object's signature at each level of an
-// (M)IR2-Tree given its word hashes.
-class SignaturePayloadSource final : public PayloadSource {
- public:
-  SignaturePayloadSource(const Ir2Tree* tree,
-                         std::span<const uint64_t> word_hashes)
-      : tree_(tree), word_hashes_(word_hashes) {}
-
-  void FillPayload(uint32_t level, std::span<uint8_t> out) const override;
-
- private:
-  const Ir2Tree* tree_;
-  std::span<const uint64_t> word_hashes_;
-};
 
 }  // namespace ir2
 

@@ -208,13 +208,14 @@ int32_t KcVocabulary::HotBit(uint64_t word_hash) const {
   return static_cast<int32_t>(it->second);
 }
 
-void KcPayloadSource::FillPayload(uint32_t /*level*/,
-                                  std::span<uint8_t> out) const {
+void KcTree::FillObjectPayload(std::span<const uint64_t> word_hashes,
+                               uint32_t /*level*/,
+                               std::span<uint8_t> out) const {
   IR2_CHECK_EQ(out.size(), vocab_->payload_bytes());
   std::fill(out.begin(), out.end(), uint8_t{0});
   std::vector<uint64_t> cold_hashes;
-  cold_hashes.reserve(word_hashes_.size());
-  for (uint64_t hash : word_hashes_) {
+  cold_hashes.reserve(word_hashes.size());
+  for (uint64_t hash : word_hashes) {
     const int32_t bit = vocab_->HotBit(hash);
     if (bit >= 0) {
       out[bit >> 3] |= static_cast<uint8_t>(1u << (bit & 7));
@@ -227,44 +228,6 @@ void KcPayloadSource::FillPayload(uint32_t /*level*/,
   Signature cold = MakeSignatureFromHashes(cold_hashes, vocab_->cold_config());
   std::memcpy(out.data() + vocab_->hot_bytes(), cold.bytes().data(),
               vocab_->cold_bytes());
-}
-
-Status KcTree::InsertObject(ObjectRef ref, const Rect& rect,
-                            std::span<const uint64_t> word_hashes) {
-  KcPayloadSource source(vocab_, word_hashes);
-  return Insert(ref, rect, source);
-}
-
-Status KcTree::BulkLoadObjects(std::span<const BulkObject> objects,
-                               double fill_fraction) {
-  std::vector<BulkItem> items;
-  items.reserve(objects.size());
-  for (const BulkObject& object : objects) {
-    items.push_back(BulkItem{object.ref, object.rect});
-  }
-  // One adapter, repointed at the current item by the callback — the same
-  // shape as Ir2Tree::BulkLoadObjects.
-  struct IndexedSource final : public PayloadSource {
-    const KcVocabulary* vocab = nullptr;
-    std::span<const BulkObject> objects;
-    mutable size_t index = 0;
-
-    void FillPayload(uint32_t level, std::span<uint8_t> out) const override {
-      KcPayloadSource source(
-          vocab, std::span<const uint64_t>(objects[index].word_hashes));
-      source.FillPayload(level, out);
-    }
-  };
-  IndexedSource source;
-  source.vocab = vocab_;
-  source.objects = objects;
-  return BulkLoad(
-      std::move(items),
-      [&source](size_t i) -> const PayloadSource& {
-        source.index = i;
-        return source;
-      },
-      fill_fraction);
 }
 
 void KcTree::QueryBitsInto(std::span<const uint64_t> keyword_hashes,
@@ -353,10 +316,10 @@ StatusOr<std::vector<QueryResult>> KcTopK(const KcTree& tree,
                                           const DistanceFirstQuery& query,
                                           QueryStats* stats,
                                           Ir2QueryScratch* scratch,
-                                          NNPrefetchOptions prefetch) {
+                                          IoScheduler* node_scheduler) {
   VerifiedNNCursor<KcEntryFilter> cursor(
       &tree, &objects, tokenizer, query.Target(), query.keywords, scratch,
-      prefetch, query.max_distance,
+      node_scheduler, query.max_distance,
       [&tree](Ir2QueryScratch& s, QueryStats* stats) {
         // The query bits live in level_signatures[0], the cold-region temp
         // in [1].

@@ -146,16 +146,16 @@ class KcTree : public RTreeBase {
     return vocab_->payload_bytes();
   }
 
-  Status InsertObject(ObjectRef ref, const Rect& rect,
-                      std::span<const uint64_t> word_hashes);
+  // [hot bitmap | cold signature], the same at every level: each hot word
+  // sets its exact bit, the cold tail superimposes into the cold region.
+  void FillObjectPayload(std::span<const uint64_t> word_hashes, uint32_t level,
+                         std::span<uint8_t> out) const override;
 
-  struct BulkObject {
-    ObjectRef ref;
-    Rect rect;
-    std::vector<uint64_t> word_hashes;
-  };
-  Status BulkLoadObjects(std::span<const BulkObject> objects,
-                         double fill_fraction = 0.7);
+  // The containment test spans the whole payload (hot bitmap + cold tail);
+  // only cold words hash, at the cold signature's rate.
+  PayloadFilter PayloadFilterAt(uint32_t /*level*/) const override {
+    return {vocab_->payload_bytes() * 8, vocab_->cold_config().hashes_per_word};
+  }
 
   // Query bits at the payload width: each hot keyword sets its exact bit,
   // the cold keywords superimpose into the cold region. The containment
@@ -169,21 +169,6 @@ class KcTree : public RTreeBase {
 
  private:
   const KcVocabulary* vocab_;
-};
-
-// PayloadSource filling [hot bitmap | cold signature] for one object. The
-// payload is level-independent (uniform width), like the IR2-Tree's.
-class KcPayloadSource final : public PayloadSource {
- public:
-  KcPayloadSource(const KcVocabulary* vocab,
-                  std::span<const uint64_t> word_hashes)
-      : vocab_(vocab), word_hashes_(word_hashes) {}
-
-  void FillPayload(uint32_t level, std::span<uint8_t> out) const override;
-
- private:
-  const KcVocabulary* vocab_;
-  std::span<const uint64_t> word_hashes_;
 };
 
 // Entry filter for the incremental NN traversal, the KC analogue of
@@ -215,13 +200,10 @@ struct KcEntryFilter {
 // algorithms. Honors query.max_distance (the bounded-cursor form): the NN
 // stream is distance-ordered, so the first neighbor past the bound ends
 // the search.
-StatusOr<std::vector<QueryResult>> KcTopK(const KcTree& tree,
-                                          const ObjectStore& objects,
-                                          const Tokenizer& tokenizer,
-                                          const DistanceFirstQuery& query,
-                                          QueryStats* stats = nullptr,
-                                          Ir2QueryScratch* scratch = nullptr,
-                                          NNPrefetchOptions prefetch = {});
+StatusOr<std::vector<QueryResult>> KcTopK(
+    const KcTree& tree, const ObjectStore& objects, const Tokenizer& tokenizer,
+    const DistanceFirstQuery& query, QueryStats* stats = nullptr,
+    Ir2QueryScratch* scratch = nullptr, IoScheduler* node_scheduler = nullptr);
 
 }  // namespace ir2
 

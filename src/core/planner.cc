@@ -43,6 +43,19 @@ const char* AlgorithmName(Algorithm algo) {
   return "unknown";
 }
 
+PlannerTreeShape* PlannerInputs::TreeShape(Algorithm algo) {
+  switch (algo) {
+    case Algorithm::kRTree: return &rtree;
+    case Algorithm::kIr2: return &ir2;
+    case Algorithm::kMir2: return &mir2;
+    case Algorithm::kKcTree: return &kc;
+    case Algorithm::kIio:
+    case Algorithm::kAuto:
+      break;
+  }
+  return nullptr;
+}
+
 bool ParseAlgorithm(std::string_view name, Algorithm* out) {
   for (Algorithm algo : {Algorithm::kRTree, Algorithm::kIio, Algorithm::kIr2,
                          Algorithm::kMir2, Algorithm::kKcTree,

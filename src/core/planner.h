@@ -105,6 +105,9 @@ struct PlannerInputs {
   PlannerTreeShape ir2;
   PlannerTreeShape mir2;
   PlannerTreeShape kc;
+  // The shape the tree algorithm `algo` is priced on; null for kIio and
+  // kAuto.
+  PlannerTreeShape* TreeShape(Algorithm algo);
   // KC-Tree vocabulary snapshot: (HashWord(word), document frequency) of
   // every hot word, sorted by hash for binary search at plan time, plus
   // the bitmap/cold-signature split of the payload. The KC cost model

@@ -9,10 +9,11 @@ StatusOr<std::vector<QueryResult>> RTreeTopK(const RTreeBase& tree,
                                              const Tokenizer& tokenizer,
                                              const DistanceFirstQuery& query,
                                              QueryStats* stats,
-                                             NNPrefetchOptions prefetch) {
+                                             IoScheduler* node_scheduler) {
   VerifiedNNCursor<AcceptAllEntries> cursor(
       &tree, &objects, tokenizer, query.Target(), query.keywords,
-      /*scratch=*/nullptr, prefetch, query.max_distance, NoEntryFilter);
+      /*scratch=*/nullptr, node_scheduler, query.max_distance,
+      NoEntryFilter);
   return CollectTopK(cursor, query.k, stats);
 }
 

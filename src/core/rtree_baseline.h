@@ -15,15 +15,13 @@ namespace ir2 {
 // The paper's first baseline (Section V-A): incremental NN over a plain
 // R-Tree; every returned neighbor's object is fetched and its text checked
 // against the query keywords until k objects pass. Potentially retrieves
-// many "useless" objects — in the worst case the whole dataset. `prefetch`
-// (optional) enables speculative node/object reads; results and pool-level
-// demand accounting are invariant to it.
-StatusOr<std::vector<QueryResult>> RTreeTopK(const RTreeBase& tree,
-                                             const ObjectStore& objects,
-                                             const Tokenizer& tokenizer,
-                                             const DistanceFirstQuery& query,
-                                             QueryStats* stats = nullptr,
-                                             NNPrefetchOptions prefetch = {});
+// many "useless" objects — in the worst case the whole dataset.
+// `node_scheduler` (optional) prefetches the traversal's frontier; results
+// and pool-level demand accounting are invariant to it.
+StatusOr<std::vector<QueryResult>> RTreeTopK(
+    const RTreeBase& tree, const ObjectStore& objects,
+    const Tokenizer& tokenizer, const DistanceFirstQuery& query,
+    QueryStats* stats = nullptr, IoScheduler* node_scheduler = nullptr);
 
 }  // namespace ir2
 

@@ -110,7 +110,7 @@ class VerifiedNNCursor {
   VerifiedNNCursor(const RTreeBase* tree, const ObjectStore* objects,
                    const Tokenizer& tokenizer, const Rect& target,
                    const std::vector<std::string>& keywords,
-                   Ir2QueryScratch* scratch, NNPrefetchOptions prefetch,
+                   Ir2QueryScratch* scratch, IoScheduler* node_scheduler,
                    std::optional<double> max_distance,
                    MakeFilter&& make_filter)
       : objects_(objects),
@@ -124,7 +124,7 @@ class VerifiedNNCursor {
       hashes.push_back(HashWord(keyword));
     }
     nn_.emplace(tree, target, make_filter(*scratch_, &stats_), &scratch_->nn,
-                prefetch);
+                node_scheduler);
   }
 
   VerifiedNNCursor(const VerifiedNNCursor&) = delete;

@@ -88,9 +88,6 @@ struct QueryLogOptions {
   // Head-sampling rate in [0, 1] applied to ok-and-fast requests; slow or
   // failed requests are always captured.
   double sample_rate = 0.01;
-  // Latency above this marks the record slow (mirrors SloOptions'
-  // latency_threshold_ms; ServerLoop keeps them in sync).
-  double slow_threshold_ms = 50.0;
 };
 
 class QueryLog {

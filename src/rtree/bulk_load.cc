@@ -36,15 +36,13 @@ void StrTile(std::vector<Entry>& entries, size_t begin, size_t end,
 
 }  // namespace
 
-Status RTreeBase::BulkLoad(
-    std::vector<BulkItem> items,
-    const std::function<const PayloadSource&(size_t)>& source_for_item,
-    double fill_fraction) {
+Status RTreeBase::BulkLoad(std::span<const BulkObject> objects,
+                           double fill_fraction) {
   IR2_CHECK(ready_);
   if (count_ != 0 || root_level_ != 0) {
     return Status::FailedPrecondition("BulkLoad requires an empty tree");
   }
-  if (items.empty()) {
+  if (objects.empty()) {
     return Status::Ok();
   }
   // Groups must stay splittable into two >= min_fill halves so the bulk
@@ -54,18 +52,18 @@ Status RTreeBase::BulkLoad(
       static_cast<size_t>(std::lround(capacity_ * fill_fraction)),
       std::max<size_t>(2 * min_fill_, 1), capacity_);
 
-  // Leaf entries in item order, then STR-tiled.
+  // Leaf entries in object order, then STR-tiled.
   std::vector<Entry> entries;
-  entries.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].rect.dims() != options_.dims) {
+  entries.reserve(objects.size());
+  for (const BulkObject& object : objects) {
+    if (object.rect.dims() != options_.dims) {
       return Status::InvalidArgument("Bulk item dimensionality mismatch");
     }
     Entry entry;
-    entry.rect = items[i].rect;
-    entry.ref = items[i].ref;
+    entry.rect = object.rect;
+    entry.ref = object.ref;
     entry.payload.assign(PayloadBytes(0), 0);
-    source_for_item(i).FillPayload(0, entry.payload);
+    FillObjectPayload(object.word_hashes, 0, entry.payload);
     entries.push_back(std::move(entry));
   }
 
@@ -167,7 +165,7 @@ Status RTreeBase::BulkLoad(
 
   root_id_ = root.id;
   root_level_ = root_level;
-  count_ = items.size();
+  count_ = objects.size();
   return WriteSuperblock();
 }
 

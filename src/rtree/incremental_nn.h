@@ -63,33 +63,6 @@ class NNScratch {
   std::vector<NNQueueItem> heap_;
 };
 
-// Speculative I/O hooks of the traversal (all optional; the default — no
-// schedulers — is byte-for-byte the non-prefetching traversal).
-//
-//   node_scheduler    after each inner-node expansion, the block runs of
-//                     every accepted (filter-passing) child are batch
-//                     prefetched — the traversal's frontier. Under DFS
-//                     (children-contiguous) block placement the whole
-//                     sibling set coalesces into one sequential run, so the
-//                     speculation costs one seek where best-first demand
-//                     reads would pay one seek *per child* as the heap
-//                     interleaves subtrees.
-//   object_scheduler  on each leaf expansion, the object-file blocks of
-//                     every enqueued candidate are batch prefetched. Only
-//                     worth enabling when most candidates are actually
-//                     loaded: a top-k search that stops early strands the
-//                     speculation, and under a disk-time model that prices
-//                     speculative I/O (DiskModel) stranded random reads are
-//                     pure loss (see docs/performance.md).
-//
-// Prefetching is result-invariant: it only moves bytes into the pools
-// early. Demand (pool-level) accounting is likewise untouched; only the
-// physical split between QueryStats.io and .speculative_io changes.
-struct NNPrefetchOptions {
-  IoScheduler* node_scheduler = nullptr;
-  IoScheduler* object_scheduler = nullptr;
-};
-
 // Filter that accepts everything: the plain NN traversal. A filter is any
 // callable bool(const Node& node, const Entry& entry) returning false to
 // prune the entry from the search (the paper's "if S matches W" test).
@@ -132,28 +105,34 @@ class IncrementalNNCursor {
  public:
   // `tree` must outlive the cursor and not be modified while it is in use.
   // `scratch` (optional) donates heap storage; it must outlive the cursor.
-  // `prefetch` (optional schedulers) enables speculative reads; see
-  // NNPrefetchOptions.
+  //
+  // `node_scheduler` (optional) speculates on the traversal's frontier:
+  // after each inner-node expansion, the block runs of every accepted
+  // (filter-passing) child are batch prefetched. Under DFS
+  // (children-contiguous) block placement the whole sibling set coalesces
+  // into one sequential run, so the speculation costs one seek where
+  // best-first demand reads would pay one seek *per child* as the heap
+  // interleaves subtrees. Prefetching is result-invariant: it only moves
+  // bytes into the pools early, and demand (pool-level) accounting is
+  // untouched; only the physical split between QueryStats.io and
+  // .speculative_io changes. Null is byte-for-byte the non-prefetching
+  // traversal.
   IncrementalNNCursor(const RTreeBase* tree, const Point& query,
                        Filter filter = Filter{}, NNScratch* scratch = nullptr,
-                       NNPrefetchOptions prefetch = {})
+                       IoScheduler* node_scheduler = nullptr)
       : IncrementalNNCursor(tree, Rect::ForPoint(query), std::move(filter),
-                             scratch, prefetch) {}
+                             scratch, node_scheduler) {}
 
   // Area-target variant ("a point p, which is the query point (an area
   // could be used instead)"): distances are MINDIST to `query_area`.
   IncrementalNNCursor(const RTreeBase* tree, const Rect& query_area,
                        Filter filter = Filter{}, NNScratch* scratch = nullptr,
-                       NNPrefetchOptions prefetch = {})
+                       IoScheduler* node_scheduler = nullptr)
       : tree_(tree),
         target_(query_area),
         filter_(std::move(filter)),
         heap_(scratch != nullptr ? &scratch->AcquireHeap() : &own_heap_),
-        prefetch_(prefetch),
-        object_block_size_(
-            prefetch.object_scheduler != nullptr
-                ? prefetch.object_scheduler->pool()->block_size()
-                : kDefaultBlockSize) {
+        node_scheduler_(node_scheduler) {
     IR2_CHECK(tree != nullptr);
     IR2_CHECK_EQ(target_.dims(), tree->dims());
     // "Priority queue U initially contains root node of R with distance 0."
@@ -183,11 +162,8 @@ class IncrementalNNCursor {
       obs::DefaultMetrics().nn_nodes_expanded->Add();
       internal::NNFilterPrepareNode(filter_, *node);
       const bool is_leaf = node->is_leaf();
-      const bool prefetch_objects =
-          is_leaf && prefetch_.object_scheduler != nullptr;
-      const bool prefetch_children =
-          !is_leaf && prefetch_.node_scheduler != nullptr;
-      if (prefetch_objects || prefetch_children) {
+      const bool prefetch_children = !is_leaf && node_scheduler_ != nullptr;
+      if (prefetch_children) {
         prefetch_ids_.clear();
       }
       const uint32_t child_blocks =
@@ -201,11 +177,6 @@ class IncrementalNNCursor {
         Push(NNQueueItem{distance, is_leaf, seq_++, entry.ref, entry.rect});
         if (is_leaf) {
           ++objects_enqueued_;
-          if (prefetch_objects) {
-            // The block the candidate's record starts in; its tail blocks
-            // (if any) are sequential after it anyway.
-            prefetch_ids_.push_back(entry.ref / object_block_size_);
-          }
         } else if (prefetch_children) {
           // Children are visited in entry order here, which is exactly
           // their allocation order under DFS placement — the batch below
@@ -215,10 +186,8 @@ class IncrementalNNCursor {
           }
         }
       }
-      if ((prefetch_objects || prefetch_children) && !prefetch_ids_.empty()) {
-        (prefetch_children ? prefetch_.node_scheduler
-                           : prefetch_.object_scheduler)
-            ->PrefetchBatch(prefetch_ids_);
+      if (prefetch_children && !prefetch_ids_.empty()) {
+        node_scheduler_->PrefetchBatch(prefetch_ids_);
       }
     }
     return std::optional<Neighbor>();
@@ -246,9 +215,8 @@ class IncrementalNNCursor {
   Filter filter_;
   std::vector<NNQueueItem> own_heap_;
   std::vector<NNQueueItem>* heap_;  // Scratch-donated, or &own_heap_.
-  NNPrefetchOptions prefetch_;
-  size_t object_block_size_;
-  // Scratch for the prefetch paths; only ever grows when prefetching is
+  IoScheduler* node_scheduler_;
+  // Scratch for the frontier prefetch; only ever grows when prefetching is
   // enabled, so the prefetch-off traversal stays allocation-free.
   std::vector<BlockId> prefetch_ids_;
   uint64_t seq_ = 0;

@@ -14,12 +14,13 @@ class RTree final : public RTreeBase {
       : RTreeBase(pool, options) {}
 
   uint32_t PayloadBytes(uint32_t /*level*/) const override { return 0; }
+  // No payload, so nothing to fill.
+  void FillObjectPayload(std::span<const uint64_t>, uint32_t,
+                         std::span<uint8_t>) const override {}
 
-  using RTreeBase::Insert;
-
-  // Convenience overload: plain R-Tree entries carry no payload.
+  // Convenience: plain R-Tree entries carry no payload, so no words.
   Status Insert(ObjectRef ref, const Rect& rect) {
-    return RTreeBase::Insert(ref, rect, EmptyPayloadSource());
+    return InsertObject(ref, rect, {});
   }
 };
 

@@ -616,7 +616,8 @@ StatusOr<Node> RTreeBase::SplitNode(Node* node) {
 Status RTreeBase::RefreshParentEntry(Node* parent, int index,
                                      const Node& child,
                                      bool child_membership_changed,
-                                     const PayloadSource* source,
+                                     const std::span<const uint64_t>*
+                                         inserted_words,
                                      bool* changed) {
   IR2_CHECK_GE(index, 0);
   IR2_CHECK_LT(static_cast<size_t>(index), parent->entries.size());
@@ -632,7 +633,7 @@ Status RTreeBase::RefreshParentEntry(Node* parent, int index,
   if (payload_bytes == 0 || options_.defer_inner_payload_maintenance) {
     return Status::Ok();
   }
-  if (child_membership_changed || source == nullptr) {
+  if (child_membership_changed || inserted_words == nullptr) {
     std::vector<uint8_t> payload;
     IR2_RETURN_IF_ERROR(ComputeNodePayloadForParent(child, &payload));
     if (payload != entry.payload) {
@@ -644,7 +645,7 @@ Status RTreeBase::RefreshParentEntry(Node* parent, int index,
     // signature at this level (AdjustTree's "if a new bit is set to 1 in a
     // node N then it must also be set to 1 for N's ancestors").
     std::vector<uint8_t> contribution(payload_bytes, 0);
-    source->FillPayload(parent->level, contribution);
+    FillObjectPayload(*inserted_words, parent->level, contribution);
     IR2_CHECK_EQ(entry.payload.size(), contribution.size());
     for (size_t i = 0; i < contribution.size(); ++i) {
       uint8_t merged = entry.payload[i] | contribution[i];
@@ -678,8 +679,9 @@ Status RTreeBase::GrowRoot(const Node& left, const Node& right) {
   return Status::Ok();
 }
 
-Status RTreeBase::InsertEntry(Entry entry, uint32_t target_level,
-                              const PayloadSource* source) {
+Status RTreeBase::InsertEntry(
+    Entry entry, uint32_t target_level,
+    const std::span<const uint64_t>* inserted_words) {
   IR2_ASSIGN_OR_RETURN(std::vector<PathStep> path,
                        ChoosePath(entry.rect, target_level));
   Node current = std::move(path.back().node);
@@ -723,8 +725,8 @@ Status RTreeBase::InsertEntry(Entry entry, uint32_t target_level,
 
     bool parent_dirty = false;
     IR2_RETURN_IF_ERROR(RefreshParentEntry(&parent, child_index, current,
-                                           membership_changed, source,
-                                           &parent_dirty));
+                                           membership_changed,
+                                           inserted_words, &parent_dirty));
     std::optional<Node> parent_split;
     bool parent_membership_changed = false;
     if (split) {
@@ -767,7 +769,8 @@ Status RTreeBase::InsertEntry(Entry entry, uint32_t target_level,
     ++reinsert_depth_;
     for (Entry& evicted : reinsert_queue) {
       Status status =
-          InsertEntry(std::move(evicted), target_level, /*source=*/nullptr);
+          InsertEntry(std::move(evicted), target_level,
+                      /*inserted_words=*/nullptr);
       if (!status.ok()) {
         --reinsert_depth_;
         return status;
@@ -778,8 +781,8 @@ Status RTreeBase::InsertEntry(Entry entry, uint32_t target_level,
   return Status::Ok();
 }
 
-Status RTreeBase::Insert(ObjectRef ref, const Rect& rect,
-                         const PayloadSource& source) {
+Status RTreeBase::InsertObject(ObjectRef ref, const Rect& rect,
+                               std::span<const uint64_t> word_hashes) {
   IR2_CHECK(ready_);
   if (rect.dims() != options_.dims) {
     return Status::InvalidArgument("Rect dimensionality mismatch");
@@ -790,8 +793,8 @@ Status RTreeBase::Insert(ObjectRef ref, const Rect& rect,
   entry.rect = rect;
   entry.ref = ref;
   entry.payload.assign(PayloadBytes(0), 0);
-  source.FillPayload(0, entry.payload);
-  IR2_RETURN_IF_ERROR(InsertEntry(std::move(entry), 0, &source));
+  FillObjectPayload(word_hashes, 0, entry.payload);
+  IR2_RETURN_IF_ERROR(InsertEntry(std::move(entry), 0, &word_hashes));
   ++count_;
   return Status::Ok();
 }
@@ -826,7 +829,7 @@ StatusOr<bool> RTreeBase::Delete(ObjectRef ref, const Rect& rect) {
       bool parent_dirty = false;
       IR2_RETURN_IF_ERROR(RefreshParentEntry(&parent, child_index, current,
                                              /*child_membership_changed=*/true,
-                                             /*source=*/nullptr,
+                                             /*inserted_words=*/nullptr,
                                              &parent_dirty));
     }
     current = std::move(parent);
@@ -838,7 +841,8 @@ StatusOr<bool> RTreeBase::Delete(ObjectRef ref, const Rect& rect) {
   for (Node& orphan : eliminated) {
     for (Entry& entry : orphan.entries) {
       IR2_RETURN_IF_ERROR(
-          InsertEntry(std::move(entry), orphan.level, /*source=*/nullptr));
+          InsertEntry(std::move(entry), orphan.level,
+                      /*inserted_words=*/nullptr));
     }
   }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -18,23 +17,12 @@
 
 namespace ir2 {
 
-// Supplies the per-level payload (signature) of an object being inserted.
-// For uniform-signature trees the payload is the same at every level; the
-// Multilevel IR2-Tree hashes the object's words at a different width per
-// level.
-class PayloadSource {
- public:
-  virtual ~PayloadSource() = default;
-
-  // Fills `out` (whose size is the tree's PayloadBytes(level)) with the
-  // object's payload for entries stored in a node at `level`.
-  virtual void FillPayload(uint32_t level, std::span<uint8_t> out) const = 0;
-};
-
-// Payload source of a plain R-Tree object (no payload at any level).
-class EmptyPayloadSource final : public PayloadSource {
- public:
-  void FillPayload(uint32_t, std::span<uint8_t>) const override {}
+// How entry payloads at one level filter a query, as a cost model sees
+// them: a containment test over `bits` payload bits into which every query
+// word sets `hashes_per_word` bits. {0, 0} is no filter (fp = 1).
+struct PayloadFilter {
+  uint32_t bits = 0;
+  uint32_t hashes_per_word = 0;
 };
 
 // Node split algorithm. The paper uses Guttman's quadratic split; the
@@ -90,11 +78,13 @@ struct RTreeOptions {
 // payload (signature) that AdjustTree/CondenseTree keep consistent with the
 // entries below it.
 //
-// Subclasses define the payload semantics:
+// Subclasses define the payload semantics (PayloadBytes, FillObjectPayload
+// and, for non-OR parents, ComputeNodePayloadForParent):
 //   * RTree      — zero-byte payloads (the classic structure),
 //   * Ir2Tree    — uniform-length signatures, parent = OR of children,
 //   * Mir2Tree   — per-level signature lengths, parents recomputed from the
-//                  objects of the subtree.
+//                  objects of the subtree,
+//   * KcTree     — exact hot-word bitmap + cold-tail signature, parent = OR.
 //
 // The tree persists through a BufferPool onto a BlockDevice; node reads and
 // writes therefore show up in the device's IoStats with the multi-block
@@ -124,27 +114,27 @@ class RTreeBase {
   // mode): the caller supplies the metadata a superblock would hold.
   void Attach(BlockId root_id, uint32_t root_level, uint64_t count);
 
-  // Inserts an object. `source` provides its signature at each level (pass
-  // EmptyPayloadSource for plain R-Trees).
-  Status Insert(ObjectRef ref, const Rect& rect, const PayloadSource& source);
+  // Inserts an object whose (normalized, distinct) words hash to
+  // `word_hashes` (HashWord; none for a plain R-Tree); its payload at every
+  // level is FillObjectPayload's.
+  Status InsertObject(ObjectRef ref, const Rect& rect,
+                      std::span<const uint64_t> word_hashes);
 
   // One object handed to BulkLoad.
-  struct BulkItem {
+  struct BulkObject {
     ObjectRef ref;
     Rect rect;
+    std::span<const uint64_t> word_hashes;  // HashWord of each distinct word.
   };
 
-  // Sort-Tile-Recursive bulk load [Leutenegger et al.]: packs the items
+  // Sort-Tile-Recursive bulk load [Leutenegger et al.]: packs the objects
   // into leaves at `fill_fraction` of capacity and builds the upper levels
-  // bottom-up — far faster than repeated Insert and with better-clustered
-  // nodes. The tree must be freshly Init()-ed and empty.
-  // `source_for_item(i)` returns the payload source of items[i] (may return
-  // the same object each call); inner payloads use the subclass semantics
-  // (skipped when defer_inner_payload_maintenance is set — run the fix-up
-  // pass afterwards, as with incremental MIR2 bulk builds).
-  Status BulkLoad(std::vector<BulkItem> items,
-                  const std::function<const PayloadSource&(size_t)>&
-                      source_for_item,
+  // bottom-up — far faster than repeated InsertObject and with
+  // better-clustered nodes. The tree must be freshly Init()-ed and empty.
+  // Leaf payloads are FillObjectPayload's; inner payloads use the subclass
+  // semantics (skipped when defer_inner_payload_maintenance is set — run
+  // the fix-up pass afterwards, as with incremental MIR2 bulk builds).
+  Status BulkLoad(std::span<const BulkObject> objects,
                   double fill_fraction = 0.7);
 
   // Deletes the object previously inserted as (ref, rect). Returns true if
@@ -178,9 +168,29 @@ class RTreeBase {
   uint32_t min_fill() const { return min_fill_; }
   uint32_t dims() const { return options_.dims; }
   const RTreeOptions& options() const { return options_; }
+  // Switches defer_inner_payload_maintenance for the mutations that follow
+  // (a deferred bulk build turns it on, then off after its fix-up pass).
+  void set_defer_inner_payload_maintenance(bool defer) {
+    options_.defer_inner_payload_maintenance = defer;
+  }
 
   // Payload length (bytes) of entries residing in a node at `level`.
   virtual uint32_t PayloadBytes(uint32_t level) const = 0;
+
+  // The one rule a tree kind adds to Guttman's R-Tree: fills `out`
+  // (PayloadBytes(level) bytes, zeroed) with the payload of an object whose
+  // distinct words hash to `word_hashes`, for its entry in a node at
+  // `level`. InsertObject and BulkLoad take every leaf payload, and
+  // AdjustTree's OR-in of an inserted object, from here.
+  virtual void FillObjectPayload(std::span<const uint64_t> word_hashes,
+                                 uint32_t level,
+                                 std::span<uint8_t> out) const = 0;
+
+  // How payloads at `level` filter a query (the planner's tree-shape
+  // snapshot prices traversals with it). No filter unless overridden.
+  virtual PayloadFilter PayloadFilterAt(uint32_t /*level*/) const {
+    return {};
+  }
 
   // Number of contiguous disk blocks reserved for a node at `level` (full
   // capacity).
@@ -276,12 +286,13 @@ class RTreeBase {
 
   // Inserts `entry` into the node at `target_level` (entries at that level
   // describe subtrees of height target_level - 1, or objects when 0) and
-  // runs AdjustTree. `source` non-null enables the cheap OR-in payload
-  // update on non-split ancestors; when null, ancestors are recomputed.
-  // Overflow is handled by forced reinsertion (once per level per
-  // top-level insertion, when enabled) or by splitting.
+  // runs AdjustTree. `inserted_words` (the word hashes of the object being
+  // inserted) non-null enables the cheap OR-in payload update on non-split
+  // ancestors; when null, ancestors are recomputed. Overflow is handled by
+  // forced reinsertion (once per level per top-level insertion, when
+  // enabled) or by splitting.
   Status InsertEntry(Entry entry, uint32_t target_level,
-                     const PayloadSource* source);
+                     const std::span<const uint64_t>* inserted_words);
 
   // Removes the forced_reinsert_fraction of `node`'s entries farthest from
   // its center into `removed`.
@@ -302,14 +313,15 @@ class RTreeBase {
                       std::vector<Entry>* group_b) const;
 
   // Recomputes the parent entry (rect + payload) for `child` inside
-  // `parent` at entry `index`. `source` (optional) + `child_membership_
-  // changed` decide between OR-in and full recomputation. Sets `*changed`
-  // iff the entry actually differs afterwards — callers skip StoreNode for
-  // untouched parents, which matters for wide-signature nodes spanning many
-  // blocks.
+  // `parent` at entry `index`. `inserted_words` (optional) +
+  // `child_membership_changed` decide between OR-in and full
+  // recomputation. Sets `*changed` iff the entry actually differs
+  // afterwards — callers skip StoreNode for untouched parents, which
+  // matters for wide-signature nodes spanning many blocks.
   Status RefreshParentEntry(Node* parent, int index, const Node& child,
                             bool child_membership_changed,
-                            const PayloadSource* source, bool* changed);
+                            const std::span<const uint64_t>* inserted_words,
+                            bool* changed);
 
   // Grows the tree: new root above `left` and `right`.
   Status GrowRoot(const Node& left, const Node& right);

@@ -98,11 +98,9 @@ ServerLoop::Admission ServerLoop::Submit(const std::string& tenant,
     admission.retry_after_ms = EstimateQueueDrainMs();
     ++stats_.rejected_queue_full;
     metrics.server_rejected_queue_total->Add();
-    if (options_.telemetry) {
-      TenantCells& cells = CellsFor(tenant);
-      ++cells.row.rejected_queue_full;
-      cells.rejected_queue_full->Add();
-    }
+    TenantCells& cells = CellsFor(tenant);
+    ++cells.row.rejected_queue_full;
+    cells.rejected_queue_full->Add();
     return admission;
   }
   if (options_.quota.tokens_per_second > 0.0) {
@@ -124,11 +122,9 @@ ServerLoop::Admission ServerLoop::Submit(const std::string& tenant,
                                  options_.quota.tokens_per_second * 1000.0;
       ++stats_.rejected_quota;
       metrics.server_rejected_quota_total->Add();
-      if (options_.telemetry) {
-        TenantCells& cells = CellsFor(tenant);
-        ++cells.row.rejected_quota;
-        cells.rejected_quota->Add();
-      }
+      TenantCells& cells = CellsFor(tenant);
+      ++cells.row.rejected_quota;
+      cells.rejected_quota->Add();
       return admission;
     }
     bucket.tokens -= 1.0;
@@ -137,11 +133,9 @@ ServerLoop::Admission ServerLoop::Submit(const std::string& tenant,
   admission.ticket = next_ticket_++;
   ++stats_.admitted;
   metrics.server_admitted_total->Add();
-  if (options_.telemetry) {
-    TenantCells& cells = CellsFor(tenant);
-    ++cells.row.admitted;
-    cells.admitted->Add();
-  }
+  TenantCells& cells = CellsFor(tenant);
+  ++cells.row.admitted;
+  cells.admitted->Add();
   queue_.push_back(Request{tenant, admission.ticket, std::move(query),
                            std::move(done), Clock::now()});
   metrics.server_queue_depth->Set(static_cast<int64_t>(queue_.size()));
@@ -170,62 +164,58 @@ void ServerLoop::WorkerMain() {
     QueryStats stats;
     StatusOr<std::vector<QueryResult>> results(Status::Internal("unset"));
     obs::PlanAudit audit;
-    if (options_.telemetry) {
+    {
       // The audit sink lives for exactly this query: every shard leg's
       // QueryAuto reports its chosen plan and predicted/observed cost here.
       obs::ScopedPlanAudit scoped;
       results = db_->Query(request.query, options_.algorithm, &stats);
       audit = scoped.audit();
-    } else {
-      results = db_->Query(request.query, options_.algorithm, &stats);
     }
     const double service_ms = watch.ElapsedSeconds() * 1000.0;
 
-    if (options_.telemetry) {
-      const double latency_ms = queue_ms + service_ms;
-      const bool ok = results.ok();
-      latency_window_.Record(latency_ms);
-      slo_.Record(ok, latency_ms);
-      const bool slow = latency_ms > query_log_.options().slow_threshold_ms;
-      if (!ok || slow || query_log_.ShouldSample(request.ticket)) {
-        obs::QueryLogRecord record;
-        record.ts_ms = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::system_clock::now().time_since_epoch())
-                .count());
-        record.ticket = request.ticket;
-        record.tenant = request.tenant;
-        record.k = request.query.k;
-        record.num_keywords =
-            static_cast<uint32_t>(request.query.keywords.size());
-        record.area = request.query.area.has_value();
-        record.algo = audit.algo;
-        record.predicted_ms = audit.predicted_ms;
-        record.observed_ms = audit.observed_ms;
-        record.plans = audit.plans;
-        record.ok = ok;
-        if (!ok) record.error = results.status().ToString();
-        record.slow = slow;
-        record.latency_ms = latency_ms;
-        record.queue_ms = queue_ms;
-        record.results =
-            ok ? static_cast<uint32_t>(results.value().size()) : 0;
-        record.stats.objects_loaded = stats.objects_loaded;
-        record.stats.false_positives = stats.false_positives;
-        record.stats.nodes_visited = stats.nodes_visited;
-        record.stats.node_decodes = stats.node_decodes;
-        record.stats.entries_pruned = stats.entries_pruned;
-        record.stats.demand_random_reads = stats.demand_io.random_reads;
-        record.stats.demand_sequential_reads = stats.demand_io.sequential_reads;
-        record.stats.speculative_random_reads =
-            stats.speculative_io.random_reads;
-        record.stats.speculative_sequential_reads =
-            stats.speculative_io.sequential_reads;
-        record.stats.simulated_disk_ms = stats.simulated_disk_ms;
-        record.stats.shards_queried = stats.shards_queried;
-        record.stats.shards_pruned = stats.shards_pruned;
-        query_log_.Record(std::move(record));
-      }
+    const double latency_ms = queue_ms + service_ms;
+    const bool ok = results.ok();
+    latency_window_.Record(latency_ms);
+    slo_.Record(ok, latency_ms);
+    const bool slow = latency_ms > options_.slo.latency_threshold_ms;
+    if (!ok || slow || query_log_.ShouldSample(request.ticket)) {
+      obs::QueryLogRecord record;
+      record.ts_ms = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::system_clock::now().time_since_epoch())
+              .count());
+      record.ticket = request.ticket;
+      record.tenant = request.tenant;
+      record.k = request.query.k;
+      record.num_keywords =
+          static_cast<uint32_t>(request.query.keywords.size());
+      record.area = request.query.area.has_value();
+      record.algo = audit.algo;
+      record.predicted_ms = audit.predicted_ms;
+      record.observed_ms = audit.observed_ms;
+      record.plans = audit.plans;
+      record.ok = ok;
+      if (!ok) record.error = results.status().ToString();
+      record.slow = slow;
+      record.latency_ms = latency_ms;
+      record.queue_ms = queue_ms;
+      record.results =
+          ok ? static_cast<uint32_t>(results.value().size()) : 0;
+      record.stats.objects_loaded = stats.objects_loaded;
+      record.stats.false_positives = stats.false_positives;
+      record.stats.nodes_visited = stats.nodes_visited;
+      record.stats.node_decodes = stats.node_decodes;
+      record.stats.entries_pruned = stats.entries_pruned;
+      record.stats.demand_random_reads = stats.demand_io.random_reads;
+      record.stats.demand_sequential_reads = stats.demand_io.sequential_reads;
+      record.stats.speculative_random_reads =
+          stats.speculative_io.random_reads;
+      record.stats.speculative_sequential_reads =
+          stats.speculative_io.sequential_reads;
+      record.stats.simulated_disk_ms = stats.simulated_disk_ms;
+      record.stats.shards_queried = stats.shards_queried;
+      record.stats.shards_pruned = stats.shards_pruned;
+      query_log_.Record(std::move(record));
     }
 
     if (request.done) request.done(std::move(results), stats);
@@ -235,28 +225,26 @@ void ServerLoop::WorkerMain() {
       ++stats_.completed;
       --in_flight_;
       service_ewma_ms_ = 0.8 * service_ewma_ms_ + 0.2 * service_ms;
-      if (options_.telemetry) {
-        TenantCells& cells = CellsFor(request.tenant);
-        ++cells.row.completed;
-        cells.completed->Add();
-        // Result-cache outcome of this query (the bare families are fed by
-        // the cache itself; these are the per-tenant labelled series).
-        cells.row.cache_hits += stats.result_cache_hits;
-        cells.row.cache_near_hits += stats.result_cache_near_hits;
-        cells.row.cache_misses += stats.result_cache_misses;
-        cells.row.cache_invalidations += stats.result_cache_invalidations;
-        if (stats.result_cache_hits > 0) {
-          cells.cache_hits->Add(stats.result_cache_hits);
-        }
-        if (stats.result_cache_near_hits > 0) {
-          cells.cache_near_hits->Add(stats.result_cache_near_hits);
-        }
-        if (stats.result_cache_misses > 0) {
-          cells.cache_misses->Add(stats.result_cache_misses);
-        }
-        if (stats.result_cache_invalidations > 0) {
-          cells.cache_invalidations->Add(stats.result_cache_invalidations);
-        }
+      TenantCells& cells = CellsFor(request.tenant);
+      ++cells.row.completed;
+      cells.completed->Add();
+      // Result-cache outcome of this query (the bare families are fed by
+      // the cache itself; these are the per-tenant labelled series).
+      cells.row.cache_hits += stats.result_cache_hits;
+      cells.row.cache_near_hits += stats.result_cache_near_hits;
+      cells.row.cache_misses += stats.result_cache_misses;
+      cells.row.cache_invalidations += stats.result_cache_invalidations;
+      if (stats.result_cache_hits > 0) {
+        cells.cache_hits->Add(stats.result_cache_hits);
+      }
+      if (stats.result_cache_near_hits > 0) {
+        cells.cache_near_hits->Add(stats.result_cache_near_hits);
+      }
+      if (stats.result_cache_misses > 0) {
+        cells.cache_misses->Add(stats.result_cache_misses);
+      }
+      if (stats.result_cache_invalidations > 0) {
+        cells.cache_invalidations->Add(stats.result_cache_invalidations);
       }
       if (queue_.empty() && in_flight_ == 0) drain_cv_.notify_all();
     }

@@ -49,11 +49,10 @@ struct ServerLoopOptions {
   size_t queue_capacity = 64;
   Algorithm algorithm = Algorithm::kAuto;
   TokenBucketOptions quota;
-  // Live-telemetry master switch: the windowed latency quantiles, SLO
-  // tracker, sampled query log, per-tenant labelled registry counters, and
-  // the planner audit. Off leaves only the pre-existing aggregate
-  // ServingMetrics — the ≤2%-overhead path benches pin.
-  bool telemetry = true;
+  // Live telemetry: the windowed latency quantiles, SLO tracker, sampled
+  // query log, per-tenant labelled registry counters and the planner audit
+  // are always recorded. The SLO's latency_threshold_ms is also the query
+  // log's "slow" line: one threshold for both surfaces.
   obs::SloOptions slo;
   obs::QueryLogOptions query_log;
   // Sliding window behind /statusz latency quantiles (default: last 60s in
@@ -131,8 +130,7 @@ class ServerLoop {
   const ServerLoopOptions& options() const { return options_; }
   size_t queue_depth() const;
 
-  // Per-tenant RED rows, sorted by tenant name. Empty unless telemetry is
-  // on.
+  // Per-tenant RED rows, sorted by tenant name.
   std::vector<TenantRow> TenantTable() const;
   // Last-60s (configurable) latency quantiles over end-to-end request
   // latency (queue wait + service).
@@ -193,8 +191,7 @@ class ServerLoop {
   // EWMA of per-request service time, for queue-full retry-after hints.
   double service_ewma_ms_ = 1.0;
 
-  // Live telemetry (records gated on options_.telemetry; always
-  // constructed so the accessors are safe either way).
+  // Live telemetry.
   obs::WindowedHistogram latency_window_;
   obs::SloTracker slo_;
   obs::QueryLog query_log_;

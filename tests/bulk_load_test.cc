@@ -18,24 +18,23 @@ using testing_util::BruteForceDistanceFirst;
 using testing_util::RandomObjects;
 using testing_util::ResultIds;
 
-std::vector<RTreeBase::BulkItem> RandomItems(uint64_t seed, uint32_t n) {
+std::vector<RTreeBase::BulkObject> RandomItems(uint64_t seed, uint32_t n) {
   Rng rng(seed);
-  std::vector<RTreeBase::BulkItem> items;
+  std::vector<RTreeBase::BulkObject> items;
   items.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    items.push_back(RTreeBase::BulkItem{
+    items.push_back(RTreeBase::BulkObject{
         i, Rect::ForPoint(
-               Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)))});
+               Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000))),
+        {}});
   }
   return items;
 }
 
-Status BulkLoadPlain(RTree* tree, std::vector<RTreeBase::BulkItem> items,
+Status BulkLoadPlain(RTree* tree,
+                     const std::vector<RTreeBase::BulkObject>& items,
                      double fill = 0.8) {
-  EmptyPayloadSource empty;
-  return tree->BulkLoad(
-      std::move(items),
-      [&empty](size_t) -> const PayloadSource& { return empty; }, fill);
+  return tree->BulkLoad(items, fill);
 }
 
 TEST(BulkLoadTest, EmptyIsNoop) {
@@ -74,7 +73,7 @@ TEST_P(BulkLoadSweep, InvariantsAndNNOrder) {
   RTree tree(&pool, options);
   ASSERT_TRUE(tree.Init().ok());
 
-  std::vector<RTreeBase::BulkItem> items = RandomItems(100 + capacity, n);
+  std::vector<RTreeBase::BulkObject> items = RandomItems(100 + capacity, n);
   std::vector<Point> points;
   for (const auto& item : items) points.push_back(item.rect.lo());
   ASSERT_TRUE(BulkLoadPlain(&tree, items, fill).ok());
@@ -145,7 +144,7 @@ TEST(BulkLoadTest, MixedBulkThenIncrementalUpdates) {
   options.capacity_override = 6;
   RTree tree(&pool, options);
   ASSERT_TRUE(tree.Init().ok());
-  std::vector<RTreeBase::BulkItem> items = RandomItems(6, 300);
+  std::vector<RTreeBase::BulkObject> items = RandomItems(6, 300);
   ASSERT_TRUE(BulkLoadPlain(&tree, items).ok());
 
   // Incremental inserts on top of the packed tree.
@@ -196,7 +195,7 @@ TEST(BulkLoadTest, DatabaseBulkMatchesIncrementalResults) {
 }
 
 TEST(BulkLoadTest, PackedTreeIsDenserThanIncremental) {
-  std::vector<RTreeBase::BulkItem> items = RandomItems(10, 3000);
+  std::vector<RTreeBase::BulkObject> items = RandomItems(10, 3000);
 
   MemoryBlockDevice bulk_device, incr_device;
   BufferPool bulk_pool(&bulk_device, 1 << 14);
@@ -228,13 +227,13 @@ TEST(BulkLoadTest, ThreeDimensionalBulkLoad) {
   ASSERT_TRUE(tree.Init().ok());
 
   Rng rng(11);
-  std::vector<RTreeBase::BulkItem> items;
+  std::vector<RTreeBase::BulkObject> items;
   for (uint32_t i = 0; i < 500; ++i) {
     std::vector<double> coords = {rng.NextDouble(0, 100),
                                   rng.NextDouble(0, 100),
                                   rng.NextDouble(0, 100)};
-    items.push_back(RTreeBase::BulkItem{
-        i, Rect::ForPoint(Point(std::span<const double>(coords)))});
+    items.push_back(RTreeBase::BulkObject{
+        i, Rect::ForPoint(Point(std::span<const double>(coords))), {}});
   }
   ASSERT_TRUE(BulkLoadPlain(&tree, items).ok());
   EXPECT_EQ(tree.size(), 500u);

@@ -266,7 +266,6 @@ TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
   DatabaseOptions runtime;
   runtime.cold_queries = false;
   runtime.prefetch = true;
-  runtime.prefetch_objects = true;
   runtime.scheduler.synchronous = true;
   runtime.file_device.direct_io = true;
   runtime.async_io_threads = 2;

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "core/database.h"
 #include "tests/test_util.h"
@@ -212,6 +217,89 @@ TEST_F(PersistenceTest, SaveRejectsStopwordTheManifestCannotHold) {
         << status.message();
     EXPECT_FALSE(std::filesystem::exists(directory_));
   }
+}
+
+// 64-bit FNV-1a digest of a whole file.
+uint64_t FileDigest(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return Fnv1a64(bytes);
+}
+
+// Byte-for-byte pin of what Save writes. One fixed-seed database is built
+// four ways — incremental inserts, the STR bulk loader, incremental inserts
+// rewritten by locality_placement, and the serving set {iio, kctree} — and
+// every structure file plus the manifest must hash to its golden digest.
+// Node layout, payload encoding, block placement and manifest text all
+// feed the digests, so a refactor of the build, compaction or save paths
+// that changes any stored byte fails here. On an intended format change,
+// the failure output prints the new table to paste in.
+TEST_F(PersistenceTest, SavedFilesMatchGoldenDigests) {
+  const std::vector<StoredObject> objects = RandomObjects(71, 400, 40, 5);
+  DatabaseOptions base;
+  base.tree_options.capacity_override = 8;
+  base.ir2_signature = SignatureConfig{128, 3};
+  DatabaseOptions bulk = base;
+  bulk.bulk_load = true;
+  DatabaseOptions placed = base;
+  placed.locality_placement = true;
+  DatabaseOptions serving = base;
+  serving.structures = {Structure::kIio, Structure::kKcTree};
+  const std::pair<const char*, DatabaseOptions> ways[] = {
+      {"insert", base},
+      {"bulk_load", bulk},
+      {"locality_placement", placed},
+      {"serving_set", serving}};
+
+  using Digests = std::map<std::string, uint64_t>;  // "way/file" -> digest.
+  const Digests golden = {
+      {"bulk_load/iio.dat", 0xba0aba7116907c1dULL},
+      {"bulk_load/ir2.dat", 0x658ae324a9a12b23ULL},
+      {"bulk_load/kctree.dat", 0xe22b8351e39d8bc1ULL},
+      {"bulk_load/manifest.txt", 0x32889e82e36b6422ULL},
+      {"bulk_load/mir2.dat", 0x55737b8a6368dce9ULL},
+      {"bulk_load/objects.dat", 0x02d7654c591c052dULL},
+      {"bulk_load/rtree.dat", 0xd6741f946c4f4e98ULL},
+      {"insert/iio.dat", 0xba0aba7116907c1dULL},
+      {"insert/ir2.dat", 0xaf943961449c8e9eULL},
+      {"insert/kctree.dat", 0x25d79d8a09b67403ULL},
+      {"insert/manifest.txt", 0x32889e82e36b6422ULL},
+      {"insert/mir2.dat", 0xc03160f23a611ea6ULL},
+      {"insert/objects.dat", 0x02d7654c591c052dULL},
+      {"insert/rtree.dat", 0xe55093152ffbb99fULL},
+      {"locality_placement/iio.dat", 0xba0aba7116907c1dULL},
+      {"locality_placement/ir2.dat", 0x22e9c38b718b0af2ULL},
+      {"locality_placement/kctree.dat", 0x27a3700dbc2a042bULL},
+      {"locality_placement/manifest.txt", 0x32889e82e36b6422ULL},
+      {"locality_placement/mir2.dat", 0xe93b91ea9b30ddcaULL},
+      {"locality_placement/objects.dat", 0x02d7654c591c052dULL},
+      {"locality_placement/rtree.dat", 0xd00e6950f712e5e7ULL},
+      {"serving_set/iio.dat", 0xba0aba7116907c1dULL},
+      {"serving_set/kctree.dat", 0x25d79d8a09b67403ULL},
+      {"serving_set/manifest.txt", 0x698f9b72031b3221ULL},
+      {"serving_set/objects.dat", 0x02d7654c591c052dULL},
+  };
+
+  Digests actual;
+  for (const auto& [way, options] : ways) {
+    const std::string directory = directory_ + "/" + way;
+    auto db = SpatialKeywordDatabase::Build(objects, options).value();
+    ASSERT_TRUE(db->Save(directory).ok()) << way;
+    for (const auto& file :
+         std::filesystem::directory_iterator(directory)) {
+      actual[std::string(way) + "/" + file.path().filename().string()] =
+          FileDigest(file.path());
+    }
+  }
+  std::string table;
+  for (const auto& [name, digest] : actual) {
+    char line[128];
+    std::snprintf(line, sizeof(line), "      {\"%s\", 0x%016llxULL},\n",
+                  name.c_str(), static_cast<unsigned long long>(digest));
+    table += line;
+  }
+  EXPECT_EQ(actual, golden) << "current digests:\n" << table;
 }
 
 TEST_F(PersistenceTest, OpenMissingDirectoryFails) {

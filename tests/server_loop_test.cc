@@ -320,7 +320,7 @@ TEST_F(ServerLoopTest, SlowRequestsAreCapturedDespiteZeroSampleRate) {
   ServerLoopOptions options;
   options.num_workers = 1;
   options.query_log.sample_rate = 0.0;
-  options.query_log.slow_threshold_ms = 0.0;  // Everything is "slow".
+  options.slo.latency_threshold_ms = 0.0;  // Everything is "slow".
   ServerLoop loop(db_.get(), options);
   ASSERT_EQ(loop.Submit("acme", queries_[0],
                         [](StatusOr<std::vector<QueryResult>>,
@@ -334,11 +334,14 @@ TEST_F(ServerLoopTest, SlowRequestsAreCapturedDespiteZeroSampleRate) {
   EXPECT_TRUE(records[0].slow);
 }
 
-TEST_F(ServerLoopTest, TelemetryOffRecordsNothingButStatsStillCount) {
+// The SLO's latency threshold is the query log's one "slow" line: a request
+// the SLO counts as bad for latency is the request /querylogz captures as
+// slow, with no second threshold to drift out of step.
+TEST_F(ServerLoopTest, SloThresholdAloneFlagsEveryRequestSlow) {
   ServerLoopOptions options;
   options.num_workers = 2;
-  options.telemetry = false;
-  options.query_log.sample_rate = 1.0;  // Would capture everything if on.
+  options.slo.latency_threshold_ms = 0.0;
+  options.query_log.sample_rate = 0.0;
   ServerLoop loop(db_.get(), options);
   for (const DistanceFirstQuery& q : queries_) {
     ASSERT_EQ(loop.Submit("acme", q,
@@ -349,10 +352,14 @@ TEST_F(ServerLoopTest, TelemetryOffRecordsNothingButStatsStillCount) {
   }
   loop.Drain();
   EXPECT_EQ(loop.stats().completed, queries_.size());
-  EXPECT_TRUE(loop.TenantTable().empty());
-  EXPECT_EQ(loop.query_log()->recorded(), 0u);
-  EXPECT_EQ(loop.LatencyWindow().count, 0u);
-  EXPECT_EQ(loop.SloReport().total_5m, 0u);
+  const std::vector<obs::QueryLogRecord> records =
+      loop.query_log()->Snapshot();
+  ASSERT_EQ(records.size(), queries_.size());
+  for (const obs::QueryLogRecord& record : records) {
+    EXPECT_TRUE(record.ok);
+    EXPECT_TRUE(record.slow);
+  }
+  EXPECT_EQ(loop.SloReport().bad_5m, queries_.size());
 }
 
 // TSan target: concurrent submitters against a small queue with quotas on,
