@@ -118,12 +118,14 @@ BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(73855);
 void BM_PostingListDecode(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   MemoryBlockDevice device;
-  InvertedIndexBuilder builder(&device);
-  std::vector<std::string> word = {"term"};
+  std::vector<StoredObject> objects(n);
+  std::vector<ObjectRef> refs(n);
   for (uint32_t i = 0; i < n; ++i) {
-    builder.AddObject(i * 37, word, 1);
+    objects[i].text = "term";
+    refs[i] = i * 37;
   }
-  IR2_CHECK_OK(builder.Finish());
+  InvertedIndexBuilder builder(&device);
+  IR2_CHECK_OK(builder.Build(CorpusTerms::Build(Tokenizer(), objects), refs));
   auto index = InvertedIndex::Open(&device).value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(index->RetrieveList("term").value());

@@ -38,14 +38,14 @@ int main() {
   ir2::HybridKeywordIndex::Builder builder(&tree_device, &postings_device,
                                            hybrid_options);
   ir2::Tokenizer tokenizer;
-  for (size_t i = 0; i < objects.size(); ++i) {
-    std::vector<std::string> words =
-        tokenizer.DistinctTokens(objects[i].text);
-    ir2::TermCounts counts = ir2::CountTerms(tokenizer, objects[i].text);
-    builder.AddObject(refs[i], ir2::Point(objects[i].coords), words,
-                      counts.total_tokens);
+  std::vector<ir2::Point> locations;
+  for (const ir2::StoredObject& object : objects) {
+    locations.push_back(ir2::Point(object.coords));
   }
-  auto hybrid = builder.Finish().value();
+  auto hybrid =
+      builder
+          .Finish(ir2::CorpusTerms::Build(tokenizer, objects), refs, locations)
+          .value();
   std::fprintf(stderr, "[hybrid] %llu per-term trees built\n",
                static_cast<unsigned long long>(hybrid->num_term_trees()));
 

@@ -303,7 +303,9 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   # cover the one tree loop: MIR2's deferred-payload build, the bulk
   # loader's per-object payload fill and the locality_placement
   # compaction, each of which swaps trees, pools and devices in and out of
-  # the structure table.
+  # the structure table. The corpus suites drive the build's one tokenize
+  # pass (CorpusTerms), whose term lookup keys on views into its word
+  # store, and the builders that read its CSR and inverse CSR.
   cmake --build build-asan -j "$jobs" --target \
     node_cache_test cold_regime_regression_test ir2_tree_test rtree_test \
     algorithms_test simd_test file_device_async_test sharded_database_test \
@@ -311,14 +313,15 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
     database_test persistence_test batch_executor_test planner_test \
     result_cache_test io_scheduler_test cursor_test kc_tree_test \
     hybrid_index_test general_cursor_test concurrency_test \
-    mir2_tree_test bulk_load_test prefetch_invariance_test
+    mir2_tree_test bulk_load_test prefetch_invariance_test \
+    corpus_terms_test build_equivalence_test inverted_index_test
   # Both SIMD ways here too: the dispatched kernels read signature and
   # posting buffers in wide chunks, exactly where an out-of-bounds read
   # would hide from the scalar tier. FindToken's lane loads reach up to
   # keyword length - 1 + 32 bytes past a lane start; simd_test searches
   # exactly sized heap copies so a read past the text is reported.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test|tokenizer_test|corruption_test|storage_test|database_test|persistence_test|batch_executor_test|planner_test|result_cache_test|io_scheduler_test|cursor_test|kc_tree_test|hybrid_index_test|general_cursor_test|concurrency_test|mir2_tree_test|bulk_load_test|prefetch_invariance_test)$'
+    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test|tokenizer_test|corruption_test|storage_test|database_test|persistence_test|batch_executor_test|planner_test|result_cache_test|io_scheduler_test|cursor_test|kc_tree_test|hybrid_index_test|general_cursor_test|concurrency_test|mir2_tree_test|bulk_load_test|prefetch_invariance_test|corpus_terms_test|build_equivalence_test|inverted_index_test)$'
   IR2_DISABLE_SIMD=1 ctest --test-dir build-asan --output-on-failure \
     -R '^(cold_regime_regression_test|simd_test|tokenizer_test)$'
 fi

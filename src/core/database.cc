@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "rtree/node_cache.h"
 #include "rtree/tree_stats.h"
+#include "text/corpus_terms.h"
 
 namespace ir2 {
 
@@ -117,28 +118,13 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   db->object_store_ = std::make_unique<ObjectStore>(object_slot.pool.get(),
                                                     writer.bytes_written());
 
-  // 2. Tokenize once; gather corpus statistics.
-  std::vector<std::vector<std::string>> distinct_words(objects.size());
-  std::vector<std::vector<uint64_t>> word_hashes(objects.size());
-  std::vector<uint32_t> doc_lengths(objects.size());
-  std::unordered_set<std::string> vocabulary;
+  // 2. Tokenize once into term ids; gather corpus statistics.
+  const CorpusTerms corpus = CorpusTerms::Build(db->tokenizer_, objects);
   DatasetStats& stats = db->stats_;
-  for (size_t i = 0; i < objects.size(); ++i) {
-    std::vector<std::string> tokens = db->tokenizer_.Tokenize(objects[i].text);
-    doc_lengths[i] = static_cast<uint32_t>(tokens.size());
-    stats.total_tokens += tokens.size();
-    std::sort(tokens.begin(), tokens.end());
-    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    stats.total_distinct_words += tokens.size();
-    word_hashes[i].reserve(tokens.size());
-    for (const std::string& word : tokens) {
-      word_hashes[i].push_back(HashWord(word));
-      vocabulary.insert(word);
-    }
-    distinct_words[i] = std::move(tokens);
-  }
   stats.num_objects = objects.size();
-  stats.vocabulary_size = vocabulary.size();
+  stats.total_tokens = corpus.total_tokens();
+  stats.total_distinct_words = corpus.num_pairs();
+  stats.vocabulary_size = corpus.num_terms();
   stats.object_file_bytes = writer.bytes_written();
   stats.object_file_blocks = object_slot.device->NumBlocks();
 
@@ -163,7 +149,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   // signature for everything else.
   if (options.structures.Has(kKcTree)) {
     db->kc_vocab_ = std::make_unique<KcVocabulary>(KcVocabulary::Build(
-        distinct_words, options.kc_vocabulary, options.ir2_signature));
+        corpus, options.kc_vocabulary, options.ir2_signature));
   }
 
   // 4. The trees, one loop: each on a fresh memory device behind a pool of
@@ -171,14 +157,28 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   const auto point_rect = [&objects](size_t i) {
     return Rect::ForPoint(Point(objects[i].coords));
   };
+  std::vector<uint64_t> bulk_hashes;
   std::vector<RTreeBase::BulkObject> bulk_objects;
   if (options.bulk_load) {
+    bulk_hashes = corpus.AllDocHashes();
     bulk_objects.reserve(objects.size());
     for (size_t i = 0; i < objects.size(); ++i) {
-      bulk_objects.push_back(
-          RTreeBase::BulkObject{refs[i], point_rect(i), word_hashes[i]});
+      bulk_objects.push_back(RTreeBase::BulkObject{
+          refs[i], point_rect(i), corpus.DocSlice(bulk_hashes, i)});
     }
   }
+  // The MIR2 fix-up pass reads each object's hashes from the corpus (refs
+  // ascend with the object index), so it loads no object.
+  const Mir2Tree::HashSource corpus_hashes =
+      [&](ObjectRef ref, std::vector<uint64_t>* hashes) {
+        const auto it = std::lower_bound(refs.begin(), refs.end(), ref);
+        if (it == refs.end() || *it != ref) {
+          return Status::Internal("MIR2 fix-up: unknown object ref");
+        }
+        corpus.DocHashes(static_cast<size_t>(it - refs.begin()), hashes);
+        return Status::Ok();
+      };
+  std::vector<uint64_t> hashes;
   for (Structure s : kTreeStructures) {
     if (!options.structures.Has(s)) {
       continue;
@@ -190,8 +190,8 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     std::unique_ptr<RTreeBase> tree = db->MakeTree(s, slot.pool.get());
     IR2_RETURN_IF_ERROR(tree->Init());
     // A MIR2 parent signature superimposes every object below it (§IV), so
-    // the load defers the inner signatures and one pass then rebuilds them,
-    // loading each object once.
+    // the load defers the inner signatures and one pass then rebuilds them
+    // from the corpus's hashes.
     auto* mir2 = s == kMir2 ? static_cast<Mir2Tree*>(tree.get()) : nullptr;
     if (mir2 != nullptr) {
       mir2->set_defer_inner_payload_maintenance(true);
@@ -201,12 +201,12 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
           tree->BulkLoad(bulk_objects, options.bulk_fill_fraction));
     } else {
       for (size_t i = 0; i < objects.size(); ++i) {
-        IR2_RETURN_IF_ERROR(
-            tree->InsertObject(refs[i], point_rect(i), word_hashes[i]));
+        corpus.DocHashes(i, &hashes);
+        IR2_RETURN_IF_ERROR(tree->InsertObject(refs[i], point_rect(i), hashes));
       }
     }
     if (mir2 != nullptr) {
-      IR2_RETURN_IF_ERROR(mir2->RecomputeAllSignatures());
+      IR2_RETURN_IF_ERROR(mir2->RecomputeAllSignatures(corpus_hashes));
       mir2->set_defer_inner_payload_maintenance(false);
     }
     IR2_RETURN_IF_ERROR(tree->Flush());
@@ -232,10 +232,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     StructureSlot& slot = db->slot(kIio);
     slot.device = std::make_unique<MemoryBlockDevice>();
     InvertedIndexBuilder builder(slot.device.get(), options.iio_options);
-    for (size_t i = 0; i < objects.size(); ++i) {
-      builder.AddObject(refs[i], distinct_words[i], doc_lengths[i]);
-    }
-    IR2_RETURN_IF_ERROR(builder.Finish());
+    IR2_RETURN_IF_ERROR(builder.Build(corpus, refs));
     slot.pool =
         std::make_unique<BufferPool>(slot.device.get(), stream_pool_blocks);
     IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(slot.pool.get()));

@@ -20,19 +20,12 @@ HybridKeywordIndex::Builder::Builder(BlockDevice* tree_device,
   options_.tree_options.manage_superblock = false;
 }
 
-void HybridKeywordIndex::Builder::AddObject(
-    ObjectRef ref, const Point& location,
-    const std::vector<std::string>& distinct_words, uint32_t total_tokens) {
-  IR2_CHECK(!finished_);
-  for (const std::string& word : distinct_words) {
-    term_objects_[word].push_back(Posting{ref, location});
-  }
-  inverted_builder_.AddObject(ref, distinct_words, total_tokens);
-}
-
 StatusOr<std::unique_ptr<HybridKeywordIndex>>
-HybridKeywordIndex::Builder::Finish() {
+HybridKeywordIndex::Builder::Finish(const CorpusTerms& corpus,
+                                    std::span<const ObjectRef> refs,
+                                    std::span<const Point> locations) {
   IR2_CHECK(!finished_);
+  IR2_CHECK_EQ(locations.size(), corpus.num_docs());
   finished_ = true;
   std::unique_ptr<HybridKeywordIndex> index(new HybridKeywordIndex());
   index->tree_device_ = tree_device_;
@@ -40,27 +33,27 @@ HybridKeywordIndex::Builder::Finish() {
   index->pool_ = std::make_unique<BufferPool>(tree_device_,
                                               options_.pool_blocks);
 
-  IR2_RETURN_IF_ERROR(inverted_builder_.Finish());
+  IR2_RETURN_IF_ERROR(inverted_builder_.Build(corpus, refs));
   IR2_ASSIGN_OR_RETURN(index->inverted_, InvertedIndex::Open(postings_device_));
 
   // One STR-packed R-Tree per frequent term, all on the shared device.
-  for (auto& [term, postings] : term_objects_) {
-    if (postings.size() < options_.tree_threshold) {
+  const CorpusTerms::Postings postings = corpus.Invert();
+  std::vector<RTreeBase::BulkObject> items;
+  for (uint32_t term = 0; term < corpus.num_terms(); ++term) {
+    if (corpus.terms()[term].df < options_.tree_threshold) {
       continue;
     }
     auto tree = std::make_unique<RTree>(index->pool_.get(),
                                         options_.tree_options);
     IR2_RETURN_IF_ERROR(tree->Init());
-    std::vector<RTreeBase::BulkObject> items;
-    items.reserve(postings.size());
-    for (const Posting& posting : postings) {
+    items.clear();
+    for (uint32_t doc : postings.Docs(term)) {
       items.push_back(RTreeBase::BulkObject{
-          posting.ref, Rect::ForPoint(posting.location), {}});
+          refs[doc], Rect::ForPoint(locations[doc]), {}});
     }
     IR2_RETURN_IF_ERROR(tree->BulkLoad(items));
-    index->trees_.emplace(term, std::move(tree));
+    index->trees_.emplace(corpus.terms()[term].word, std::move(tree));
   }
-  term_objects_.clear();
   IR2_RETURN_IF_ERROR(index->pool_->FlushAll());
   return index;
 }

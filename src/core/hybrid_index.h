@@ -2,6 +2,7 @@
 #define IR2TREE_CORE_HYBRID_INDEX_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 #include "storage/object_store.h"
+#include "text/corpus_terms.h"
 #include "text/inverted_index.h"
 #include "text/tokenizer.h"
 
@@ -41,7 +43,7 @@ class HybridKeywordIndex {
     size_t pool_blocks = 1 << 14;
   };
 
-  // Accumulates the corpus, then materializes the index.
+  // Materializes the index of a tokenized corpus.
   class Builder {
    public:
     // `tree_device` hosts every per-term tree; `postings_device` the
@@ -49,21 +51,17 @@ class HybridKeywordIndex {
     Builder(BlockDevice* tree_device, BlockDevice* postings_device,
             Options options);
 
-    void AddObject(ObjectRef ref, const Point& location,
-                   const std::vector<std::string>& distinct_words,
-                   uint32_t total_tokens);
-
-    StatusOr<std::unique_ptr<HybridKeywordIndex>> Finish();
+    // Document i of `corpus` is the object stored under refs[i] (strictly
+    // ascending) at locations[i]. Per-term trees are built in term-id
+    // (lexicographic) order on the shared tree device.
+    StatusOr<std::unique_ptr<HybridKeywordIndex>> Finish(
+        const CorpusTerms& corpus, std::span<const ObjectRef> refs,
+        std::span<const Point> locations);
 
    private:
     BlockDevice* tree_device_;
     BlockDevice* postings_device_;
     Options options_;
-    struct Posting {
-      ObjectRef ref;
-      Point location;
-    };
-    std::unordered_map<std::string, std::vector<Posting>> term_objects_;
     InvertedIndexBuilder inverted_builder_;
     bool finished_ = false;
   };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <string_view>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -22,7 +20,7 @@ uint32_t DfTier(uint64_t df) {
 
 }  // namespace
 
-KcVocabulary KcVocabulary::Build(std::span<const std::vector<std::string>> docs,
+KcVocabulary KcVocabulary::Build(const CorpusTerms& corpus,
                                  const KcVocabularyOptions& options,
                                  const SignatureConfig& fallback_cold) {
   KcVocabulary vocab;
@@ -32,26 +30,21 @@ KcVocabulary KcVocabulary::Build(std::span<const std::vector<std::string>> docs,
     vocab.cold_.hashes_per_word = fallback_cold.hashes_per_word;
   }
 
-  // Document frequencies over per-document *distinct* words.
-  std::unordered_map<std::string_view, uint64_t> df;
-  for (const std::vector<std::string>& doc : docs) {
-    for (const std::string& word : doc) ++df[word];
-  }
-
   // The hot set: the top max_hot_words by (df desc, word asc) at or above
-  // min_hot_df. `index` below means position in this frequency order.
+  // min_hot_df; term ids are lexicographic ranks, so "word asc" is "id
+  // asc". `index` below means position in this frequency order.
   struct Hot {
-    std::string_view word;
+    uint32_t term;
     uint64_t df;
   };
   std::vector<Hot> hot;
-  hot.reserve(df.size());
   const uint64_t min_df = std::max<uint64_t>(1, options.min_hot_df);
-  for (const auto& [word, count] : df) {
-    if (count >= min_df) hot.push_back(Hot{word, count});
+  for (uint32_t term = 0; term < corpus.num_terms(); ++term) {
+    const uint64_t df = corpus.terms()[term].df;
+    if (df >= min_df) hot.push_back(Hot{term, df});
   }
   std::sort(hot.begin(), hot.end(), [](const Hot& a, const Hot& b) {
-    return a.df != b.df ? a.df > b.df : a.word < b.word;
+    return a.df != b.df ? a.df > b.df : a.term < b.term;
   });
   if (hot.size() > options.max_hot_words) hot.resize(options.max_hot_words);
   if (hot.empty() || options.max_hot_words == 0) {
@@ -60,20 +53,21 @@ KcVocabulary KcVocabulary::Build(std::span<const std::vector<std::string>> docs,
     return vocab;  // Degenerate KC: cold signature only (an IR2 clone).
   }
 
-  // Pairwise co-occurrence among hot words (second pass). With at most 64
-  // hot words this is a dense H*H counter array, filled per document from
-  // the sorted list of hot indices present.
+  // Pairwise co-occurrence among hot words (a pass over the documents' term
+  // ids). With at most 64 hot words this is a dense H*H counter array,
+  // filled per document from the sorted list of hot indices present.
   const size_t n = hot.size();
-  std::unordered_map<std::string_view, uint32_t> hot_index;
-  hot_index.reserve(n);
-  for (size_t i = 0; i < n; ++i) hot_index.emplace(hot[i].word, i);
+  constexpr uint32_t kNotHot = UINT32_MAX;
+  std::vector<uint32_t> hot_index(corpus.num_terms(), kNotHot);
+  for (size_t i = 0; i < n; ++i) {
+    hot_index[hot[i].term] = static_cast<uint32_t>(i);
+  }
   std::vector<uint64_t> cooc(n * n, 0);
   std::vector<uint32_t> present;
-  for (const std::vector<std::string>& doc : docs) {
+  for (size_t doc = 0; doc < corpus.num_docs(); ++doc) {
     present.clear();
-    for (const std::string& word : doc) {
-      auto it = hot_index.find(word);
-      if (it != hot_index.end()) present.push_back(it->second);
+    for (uint32_t term : corpus.DocTerms(doc)) {
+      if (hot_index[term] != kNotHot) present.push_back(hot_index[term]);
     }
     std::sort(present.begin(), present.end());
     for (size_t a = 0; a < present.size(); ++a) {
@@ -148,8 +142,8 @@ KcVocabulary KcVocabulary::Build(std::span<const std::vector<std::string>> docs,
     Cluster cluster;
     cluster.first_bit = static_cast<uint32_t>(vocab.words_.size());
     for (uint32_t index : members[c]) {
-      vocab.words_.push_back(Word{std::string(hot[index].word),
-                                  HashWord(hot[index].word), hot[index].df, c});
+      const CorpusTerms::Term& term = corpus.terms()[hot[index].term];
+      vocab.words_.push_back(Word{term.word, term.hash, hot[index].df, c});
       cluster.max_df = std::max(cluster.max_df, hot[index].df);
     }
     cluster.num_bits =

@@ -41,6 +41,7 @@
 #include "rtree/incremental_nn.h"
 #include "rtree/rtree_base.h"
 #include "storage/object_store.h"
+#include "text/corpus_terms.h"
 #include "text/signature.h"
 #include "text/tokenizer.h"
 
@@ -89,13 +90,13 @@ class KcVocabulary {
 
   KcVocabulary() = default;
 
-  // Builds the clustering from per-document distinct-word lists (the
-  // tokenize pass the database build already performs): document
-  // frequencies select and tier the hot set, a second pass counts pairwise
+  // Builds the clustering from the tokenized corpus (the one tokenize pass
+  // of the database build): the terms' document frequencies select and
+  // tier the hot set, a pass over the documents' term ids counts pairwise
   // co-occurrence among hot words, and clusters merge greedily while the
   // strongest cross-pair affinity clears the threshold. Deterministic:
   // every ordering ties on (df desc, word asc).
-  static KcVocabulary Build(std::span<const std::vector<std::string>> docs,
+  static KcVocabulary Build(const CorpusTerms& corpus,
                             const KcVocabularyOptions& options,
                             const SignatureConfig& fallback_cold);
 

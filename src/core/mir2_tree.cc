@@ -84,15 +84,15 @@ Status Mir2Tree::ComputeNodePayloadForParent(const Node& node,
   return Status::Ok();
 }
 
-Status Mir2Tree::FixupSubtree(BlockId node_id,
+Status Mir2Tree::FixupSubtree(BlockId node_id, const HashSource& source,
                               std::vector<AncestorSlot>* ancestors) {
   IR2_ASSIGN_OR_RETURN(Node node, LoadNode(node_id));
   if (node.is_leaf()) {
     // Leaf entry signatures (level 0) are maintained by InsertObject even
     // in deferred mode; only ancestors need the objects' bits.
+    std::vector<uint64_t> hashes;
     for (const Entry& entry : node.entries) {
-      IR2_ASSIGN_OR_RETURN(std::vector<uint64_t> hashes,
-                           LoadObjectWordHashes(entry.ref));
+      IR2_RETURN_IF_ERROR(source(entry.ref, &hashes));
       for (uint64_t hash : hashes) {
         for (AncestorSlot& slot : *ancestors) {
           AddWordHash(hash, slot.config, slot.accumulator);
@@ -106,7 +106,7 @@ Status Mir2Tree::FixupSubtree(BlockId node_id,
     const SignatureConfig config = LevelConfig(node.level);
     Signature accumulator(config.bits);
     ancestors->push_back(AncestorSlot{&accumulator, config});
-    IR2_RETURN_IF_ERROR(FixupSubtree(entry.ref, ancestors));
+    IR2_RETURN_IF_ERROR(FixupSubtree(entry.ref, source, ancestors));
     ancestors->pop_back();
     std::vector<uint8_t> bytes(accumulator.bytes().begin(),
                                accumulator.bytes().end());
@@ -121,12 +121,20 @@ Status Mir2Tree::FixupSubtree(BlockId node_id,
   return Status::Ok();
 }
 
-Status Mir2Tree::RecomputeAllSignatures() {
+Status Mir2Tree::RecomputeAllSignatures(const HashSource& source) {
   if (height() == 0) {
     return Status::Ok();  // Root-only tree: leaf signatures are maintained.
   }
   std::vector<AncestorSlot> ancestors;
-  return FixupSubtree(root_id(), &ancestors);
+  return FixupSubtree(root_id(), source, &ancestors);
+}
+
+Status Mir2Tree::RecomputeAllSignatures() {
+  return RecomputeAllSignatures(
+      [this](ObjectRef ref, std::vector<uint64_t>* hashes) {
+        IR2_ASSIGN_OR_RETURN(*hashes, LoadObjectWordHashes(ref));
+        return Status::Ok();
+      });
 }
 
 }  // namespace ir2

@@ -2,6 +2,7 @@
 #define IR2TREE_CORE_MIR2_TREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -48,9 +49,14 @@ MultilevelScheme DeriveMultilevelScheme(uint32_t leaf_bits,
 //
 // For bulk loading, construct with RTreeOptions::
 // defer_inner_payload_maintenance = true, insert everything, then call
-// RecomputeAllSignatures() — one pass that loads each object once.
+// RecomputeAllSignatures() — one pass that reads each object's words once.
 class Mir2Tree final : public Ir2Tree {
  public:
+  // Writes the word hashes (HashWord of each distinct word) of the object
+  // stored under `ref` into `*hashes`, replacing its contents.
+  using HashSource =
+      std::function<Status(ObjectRef ref, std::vector<uint64_t>* hashes)>;
+
   // `objects` and `tokenizer` are used to re-derive object words during
   // signature recomputation; both must outlive the tree.
   Mir2Tree(BufferPool* pool, RTreeOptions options, MultilevelScheme scheme,
@@ -64,9 +70,15 @@ class Mir2Tree final : public Ir2Tree {
     return scheme_.ForLevel(level);
   }
 
-  // Rebuilds every inner-node signature bottom-up in one pass (each object
-  // is loaded exactly once). Required after a deferred-maintenance bulk
-  // load; also usable to re-tighten signatures after many updates.
+  // Rebuilds every inner-node signature bottom-up in one pass, asking
+  // `source` once per object. Required after a deferred-maintenance bulk
+  // load; also usable to re-tighten signatures after many updates. The
+  // database build passes hashes from its tokenized corpus and loads no
+  // object.
+  Status RecomputeAllSignatures(const HashSource& source);
+  // The same pass over the object-loading source: each object is loaded
+  // from the store and tokenized once (counted in
+  // maintenance_object_loads).
   Status RecomputeAllSignatures();
 
   // Objects loaded from the store for signature maintenance (the metric the
@@ -90,7 +102,7 @@ class Mir2Tree final : public Ir2Tree {
     Signature* accumulator;
     SignatureConfig config;
   };
-  Status FixupSubtree(BlockId node_id,
+  Status FixupSubtree(BlockId node_id, const HashSource& source,
                       std::vector<AncestorSlot>* ancestors);
 
   MultilevelScheme scheme_;

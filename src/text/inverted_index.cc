@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -110,55 +111,35 @@ InvertedIndexBuilder::InvertedIndexBuilder(BlockDevice* device,
   IR2_CHECK_EQ(device->NumBlocks(), 0u);
 }
 
-void InvertedIndexBuilder::AddObject(
-    ObjectRef ref, const std::vector<std::string>& distinct_words,
-    uint32_t total_tokens) {
-  IR2_CHECK(!finished_);
-  for (const std::string& word : distinct_words) {
-    postings_[word].push_back(ref);
-  }
-  ++num_objects_;
-  total_tokens_ += total_tokens;
-}
-
-Status InvertedIndexBuilder::Finish() {
-  if (finished_) {
-    return Status::Ok();
-  }
-  finished_ = true;
+Status InvertedIndexBuilder::Build(const CorpusTerms& corpus,
+                                   std::span<const ObjectRef> refs) {
+  IR2_CHECK_EQ(refs.size(), corpus.num_docs());
+  IR2_CHECK(std::adjacent_find(refs.begin(), refs.end(),
+                               std::greater_equal<ObjectRef>()) == refs.end())
+      << "refs must be strictly ascending";
   const size_t block_size = device_->block_size();
 
   // Block 0: superblock, written last (allocate now).
   IR2_ASSIGN_OR_RETURN(BlockId super_id, device_->Allocate(1));
   IR2_CHECK_EQ(super_id, 0u);
 
-  // Deterministic term order.
-  std::vector<const std::string*> terms;
-  terms.reserve(postings_.size());
-  for (const auto& [term, refs] : postings_) {
-    terms.push_back(&term);
-  }
-  std::sort(terms.begin(), terms.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-
   // Posting lists start at block 1.
-  std::unordered_map<std::string, InvertedIndex::TermInfo> dictionary;
-  dictionary.reserve(postings_.size());
+  const CorpusTerms::Postings postings = corpus.Invert();
+  std::vector<InvertedIndex::TermInfo> dictionary(corpus.num_terms());
   BlockAppender postings_out(device_);
   // The appender's offset is relative to its first block; lists begin at
   // absolute byte block_size (block 1).
   const uint64_t postings_base = block_size;
   std::vector<uint8_t> encoded;
-  for (const std::string* term : terms) {
-    std::vector<ObjectRef>& refs = postings_[*term];
-    std::sort(refs.begin(), refs.end());
-    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  for (uint32_t term = 0; term < corpus.num_terms(); ++term) {
+    const std::span<const uint32_t> docs = postings.Docs(term);
     encoded.clear();
     if (options_.compress_postings) {
       // d-gap + varint compression: store the delta to the previous posting
       // (first posting absolute), 7 bits per byte, high bit = continuation.
       ObjectRef previous = 0;
-      for (ObjectRef ref : refs) {
+      for (uint32_t doc : docs) {
+        const ObjectRef ref = refs[doc];
         uint32_t gap = ref - previous;
         previous = ref;
         while (gap >= 0x80) {
@@ -168,15 +149,15 @@ Status InvertedIndexBuilder::Finish() {
         encoded.push_back(static_cast<uint8_t>(gap));
       }
     } else {
-      encoded.resize(4 * refs.size());
-      for (size_t i = 0; i < refs.size(); ++i) {
-        EncodeU32(refs[i], encoded.data() + 4 * i);
+      encoded.resize(4 * docs.size());
+      for (size_t i = 0; i < docs.size(); ++i) {
+        EncodeU32(refs[docs[i]], encoded.data() + 4 * i);
       }
     }
-    dictionary[*term] = InvertedIndex::TermInfo{
+    dictionary[term] = InvertedIndex::TermInfo{
         postings_base + postings_out.offset(),
         static_cast<uint32_t>(encoded.size()),
-        static_cast<uint32_t>(refs.size())};
+        static_cast<uint32_t>(docs.size())};
     IR2_RETURN_IF_ERROR(postings_out.Append(encoded));
   }
   IR2_RETURN_IF_ERROR(postings_out.Finish());
@@ -185,15 +166,16 @@ Status InvertedIndexBuilder::Finish() {
   const uint64_t dict_base = postings_base + postings_out.offset();
   BlockAppender dict_out(device_);
   uint8_t u64buf[8];
-  EncodeU64(postings_.size(), u64buf);
+  EncodeU64(corpus.num_terms(), u64buf);
   IR2_RETURN_IF_ERROR(dict_out.Append(u64buf));
-  for (const std::string* term : terms) {
-    const InvertedIndex::TermInfo& info = dictionary[*term];
+  for (uint32_t term = 0; term < corpus.num_terms(); ++term) {
+    const std::string& word = corpus.terms()[term].word;
+    const InvertedIndex::TermInfo& info = dictionary[term];
     uint8_t u16buf[2];
-    EncodeU16(static_cast<uint16_t>(term->size()), u16buf);
+    EncodeU16(static_cast<uint16_t>(word.size()), u16buf);
     IR2_RETURN_IF_ERROR(dict_out.Append(u16buf));
     IR2_RETURN_IF_ERROR(dict_out.Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(term->data()), term->size())));
+        reinterpret_cast<const uint8_t*>(word.data()), word.size())));
     EncodeU64(info.byte_offset, u64buf);
     IR2_RETURN_IF_ERROR(dict_out.Append(u64buf));
     IR2_RETURN_IF_ERROR(dict_out.AppendU32(info.byte_length));
@@ -206,14 +188,12 @@ Status InvertedIndexBuilder::Finish() {
   std::vector<uint8_t> super(block_size, 0);
   BufferWriter writer(super);
   writer.PutU64(kMagic);
-  writer.PutU64(num_objects_);
-  writer.PutU64(total_tokens_);
+  writer.PutU64(corpus.num_docs());
+  writer.PutU64(corpus.total_tokens());
   writer.PutU64(dict_base);
   writer.PutU64(dict_length);
   writer.PutU8(options_.compress_postings ? 1 : 0);
   IR2_RETURN_IF_ERROR(device_->Write(super_id, super));
-
-  postings_.clear();
   return Status::Ok();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -12,6 +13,7 @@
 #include "common/status_or.h"
 #include "storage/block_device.h"
 #include "storage/object_store.h"
+#include "text/corpus_terms.h"
 
 namespace ir2 {
 
@@ -96,30 +98,24 @@ struct InvertedIndexOptions {
   bool compress_postings = true;
 };
 
-// One-shot builder. Feed every object, then Finish() to write the index.
-// Postings are buffered in memory during the build (bounded by the corpus
-// term-occurrence count), as a typical offline index build would.
+// One-shot builder: writes the index of a tokenized corpus. Postings are
+// the corpus's exact-size inverse CSR (CorpusTerms::Invert), written term by
+// term in id order — the terms' lexicographic order.
 class InvertedIndexBuilder {
  public:
   // `device` must be empty and outlive the builder.
   explicit InvertedIndexBuilder(BlockDevice* device,
                                 InvertedIndexOptions options = {});
 
-  // Registers `object`'s distinct words under its ObjectRef. `total_tokens`
-  // is the document length used for the corpus's avg_doc_len statistic.
-  void AddObject(ObjectRef ref, const std::vector<std::string>& distinct_words,
-                 uint32_t total_tokens);
-
-  // Writes postings + dictionary + superblock.
-  Status Finish();
+  // Writes postings + dictionary + superblock for `corpus`, document i under
+  // refs[i]. `refs` must be strictly ascending (the order ObjectStoreWriter
+  // hands them out), so every posting list comes out ascending. The token
+  // counts give the corpus's avg_doc_len statistic.
+  Status Build(const CorpusTerms& corpus, std::span<const ObjectRef> refs);
 
  private:
   BlockDevice* device_;
   InvertedIndexOptions options_;
-  std::unordered_map<std::string, std::vector<ObjectRef>> postings_;
-  uint64_t num_objects_ = 0;
-  uint64_t total_tokens_ = 0;
-  bool finished_ = false;
 };
 
 // Multi-way intersection of ascending-sorted posting lists (the IIO

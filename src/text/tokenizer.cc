@@ -9,23 +9,8 @@ namespace ir2 {
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
-  std::string current;
-  auto flush = [&]() {
-    if (!current.empty()) {
-      if (!IsStopword(current)) {
-        tokens.push_back(std::move(current));
-      }
-      current.clear();
-    }
-  };
-  for (unsigned char c : text) {
-    if (const char folded = simd::kWordFold[c]) {
-      current.push_back(folded);
-    } else {
-      flush();
-    }
-  }
-  flush();
+  ForEachToken(text,
+               [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 
@@ -77,10 +62,10 @@ std::unordered_set<std::string> EnglishStopwords() {
 TermCounts CountTerms(const Tokenizer& tokenizer, std::string_view text) {
   TermCounts result;
   std::unordered_map<std::string, uint32_t> counts;
-  for (std::string& token : tokenizer.Tokenize(text)) {
-    ++counts[std::move(token)];
+  tokenizer.ForEachToken(text, [&](std::string_view token) {
+    ++counts[std::string(token)];
     ++result.total_tokens;
-  }
+  });
   result.counts.assign(counts.begin(), counts.end());
   return result;
 }

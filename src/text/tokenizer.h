@@ -8,6 +8,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/simd.h"
+
 namespace ir2 {
 
 // Splits text into case-folded alphanumeric words. "wireless Internet,
@@ -29,6 +31,31 @@ class Tokenizer {
   Tokenizer() = default;
   explicit Tokenizer(std::unordered_set<std::string> stopwords)
       : stopwords_(std::move(stopwords)) {}
+
+  // The one scan loop behind every tokenizing entry point: calls
+  // `fn(std::string_view token)` for each non-stopword token of `text`, in
+  // order of appearance (with duplicates). The view is valid only for the
+  // duration of the call.
+  template <typename Fn>
+  void ForEachToken(std::string_view text, Fn&& fn) const {
+    std::string current;
+    auto flush = [&]() {
+      if (!current.empty()) {
+        if (!IsStopword(current)) {
+          fn(std::string_view(current));
+        }
+        current.clear();
+      }
+    };
+    for (unsigned char c : text) {
+      if (const char folded = simd::kWordFold[c]) {
+        current.push_back(folded);
+      } else {
+        flush();
+      }
+    }
+    flush();
+  }
 
   // All non-stopword tokens in order of appearance (with duplicates).
   std::vector<std::string> Tokenize(std::string_view text) const;

@@ -89,10 +89,13 @@ TEST(CorruptionTest, InvertedIndexNeverCrashesOnCorruptBlocks) {
   for (int trial = 0; trial < 50; ++trial) {
     MemoryBlockDevice device;
     InvertedIndexBuilder builder(&device);
+    std::vector<std::string> texts;
+    std::vector<ObjectRef> refs;
     for (uint32_t i = 0; i < 200; ++i) {
-      builder.AddObject(i * 11, {"t" + std::to_string(i % 17), "shared"}, 2);
+      texts.push_back("t" + std::to_string(i % 17) + " shared");
+      refs.push_back(i * 11);
     }
-    IR2_CHECK_OK(builder.Finish());
+    IR2_CHECK_OK(builder.Build(testing_util::CorpusOfTexts(texts), refs));
     for (int flips = 0; flips < 4; ++flips) FlipRandomByte(&device, rng);
     StatusOr<std::unique_ptr<InvertedIndex>> opened =
         InvertedIndex::Open(&device);

@@ -26,14 +26,14 @@ struct HybridFixture {
                                           writer.bytes_written());
     HybridKeywordIndex::Builder builder(&tree_device, &postings_device,
                                         options);
-    for (size_t i = 0; i < objects.size(); ++i) {
-      std::vector<std::string> words =
-          tokenizer.DistinctTokens(objects[i].text);
-      TermCounts counts = CountTerms(tokenizer, objects[i].text);
-      builder.AddObject(refs[i], Point(objects[i].coords), words,
-                        counts.total_tokens);
+    std::vector<Point> locations;
+    for (const StoredObject& object : objects) {
+      locations.push_back(Point(object.coords));
     }
-    index = builder.Finish().value();
+    index = builder
+                .Finish(CorpusTerms::Build(tokenizer, objects), refs,
+                        locations)
+                .value();
   }
 
   MemoryBlockDevice object_device, tree_device, postings_device;

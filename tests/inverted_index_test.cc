@@ -6,10 +6,13 @@
 
 #include "common/random.h"
 #include "storage/block_device.h"
+#include "tests/test_util.h"
 #include "text/inverted_index.h"
 
 namespace ir2 {
 namespace {
+
+using testing_util::CorpusOfTexts;
 
 TEST(IntersectSortedTest, Basics) {
   EXPECT_TRUE(IntersectSorted({}).empty());
@@ -50,10 +53,14 @@ TEST(IntersectSortedTest, PropertyMatchesSetIntersection) {
 TEST(InvertedIndexTest, BuildOpenRetrieve) {
   MemoryBlockDevice device;
   InvertedIndexBuilder builder(&device);
-  builder.AddObject(0, {"internet", "spa"}, 4);
-  builder.AddObject(100, {"internet", "pool"}, 3);
-  builder.AddObject(200, {"pool"}, 1);
-  ASSERT_TRUE(builder.Finish().ok());
+  // Distinct words {internet, spa}, {internet, pool}, {pool}; 4, 3 and 1
+  // tokens.
+  const std::vector<ObjectRef> refs = {0, 100, 200};
+  ASSERT_TRUE(builder
+                  .Build(CorpusOfTexts({"internet spa spa internet",
+                                        "internet pool pool", "pool"}),
+                         refs)
+                  .ok());
 
   auto index = InvertedIndex::Open(&device).value();
   EXPECT_EQ(index->num_objects(), 3u);
@@ -76,11 +83,12 @@ TEST(InvertedIndexTest, RetrievalCountsDiskReads) {
   InvertedIndexBuilder builder(&device);
   // A long list spanning multiple blocks: ~20k postings with large gaps so
   // varints are multi-byte.
-  std::vector<std::string> word = {"common"};
+  std::vector<std::string> texts(20000, "common");
+  std::vector<ObjectRef> refs;
   for (uint32_t i = 0; i < 20000; ++i) {
-    builder.AddObject(i * 97, word, 1);
+    refs.push_back(i * 97);
   }
-  ASSERT_TRUE(builder.Finish().ok());
+  ASSERT_TRUE(builder.Build(CorpusOfTexts(texts), refs).ok());
   auto index = InvertedIndex::Open(&device).value();
   device.ResetStats();
   std::vector<ObjectRef> list = index->RetrieveList("common").value();
@@ -94,12 +102,13 @@ TEST(InvertedIndexTest, CompressionShrinksDenseLists) {
   // Dense ascending refs have gap 1 -> 1 byte per posting (vs 4 raw).
   MemoryBlockDevice device;
   InvertedIndexBuilder builder(&device);
-  std::vector<std::string> word = {"every"};
   const uint32_t n = 100000;
+  std::vector<std::string> texts(n, "every");
+  std::vector<ObjectRef> refs;
   for (uint32_t i = 0; i < n; ++i) {
-    builder.AddObject(i, word, 1);
+    refs.push_back(i);
   }
-  ASSERT_TRUE(builder.Finish().ok());
+  ASSERT_TRUE(builder.Build(CorpusOfTexts(texts), refs).ok());
   // Postings must be around n bytes, far below 4n.
   EXPECT_LT(device.SizeBytes(), uint64_t{2} * n);
 }
@@ -110,6 +119,8 @@ TEST(InvertedIndexTest, PropertyRandomCorpusRoundTrip) {
   InvertedIndexBuilder builder(&device);
   const uint32_t vocab = 50, objects = 400;
   std::vector<std::vector<ObjectRef>> expected(vocab);
+  std::vector<std::string> texts;
+  std::vector<ObjectRef> refs;
   for (uint32_t i = 0; i < objects; ++i) {
     ObjectRef ref = i * 13;
     std::vector<std::string> words;
@@ -122,9 +133,13 @@ TEST(InvertedIndexTest, PropertyRandomCorpusRoundTrip) {
       words.push_back("t" + std::to_string(term));
       expected[term].push_back(ref);
     }
-    builder.AddObject(ref, words, static_cast<uint32_t>(words.size()));
+    // Distinct words: the token count is words.size().
+    std::string text;
+    for (const std::string& word : words) text += word + " ";
+    texts.push_back(text);
+    refs.push_back(ref);
   }
-  ASSERT_TRUE(builder.Finish().ok());
+  ASSERT_TRUE(builder.Build(CorpusOfTexts(texts), refs).ok());
   auto index = InvertedIndex::Open(&device).value();
   for (uint32_t term = 0; term < vocab; ++term) {
     EXPECT_EQ(index->RetrieveList("t" + std::to_string(term)).value(),

@@ -46,7 +46,7 @@ TEST(KcVocabularyTest, HotSetIsHighestDfAndLayoutIsClusterMajor) {
   options.max_hot_words = 12;
   options.min_hot_df = 1;
   KcVocabulary vocab = KcVocabulary::Build(
-      DistinctDocs(objects, tokenizer), options, SignatureConfig{128, 3});
+      CorpusTerms::Build(tokenizer, objects), options, SignatureConfig{128, 3});
 
   ASSERT_EQ(vocab.hot_bits(), 12u);
   EXPECT_EQ(vocab.hot_bytes(), 2u);
@@ -99,9 +99,9 @@ TEST(KcVocabularyTest, BuildIsDeterministic) {
   Tokenizer tokenizer;
   KcVocabularyOptions options;
   options.min_hot_df = 2;
-  KcVocabulary a = KcVocabulary::Build(DistinctDocs(objects, tokenizer),
+  KcVocabulary a = KcVocabulary::Build(CorpusTerms::Build(tokenizer, objects),
                                        options, SignatureConfig{96, 3});
-  KcVocabulary b = KcVocabulary::Build(DistinctDocs(objects, tokenizer),
+  KcVocabulary b = KcVocabulary::Build(CorpusTerms::Build(tokenizer, objects),
                                        options, SignatureConfig{96, 3});
   ASSERT_EQ(a.words().size(), b.words().size());
   for (size_t i = 0; i < a.words().size(); ++i) {
@@ -114,7 +114,7 @@ TEST(KcVocabularyTest, BuildIsDeterministic) {
 TEST(KcVocabularyTest, FromWordsRoundTripsAndRejectsGaps) {
   std::vector<StoredObject> objects = RandomObjects(5, 400, 20, 5);
   Tokenizer tokenizer;
-  KcVocabulary built = KcVocabulary::Build(DistinctDocs(objects, tokenizer),
+  KcVocabulary built = KcVocabulary::Build(CorpusTerms::Build(tokenizer, objects),
                                            KcVocabularyOptions{},
                                            SignatureConfig{64, 3});
   ASSERT_GT(built.hot_bits(), 0u);
@@ -150,7 +150,7 @@ struct KcFixture {
             KcVocabularyOptions options, SignatureConfig fallback,
             std::span<const ObjectRef> refs = {})
       : device(), pool(&device, 4096) {
-    vocab = KcVocabulary::Build(DistinctDocs(objects, tokenizer), options,
+    vocab = KcVocabulary::Build(CorpusTerms::Build(tokenizer, objects), options,
                                 fallback);
     RTreeOptions tree_options;
     tree_options.capacity_override = capacity;

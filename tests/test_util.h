@@ -12,6 +12,7 @@
 #include "core/query.h"
 #include "geo/point.h"
 #include "storage/object_store.h"
+#include "text/corpus_terms.h"
 #include "text/tokenizer.h"
 
 namespace ir2 {
@@ -39,6 +40,14 @@ inline std::vector<StoredObject> Figure1Hotels() {
   add(7, "Hotel G", -33.2, -70.4, "Internet, airport transportation, pool");
   add(8, "Hotel H", -41.1, 174.4, "wake up service, no pets, pool");
   return hotels;
+}
+
+// The corpus of `texts` (document i is texts[i]) under the default
+// tokenizer.
+inline CorpusTerms CorpusOfTexts(const std::vector<std::string>& texts) {
+  std::vector<StoredObject> objects(texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) objects[i].text = texts[i];
+  return CorpusTerms::Build(Tokenizer(), objects);
 }
 
 // The paper's running query point.
