@@ -1,7 +1,7 @@
 // Microbenchmark for the runtime-dispatched SIMD kernels (common/simd.h):
 // signature containment at the paper's two widths (64-bit restaurant
-// signatures, 1512-bit hotel signatures), signature weight popcount, d-gap
-// varint posting-list decode on short and long lists, and candidate
+// signatures, 1512-bit hotel signatures), d-gap varint posting-list decode
+// on short and long lists, and candidate
 // verification (the keyword-token search) over Hotels-shaped records. Each
 // kernel is timed on the scalar reference tier and on the best tier the
 // CPU offers; the ratio is the whole point of the kernels, so the
@@ -11,11 +11,15 @@
 // BENCH_kernels.json, which check.sh's kernels stage regenerates in
 // --smoke form.
 //
-// Methodology: each measurement is best-of-5 over a fixed iteration count
-// (smoke: fewer), with a volatile sink so the compiler cannot dead-code
-// the kernel. Inputs are sized to live in L1/L2, because these loops run
-// over node entry arrays and decoded posting chunks that are already
-// resident — the kernels' job is CPU time, not memory bandwidth.
+// Methodology: each kernel runs kRepeats repeats over a fixed iteration
+// count (smoke: fewer); one repeat times every tier back to back, with a
+// volatile sink so the compiler cannot dead-code the kernel. A kernel's
+// ns/op figures are the medians of its repeats, its speedup (and the
+// scalar-vs-isalnum ratio) the median of the per-repeat ratios, and every
+// verdict is decided on those medians — one slow or fast repeat cannot
+// flip it. Inputs are sized to live in L1/L2, because these loops run over
+// node entry arrays and decoded posting chunks that are already resident —
+// the kernels' job is CPU time, not memory bandwidth.
 
 #include <algorithm>
 #include <bit>
@@ -41,24 +45,62 @@ namespace {
 
 volatile uint64_t g_sink = 0;
 
+// Repeats per kernel; odd, so each median is one measured repeat.
+constexpr size_t kRepeats = 15;
+// Acceptance thresholds, recorded in the JSON next to the verdicts.
+constexpr double kSpeedupThreshold = 2.0;  // Dispatched vs scalar.
+constexpr double kIsalnumThreshold = 1.0;  // Scalar verify vs isalnum scan.
+
 struct KernelReport {
   std::string name;
   double scalar_ns = 0;  // Per op (one signature test / one list decode).
   double simd_ns = 0;
   double speedup = 0;
-  std::string simd_level;
   double isalnum_ns = 0;  // verify_hotels_text only: the replaced scan.
+  double scalar_vs_isalnum = 0;
 };
 
-template <typename Fn>
-double BestOfNs(size_t repeats, size_t iters, Fn&& fn) {
-  double best = 1e300;
-  for (size_t r = 0; r < repeats; ++r) {
+// The tiers a kernel is timed on: the scalar reference, the dispatched
+// entry point, and (verification only) the isalnum scan it replaced.
+enum class Way { kScalar, kDispatched, kIsalnum };
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// Times `run(way, iters)` for each tier back to back, kRepeats times, and
+// reports the medians. `ops_per_iter` converts one iteration's time into
+// ns per op.
+template <typename Run>
+KernelReport Measure(std::string name, size_t iters, double ops_per_iter,
+                     bool with_isalnum, Run&& run) {
+  const auto time_ns = [&](Way way) {
     Stopwatch watch;
-    fn(iters);
-    best = std::min(best, watch.ElapsedSeconds() * 1e9 / iters);
+    run(way, iters);
+    return watch.ElapsedSeconds() * 1e9 /
+           (static_cast<double>(iters) * ops_per_iter);
+  };
+  std::vector<double> scalar, simd, speedup, isalnum, vs_isalnum;
+  for (size_t r = 0; r < kRepeats; ++r) {
+    scalar.push_back(time_ns(Way::kScalar));
+    simd.push_back(time_ns(Way::kDispatched));
+    speedup.push_back(scalar.back() / simd.back());
+    if (with_isalnum) {
+      isalnum.push_back(time_ns(Way::kIsalnum));
+      vs_isalnum.push_back(isalnum.back() / scalar.back());
+    }
   }
-  return best;
+  KernelReport report;
+  report.name = std::move(name);
+  report.scalar_ns = Median(scalar);
+  report.simd_ns = Median(simd);
+  report.speedup = Median(speedup);
+  if (with_isalnum) {
+    report.isalnum_ns = Median(isalnum);
+    report.scalar_vs_isalnum = Median(vs_isalnum);
+  }
+  return report;
 }
 
 // --- Signature containment over a node's entry array -------------------
@@ -104,66 +146,27 @@ SignatureBatch MakeSignatureBatch(size_t num_words, size_t num_signatures,
   return batch;
 }
 
-template <bool kScalarOnly>
-void RunContains(const SignatureBatch& batch, size_t iters) {
-  uint64_t matches = 0;
-  for (size_t it = 0; it < iters; ++it) {
-    for (size_t s = 0; s < batch.num_signatures; ++s) {
-      const uint64_t* data = batch.data.data() + s * batch.num_words;
-      if constexpr (kScalarOnly) {
-        matches += simd::WordsContainAllScalar(data, batch.query.data(),
-                                               batch.num_words);
-      } else {
-        matches += simd::WordsContainAll(data, batch.query.data(),
-                                         batch.num_words);
-      }
-    }
-  }
-  g_sink += matches;
-}
-
 KernelReport BenchContains(const char* name, size_t num_words,
                            size_t num_signatures, size_t iters) {
   const SignatureBatch batch =
       MakeSignatureBatch(num_words, num_signatures, 0xc0ffee + num_words);
-  KernelReport report;
-  report.name = name;
-  // Per-op = one signature test.
-  report.scalar_ns =
-      BestOfNs(5, iters, [&](size_t n) { RunContains<true>(batch, n); }) /
-      static_cast<double>(num_signatures);
-  report.simd_ns =
-      BestOfNs(5, iters, [&](size_t n) { RunContains<false>(batch, n); }) /
-      static_cast<double>(num_signatures);
-  report.speedup = report.scalar_ns / report.simd_ns;
-  report.simd_level = simd::LevelName(simd::ActiveLevel());
-  return report;
-}
-
-KernelReport BenchPopcount(size_t num_words, size_t num_signatures,
-                           size_t iters) {
-  const SignatureBatch batch =
-      MakeSignatureBatch(num_words, num_signatures, 0xbeef);
-  const auto run = [&](bool scalar, size_t n) {
-    uint64_t ones = 0;
+  const auto run = [&](Way way, size_t n) {
+    uint64_t matches = 0;
     for (size_t it = 0; it < n; ++it) {
-      for (size_t s = 0; s < num_signatures; ++s) {
-        const uint64_t* data = batch.data.data() + s * num_words;
-        ones += scalar ? simd::PopcountWordsScalar(data, num_words)
-                       : simd::PopcountWords(data, num_words);
+      for (size_t s = 0; s < batch.num_signatures; ++s) {
+        const uint64_t* data = batch.data.data() + s * batch.num_words;
+        matches += way == Way::kScalar
+                       ? simd::WordsContainAllScalar(
+                             data, batch.query.data(), batch.num_words)
+                       : simd::WordsContainAll(data, batch.query.data(),
+                                               batch.num_words);
       }
     }
-    g_sink += ones;
+    g_sink = g_sink + matches;
   };
-  KernelReport report;
-  report.name = "popcount_1512bit";
-  report.scalar_ns = BestOfNs(5, iters, [&](size_t n) { run(true, n); }) /
-                     static_cast<double>(num_signatures);
-  report.simd_ns = BestOfNs(5, iters, [&](size_t n) { run(false, n); }) /
-                   static_cast<double>(num_signatures);
-  report.speedup = report.scalar_ns / report.simd_ns;
-  report.simd_level = simd::LevelName(simd::ActiveLevel());
-  return report;
+  // Per-op = one signature test.
+  return Measure(name, iters, static_cast<double>(num_signatures),
+                 /*with_isalnum=*/false, run);
 }
 
 // --- Posting-list decode ----------------------------------------------
@@ -189,10 +192,10 @@ KernelReport BenchDecode(const char* name, size_t count, uint32_t max_gap,
                          size_t iters) {
   const std::vector<uint8_t> encoded = EncodePostings(count, max_gap, count);
   std::vector<uint32_t> out(count);
-  const auto run = [&](bool scalar, size_t n) {
+  const auto run = [&](Way way, size_t n) {
     size_t consumed = 0;
     for (size_t it = 0; it < n; ++it) {
-      consumed += scalar
+      consumed += way == Way::kScalar
                       ? simd::DecodeDGapVarintsScalar(
                             encoded.data(), encoded.size(),
                             static_cast<uint32_t>(count), out.data())
@@ -202,16 +205,9 @@ KernelReport BenchDecode(const char* name, size_t count, uint32_t max_gap,
     }
     g_sink += consumed + out[count / 2];
   };
-  KernelReport report;
-  report.name = name;
   // Per-op = one decoded posting.
-  report.scalar_ns = BestOfNs(5, iters, [&](size_t n) { run(true, n); }) /
-                     static_cast<double>(count);
-  report.simd_ns = BestOfNs(5, iters, [&](size_t n) { run(false, n); }) /
-                   static_cast<double>(count);
-  report.speedup = report.scalar_ns / report.simd_ns;
-  report.simd_level = simd::LevelName(simd::ActiveLevel());
-  return report;
+  return Measure(name, iters, static_cast<double>(count),
+                 /*with_isalnum=*/false, run);
 }
 
 // --- Candidate verification over Hotels-shaped text -------------------
@@ -271,7 +267,6 @@ KernelReport BenchVerify(size_t iters) {
     }
     queries.push_back(tokenizer.NormalizeKeywords(query));
   }
-  enum class Way { kIsalnum, kScalar, kDispatched };
   const auto run = [&](Way way, size_t n) {
     uint64_t hits = 0;
     for (size_t it = 0; it < n; ++it) {
@@ -307,17 +302,8 @@ KernelReport BenchVerify(size_t iters) {
   IR2_CHECK_EQ(run(Way::kScalar, 1), expected);
   IR2_CHECK_EQ(run(Way::kDispatched, 1), expected);
   const double pairs = static_cast<double>(records.size() * queries.size());
-  KernelReport report;
-  report.name = "verify_hotels_text";
-  report.isalnum_ns =
-      BestOfNs(5, iters, [&](size_t n) { run(Way::kIsalnum, n); }) / pairs;
-  report.scalar_ns =
-      BestOfNs(5, iters, [&](size_t n) { run(Way::kScalar, n); }) / pairs;
-  report.simd_ns =
-      BestOfNs(5, iters, [&](size_t n) { run(Way::kDispatched, n); }) / pairs;
-  report.speedup = report.scalar_ns / report.simd_ns;
-  report.simd_level = simd::LevelName(simd::ActiveLevel());
-  return report;
+  return Measure("verify_hotels_text", iters, pairs, /*with_isalnum=*/true,
+                 run);
 }
 
 void WriteJson(const char* path, bool smoke,
@@ -341,16 +327,20 @@ void WriteJson(const char* path, bool smoke,
       std::fprintf(f,
                    ", \"isalnum_ns_per_op\": %.3f, "
                    "\"scalar_vs_isalnum\": %.2f",
-                   r.isalnum_ns, r.isalnum_ns / r.scalar_ns);
+                   r.isalnum_ns, r.scalar_vs_isalnum);
     }
     std::fprintf(f, "}%s\n", i + 1 < reports.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   const auto b = [](bool v) { return v ? "true" : "false"; };
   std::fprintf(f,
-               "  \"acceptance\": {\"signature_2x\": %s, "
+               "  \"acceptance\": {\"repeats\": %zu, "
+               "\"statistic\": \"median\", \"speedup_threshold\": %.1f, "
+               "\"scalar_vs_isalnum_threshold\": %.1f, "
+               "\"signature_2x\": %s, "
                "\"decode_2x\": %s, \"verify_2x\": %s, "
                "\"verify_scalar_beats_isalnum\": %s, \"pass\": %s}\n}\n",
+               kRepeats, kSpeedupThreshold, kIsalnumThreshold,
                b(signature_pass), b(decode_pass), b(verify_pass),
                b(verify_scalar_pass),
                b(signature_pass && decode_pass && verify_pass &&
@@ -370,7 +360,6 @@ void Main(bool smoke) {
       BenchContains("signature_contains_64bit", 1, 512, iters * 4));
   reports.push_back(
       BenchContains("signature_contains_1512bit", 24, 512, iters));
-  reports.push_back(BenchPopcount(24, 512, iters));
   // Short lists = tail words (tiny decode, call overhead visible); long
   // lists = head words, where decode time actually matters. Small gaps are
   // the realistic dense-list case and the vector fast path; the mixed-gap
@@ -389,18 +378,18 @@ void Main(bool smoke) {
   for (const KernelReport& r : reports) {
     std::printf("%-32s %12.3f %12.3f %8.2fx\n", r.name.c_str(), r.scalar_ns,
                 r.simd_ns, r.speedup);
-    if (r.name.rfind("signature_", 0) == 0 || r.name.rfind("popcount", 0) == 0) {
-      signature_pass = signature_pass || r.speedup >= 2.0;
+    if (r.name.rfind("signature_", 0) == 0) {
+      signature_pass = signature_pass || r.speedup >= kSpeedupThreshold;
     }
     if (r.name.rfind("decode_", 0) == 0) {
-      decode_pass = decode_pass || r.speedup >= 2.0;
+      decode_pass = decode_pass || r.speedup >= kSpeedupThreshold;
     }
     if (r.isalnum_ns > 0) {
       std::printf("%-32s %12.3f %12s %8.2fx (isalnum scan vs scalar)\n",
                   "  isalnum scan (replaced)", r.isalnum_ns, "",
-                  r.isalnum_ns / r.scalar_ns);
-      verify_pass = r.speedup >= 2.0;
-      verify_scalar_pass = r.scalar_ns < r.isalnum_ns;
+                  r.scalar_vs_isalnum);
+      verify_pass = r.speedup >= kSpeedupThreshold;
+      verify_scalar_pass = r.scalar_vs_isalnum > kIsalnumThreshold;
     }
   }
   const bool pass =

@@ -224,7 +224,7 @@ void WriteJson(const RunConfig& config, size_t num_objects,
     const WorkloadResult& r = results[i];
     std::fprintf(f,
                  "    {\"shards\": %llu, \"workload\": \"%s\", "
-                 "\"sim_tier_qps\": %.1f, \"hot_shard_share\": %.3f, "
+                 "\"sim_tier_qps\": %.4g, \"hot_shard_share\": %.3f, "
                  "\"sim_p99_ms\": %.4f, "
                  "\"measured_qps\": %.1f, \"p50_ms\": %.4f, "
                  "\"p99_ms\": %.4f, \"mean_fanout\": %.2f, "

@@ -86,7 +86,6 @@ class LatencyHistogram {
  public:
   void Record(double value) { histogram_.Record(value); }
   uint64_t Count() const { return histogram_.Count(); }
-  double Mean() const { return histogram_.Mean(); }
   double P50() const { return histogram_.Percentile(0.50); }
   double P95() const { return histogram_.Percentile(0.95); }
   double P99() const { return histogram_.Percentile(0.99); }

@@ -133,14 +133,6 @@ bool BytesContainWordsScalar(const uint8_t* bytes, size_t num_bytes,
   return BytesContainTail(bytes, num_bytes, query_words, 0);
 }
 
-uint64_t PopcountWordsScalar(const uint64_t* words, size_t num_words) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < num_words; ++i) {
-    count += static_cast<uint64_t>(std::popcount(words[i]));
-  }
-  return count;
-}
-
 size_t DecodeDGapVarintsScalar(const uint8_t* in, size_t in_size,
                                uint32_t count, uint32_t* out) {
   uint32_t previous = 0;
@@ -279,26 +271,6 @@ __attribute__((target("avx2"))) bool BytesContainWordsAvx2(
     }
   }
   return BytesContainTail(bytes, num_bytes, query_words, off);
-}
-
-__attribute__((target("avx2,popcnt"))) uint64_t PopcountWordsAvx2(
-    const uint64_t* words, size_t num_words) {
-  // Hardware popcnt, four independent accumulator chains. This beats the
-  // default-codegen std::popcount loop (which cannot assume the POPCNT
-  // feature bit and emits the SWAR sequence) by well over 2x on
-  // signature-sized arrays.
-  uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= num_words; i += 4) {
-    c0 += static_cast<uint64_t>(__builtin_popcountll(words[i]));
-    c1 += static_cast<uint64_t>(__builtin_popcountll(words[i + 1]));
-    c2 += static_cast<uint64_t>(__builtin_popcountll(words[i + 2]));
-    c3 += static_cast<uint64_t>(__builtin_popcountll(words[i + 3]));
-  }
-  for (; i < num_words; ++i) {
-    c0 += static_cast<uint64_t>(__builtin_popcountll(words[i]));
-  }
-  return c0 + c1 + c2 + c3;
 }
 
 __attribute__((target("avx2"))) size_t DecodeDGapVarintsAvx2(
@@ -463,19 +435,6 @@ bool BytesContainWordsNeon(const uint8_t* bytes, size_t num_bytes,
   return BytesContainTail(bytes, num_bytes, query_words, off & ~size_t{7});
 }
 
-uint64_t PopcountWordsNeon(const uint64_t* words, size_t num_words) {
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 2 <= num_words; i += 2) {
-    const uint8x16_t bits = vcntq_u8(vreinterpretq_u8_u64(vld1q_u64(words + i)));
-    count += vaddvq_u8(bits);
-  }
-  for (; i < num_words; ++i) {
-    count += static_cast<uint64_t>(std::popcount(words[i]));
-  }
-  return count;
-}
-
 size_t DecodeDGapVarintsNeon(const uint8_t* in, size_t in_size, uint32_t count,
                              uint32_t* out) {
   uint32_t previous = 0;
@@ -558,32 +517,30 @@ struct KernelTable {
   Level level;
   bool (*words_contain_all)(const uint64_t*, const uint64_t*, size_t);
   bool (*bytes_contain)(const uint8_t*, size_t, const uint64_t*);
-  uint64_t (*popcount)(const uint64_t*, size_t);
   size_t (*decode_dgaps)(const uint8_t*, size_t, uint32_t, uint32_t*);
   size_t (*find_token)(const char*, size_t, std::string_view);
 };
 
 constexpr KernelTable kScalarTable = {
-    Level::kScalar,        WordsContainAllScalar, BytesContainWordsScalar,
-    PopcountWordsScalar,   DecodeDGapVarintsScalar, FindTokenScalar,
+    Level::kScalar,          WordsContainAllScalar, BytesContainWordsScalar,
+    DecodeDGapVarintsScalar, FindTokenScalar,
 };
 
 #if IR2_SIMD_X86
 constexpr KernelTable kSse2Table = {
-    Level::kSse2,        WordsContainAllSse2, BytesContainWordsSse2,
-    PopcountWordsScalar,  // POPCNT is not in the SSE2 baseline.
+    Level::kSse2,          WordsContainAllSse2, BytesContainWordsSse2,
     DecodeDGapVarintsSse2, FindTokenSse2,
 };
 constexpr KernelTable kAvx2Table = {
-    Level::kAvx2,      WordsContainAllAvx2,   BytesContainWordsAvx2,
-    PopcountWordsAvx2, DecodeDGapVarintsAvx2, FindTokenAvx2,
+    Level::kAvx2,          WordsContainAllAvx2, BytesContainWordsAvx2,
+    DecodeDGapVarintsAvx2, FindTokenAvx2,
 };
 #endif
 
 #if IR2_SIMD_NEON
 constexpr KernelTable kNeonTable = {
-    Level::kNeon,      WordsContainAllNeon,   BytesContainWordsNeon,
-    PopcountWordsNeon, DecodeDGapVarintsNeon, FindTokenNeon,
+    Level::kNeon,          WordsContainAllNeon, BytesContainWordsNeon,
+    DecodeDGapVarintsNeon, FindTokenNeon,
 };
 #endif
 
@@ -666,10 +623,6 @@ bool BytesContainWords(const uint8_t* bytes, size_t num_bytes,
 }
 
 BytesContainFn ActiveBytesContainFn() { return ActiveTable().bytes_contain; }
-
-uint64_t PopcountWords(const uint64_t* words, size_t num_words) {
-  return ActiveTable().popcount(words, num_words);
-}
 
 size_t DecodeDGapVarints(const uint8_t* in, size_t in_size, uint32_t count,
                          uint32_t* out) {

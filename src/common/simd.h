@@ -63,10 +63,6 @@ using BytesContainFn = bool (*)(const uint8_t* bytes, size_t num_bytes,
                                 const uint64_t* query_words);
 BytesContainFn ActiveBytesContainFn();
 
-// Total set bits across `num_words` words (signature weight).
-uint64_t PopcountWords(const uint64_t* words, size_t num_words);
-uint64_t PopcountWordsScalar(const uint64_t* words, size_t num_words);
-
 // Decodes exactly `count` d-gap varints (7 data bits per byte, high bit =
 // continuation, at most 5 bytes per value) from in[0, in_size), writing the
 // running prefix sums (absolute ObjectRefs) to out[0, count). Returns the

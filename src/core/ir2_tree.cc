@@ -24,19 +24,4 @@ void Ir2Tree::FillObjectPayload(std::span<const uint64_t> word_hashes,
   std::memcpy(out.data(), sig.bytes().data(), out.size());
 }
 
-Status Ir2Tree::InsertObject(ObjectRef ref, const Rect& rect,
-                             std::span<const std::string> distinct_words) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(distinct_words.size());
-  for (const std::string& word : distinct_words) {
-    hashes.push_back(HashWord(word));
-  }
-  return InsertObject(ref, rect, hashes);
-}
-
-Signature Ir2Tree::QuerySignature(std::span<const uint64_t> keyword_hashes,
-                                  uint32_t level) const {
-  return MakeSignatureFromHashes(keyword_hashes, LevelConfig(level));
-}
-
 }  // namespace ir2

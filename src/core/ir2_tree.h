@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "rtree/rtree_base.h"
 #include "text/signature.h"
@@ -48,21 +46,11 @@ class Ir2Tree : public RTreeBase {
     return {config.bits, config.hashes_per_word};
   }
 
-  using RTreeBase::InsertObject;
-  // Convenience: hashes `distinct_words` first.
-  Status InsertObject(ObjectRef ref, const Rect& rect,
-                      std::span<const std::string> distinct_words);
-
   // Removes the object previously inserted as (ref, rect); signatures of
   // ancestors are re-tightened by CondenseTree (Figure 8 of the paper).
   StatusOr<bool> DeleteObject(ObjectRef ref, const Rect& rect) {
     return Delete(ref, rect);
   }
-
-  // Signature of a conjunctive query (OR of the keywords' signatures) at
-  // the width used by nodes at `level` — the W of IR2NearestNeighbor.
-  Signature QuerySignature(std::span<const uint64_t> keyword_hashes,
-                           uint32_t level) const;
 
   const SignatureConfig& signature_config() const { return signature_; }
 

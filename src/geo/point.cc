@@ -1,20 +1,8 @@
 #include "geo/point.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace ir2 {
-
-std::string Point::ToString() const {
-  std::ostringstream os;
-  os << "[";
-  for (uint32_t i = 0; i < dims_; ++i) {
-    if (i > 0) os << ", ";
-    os << coords_[i];
-  }
-  os << "]";
-  return os.str();
-}
 
 double DistanceSquared(const Point& a, const Point& b) {
   IR2_DCHECK(a.dims() == b.dims());

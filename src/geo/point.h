@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "common/logging.h"
 
@@ -53,7 +52,6 @@ class Point {
     return true;
   }
 
-  std::string ToString() const;
 
  private:
   uint32_t dims_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace ir2 {
 
@@ -42,14 +41,6 @@ bool Rect::Contains(const Rect& other) const {
   IR2_DCHECK(other.dims() == dims());
   for (uint32_t i = 0; i < dims(); ++i) {
     if (other.lo_[i] < lo_[i] || other.hi_[i] > hi_[i]) return false;
-  }
-  return true;
-}
-
-bool Rect::Intersects(const Rect& other) const {
-  IR2_DCHECK(other.dims() == dims());
-  for (uint32_t i = 0; i < dims(); ++i) {
-    if (other.hi_[i] < lo_[i] || other.lo_[i] > hi_[i]) return false;
   }
   return true;
 }
@@ -117,12 +108,6 @@ double Rect::IntersectionArea(const Rect& other) const {
     area *= extent;
   }
   return area;
-}
-
-std::string Rect::ToString() const {
-  std::ostringstream os;
-  os << "{lo=" << lo_.ToString() << ", hi=" << hi_.ToString() << "}";
-  return os.str();
 }
 
 }  // namespace ir2

@@ -1,7 +1,6 @@
 #ifndef IR2TREE_GEO_RECT_H_
 #define IR2TREE_GEO_RECT_H_
 
-#include <string>
 
 #include "geo/point.h"
 
@@ -41,7 +40,6 @@ class Rect {
 
   bool Contains(const Point& p) const;
   bool Contains(const Rect& other) const;
-  bool Intersects(const Rect& other) const;
 
   // Smallest rectangle covering both this and `other`.
   Rect UnionWith(const Rect& other) const;
@@ -69,7 +67,6 @@ class Rect {
     return a.lo_ == b.lo_ && a.hi_ == b.hi_;
   }
 
-  std::string ToString() const;
 
  private:
   Point lo_;

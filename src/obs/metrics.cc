@@ -122,11 +122,6 @@ double Histogram::Sum() const {
   return total;
 }
 
-double Histogram::Mean() const {
-  const uint64_t n = Count();
-  return n == 0 ? 0.0 : Sum() / static_cast<double>(n);
-}
-
 double Histogram::Percentile(double fraction) const {
   uint64_t counts[kNumBuckets];
   for (int i = 0; i < kNumBuckets; ++i) {

@@ -81,7 +81,6 @@ class Histogram {
 
   uint64_t Count() const;
   double Sum() const;
-  double Mean() const;
   // Interpolated value at `fraction` in [0, 1]; 0 when empty.
   double Percentile(double fraction) const;
   // The same estimator over an externally merged bucket array (size

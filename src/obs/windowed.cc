@@ -6,11 +6,8 @@
 namespace ir2 {
 namespace obs {
 
-WindowedHistogram::WindowedHistogram(Options options) : options_(options) {
-  if (options_.slots < 1) options_.slots = 1;
-  if (!(options_.slot_seconds > 0.0)) options_.slot_seconds = 1.0;
-  epoch_ = std::chrono::steady_clock::now();
-  slots_.resize(static_cast<size_t>(options_.slots));
+WindowedHistogram::WindowedHistogram()
+    : epoch_(std::chrono::steady_clock::now()), slots_(kSlots) {
   for (Slot& slot : slots_) {
     slot.buckets.assign(Histogram::kNumBuckets, 0);
   }
@@ -25,9 +22,9 @@ double WindowedHistogram::NowSeconds() const {
 void WindowedHistogram::RecordAt(double now_seconds, double value) {
   if (now_seconds < 0.0) now_seconds = 0.0;
   const int64_t epoch =
-      static_cast<int64_t>(std::floor(now_seconds / options_.slot_seconds));
+      static_cast<int64_t>(std::floor(now_seconds / kSlotSeconds));
   std::lock_guard<std::mutex> lock(mu_);
-  Slot& slot = slots_[static_cast<size_t>(epoch % options_.slots)];
+  Slot& slot = slots_[static_cast<size_t>(epoch % kSlots)];
   if (slot.epoch != epoch) {
     // The ring wrapped past this slot's old interval: it aged out of the
     // window the moment `epoch` started, so recycle it in place.
@@ -45,16 +42,16 @@ WindowedHistogram::Snapshot WindowedHistogram::SnapAt(
     double now_seconds) const {
   if (now_seconds < 0.0) now_seconds = 0.0;
   const int64_t current =
-      static_cast<int64_t>(std::floor(now_seconds / options_.slot_seconds));
+      static_cast<int64_t>(std::floor(now_seconds / kSlotSeconds));
   Snapshot snap;
-  snap.window_seconds = window_seconds();
+  snap.window_seconds = kSlots * kSlotSeconds;
   std::vector<uint64_t> merged(Histogram::kNumBuckets, 0);
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Slot& slot : slots_) {
-      // Live = written during one of the window's `slots` most recent
+      // Live = written during one of the window's kSlots most recent
       // intervals, the current (partial) one included.
-      if (slot.epoch < 0 || slot.epoch + options_.slots <= current) continue;
+      if (slot.epoch < 0 || slot.epoch + kSlots <= current) continue;
       snap.count += slot.count;
       snap.sum += slot.sum;
       for (int i = 0; i < Histogram::kNumBuckets; ++i) {

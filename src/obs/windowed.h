@@ -35,12 +35,10 @@ namespace obs {
 
 class WindowedHistogram {
  public:
-  struct Options {
-    // Window = slots × slot_seconds; the default covers the last 60s in
-    // 10-second intervals.
-    int slots = 6;
-    double slot_seconds = 10.0;
-  };
+  // Window = kSlots × kSlotSeconds: the last 60 seconds in 10-second
+  // intervals.
+  static constexpr int kSlots = 6;
+  static constexpr double kSlotSeconds = 10.0;
 
   struct Snapshot {
     uint64_t count = 0;
@@ -48,14 +46,13 @@ class WindowedHistogram {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
-    double window_seconds = 0.0;  // Configured span the quantiles cover.
+    double window_seconds = 0.0;  // Span the quantiles cover.
     double Mean() const {
       return count == 0 ? 0.0 : sum / static_cast<double>(count);
     }
   };
 
-  WindowedHistogram() : WindowedHistogram(Options()) {}
-  explicit WindowedHistogram(Options options);
+  WindowedHistogram();
   WindowedHistogram(const WindowedHistogram&) = delete;
   WindowedHistogram& operator=(const WindowedHistogram&) = delete;
 
@@ -66,13 +63,9 @@ class WindowedHistogram {
   Snapshot Snap() const { return SnapAt(NowSeconds()); }
   Snapshot SnapAt(double now_seconds) const;
 
-  double window_seconds() const {
-    return static_cast<double>(options_.slots) * options_.slot_seconds;
-  }
-
  private:
   struct Slot {
-    int64_t epoch = -1;  // floor(t / slot_seconds) this slot holds; -1 idle.
+    int64_t epoch = -1;  // floor(t / kSlotSeconds) this slot holds; -1 idle.
     uint64_t count = 0;
     double sum = 0.0;
     std::vector<uint64_t> buckets;  // Histogram::kNumBuckets wide.
@@ -80,7 +73,6 @@ class WindowedHistogram {
 
   double NowSeconds() const;
 
-  Options options_;
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   std::vector<Slot> slots_;

@@ -175,9 +175,7 @@ class IncrementalNNCursor {
         }
         const double distance = target_.MinDist(entry.rect);
         Push(NNQueueItem{distance, is_leaf, seq_++, entry.ref, entry.rect});
-        if (is_leaf) {
-          ++objects_enqueued_;
-        } else if (prefetch_children) {
+        if (prefetch_children) {
           // Children are visited in entry order here, which is exactly
           // their allocation order under DFS placement — the batch below
           // coalesces into one sequential sibling run.
@@ -194,7 +192,6 @@ class IncrementalNNCursor {
   }
 
   uint64_t nodes_visited() const { return nodes_visited_; }
-  uint64_t objects_enqueued() const { return objects_enqueued_; }
   uint64_t entries_pruned() const { return entries_pruned_; }
 
  private:
@@ -221,7 +218,6 @@ class IncrementalNNCursor {
   std::vector<BlockId> prefetch_ids_;
   uint64_t seq_ = 0;
   uint64_t nodes_visited_ = 0;
-  uint64_t objects_enqueued_ = 0;
   uint64_t entries_pruned_ = 0;
 };
 

@@ -146,15 +146,6 @@ Status RTreeBase::Init() {
   return WriteSuperblock();
 }
 
-void RTreeBase::Attach(BlockId root_id, uint32_t root_level, uint64_t count) {
-  IR2_CHECK(!ready_);
-  IR2_CHECK(!options_.manage_superblock);
-  root_id_ = root_id;
-  root_level_ = root_level;
-  count_ = count;
-  ready_ = true;
-}
-
 Status RTreeBase::WriteSuperblock() {
   if (!options_.manage_superblock) {
     return Status::Ok();
@@ -172,7 +163,8 @@ Status RTreeBase::WriteSuperblock() {
 
 Status RTreeBase::Load() {
   IR2_CHECK(!ready_);
-  IR2_CHECK(options_.manage_superblock) << "shared-device trees use Attach";
+  IR2_CHECK(options_.manage_superblock)
+      << "shared-device trees have no superblock to load";
   std::vector<uint8_t> block(pool_->block_size());
   IR2_RETURN_IF_ERROR(pool_->Read(0, block));
   BufferReader reader(block);

@@ -65,8 +65,8 @@ struct RTreeOptions {
 
   // When false, the tree writes no superblock and does not require an
   // empty device: many trees can share one device (used by the hybrid
-  // per-keyword-tree baseline). The owner must persist root_id/height/
-  // size itself and restore them with Attach.
+  // per-keyword-tree baseline, whose trees live only as long as the
+  // index that built them).
   bool manage_superblock = true;
 };
 
@@ -109,10 +109,6 @@ class RTreeBase {
 
   // Opens an existing tree (superblock at block 0).
   Status Load();
-
-  // Adopts an existing tree on a shared device (manage_superblock == false
-  // mode): the caller supplies the metadata a superblock would hold.
-  void Attach(BlockId root_id, uint32_t root_level, uint64_t count);
 
   // Inserts an object whose (normalized, distinct) words hash to
   // `word_hashes` (HashWord; none for a plain R-Tree); its payload at every

@@ -19,6 +19,21 @@ namespace {
 // tokenizer strips control characters).
 constexpr char kKeySep = '\x1f';
 
+// Lock striping width.
+constexpr uint32_t kNumStripes = 8;
+// EWMA decay constant in request ticks: a set's frequency halves every
+// kEwmaTau * ln 2 requests of silence.
+constexpr double kEwmaTau = 256.0;
+// Over-fetch policy: K = clamp(ceil(k * factor), k + kMinOverfetch,
+// k + kMaxOverfetch), with hot sets (EWMA >= kHotEwma) using kHotFactor.
+// A wider K costs more at fill but widens the reusable ball
+// (r_K - dist(p, p')) for every later perturbed repeat.
+constexpr double kOverfetchFactor = 2.0;
+constexpr double kHotFactor = 4.0;
+constexpr double kHotEwma = 4.0;
+constexpr uint32_t kMinOverfetch = 4;
+constexpr uint32_t kMaxOverfetch = 256;
+
 // The cached order and the re-rank order are both the global merge order
 // of the sharded tier: (distance, object id, ref) ascending. Keeping one
 // total order everywhere is what makes "top-k' is a prefix of top-K" true.
@@ -83,10 +98,8 @@ const ResultCacheMetrics& DefaultResultCacheMetrics() {
 ResultCache::ResultCache(ResultCacheOptions options)
     : options_(options) {
   if (options_.max_entries == 0) options_.max_entries = 1;
-  if (options_.num_stripes == 0) options_.num_stripes = 1;
-  if (options_.ewma_tau <= 0.0) options_.ewma_tau = 1.0;
-  const uint32_t stripes = std::min<uint32_t>(
-      options_.num_stripes, static_cast<uint32_t>(options_.max_entries));
+  const uint32_t stripes = static_cast<uint32_t>(
+      std::min<size_t>(kNumStripes, options_.max_entries));
   per_stripe_capacity_ = (options_.max_entries + stripes - 1) / stripes;
   stripes_.reserve(stripes);
   for (uint32_t i = 0; i < stripes; ++i) {
@@ -113,7 +126,7 @@ ResultCache::Stripe& ResultCache::StripeFor(const std::string& key) {
 double ResultCache::DecayedEwma(const Slot& slot, uint64_t tick) const {
   if (slot.last_tick == 0 || tick <= slot.last_tick) return slot.ewma;
   const double dt = static_cast<double>(tick - slot.last_tick);
-  return slot.ewma * std::exp(-dt / options_.ewma_tau);
+  return slot.ewma * std::exp(-dt / kEwmaTau);
 }
 
 ResultCache::Slot& ResultCache::TouchSlot(Stripe& stripe,
@@ -246,15 +259,13 @@ uint32_t ResultCache::OverfetchK(const DistanceFirstQuery& q) {
     auto it = stripe.slots.find(key);
     if (it != stripe.slots.end()) ewma = DecayedEwma(it->second, tick);
   }
-  if (ewma < options_.admit_ewma) return 0;  // Too cold to cache.
-  const double factor =
-      ewma >= options_.hot_ewma ? options_.hot_factor : options_.overfetch_factor;
+  const double factor = ewma >= kHotEwma ? kHotFactor : kOverfetchFactor;
   uint64_t fetch_k =
       static_cast<uint64_t>(std::ceil(static_cast<double>(q.k) * factor));
-  fetch_k = std::max<uint64_t>(
-      fetch_k, static_cast<uint64_t>(q.k) + options_.min_overfetch);
-  fetch_k = std::min<uint64_t>(
-      fetch_k, static_cast<uint64_t>(q.k) + options_.max_overfetch);
+  fetch_k = std::max<uint64_t>(fetch_k,
+                               static_cast<uint64_t>(q.k) + kMinOverfetch);
+  fetch_k = std::min<uint64_t>(fetch_k,
+                               static_cast<uint64_t>(q.k) + kMaxOverfetch);
   return static_cast<uint32_t>(fetch_k);
 }
 

@@ -25,10 +25,9 @@
 // lost the K-th slot on object id and be absent from the entry.
 //
 // Admission is frequency-aware: a per-keyword-set EWMA, decayed on a global
-// request tick (deterministic — no wall clock), decides whether a missed
-// set is worth caching at all and how far past k to over-fetch (hot sets
-// earn a larger K, which widens the reusable ball). Over-fetch is always
-// strictly past k so exact repeats hit.
+// request tick (deterministic — no wall clock), decides how far past k to
+// over-fetch (hot sets earn a larger K, which widens the reusable ball).
+// Over-fetch is always strictly past k so exact repeats hit.
 //
 // Correctness under mutation rides the trees' NodeCache version counters:
 // the caller passes its current mutation epoch (sum of RTreeBase::version
@@ -87,25 +86,6 @@ struct ResultCacheOptions {
   // Entry capacity across all stripes; an insert past it evicts the least
   // recently touched keyword set (entry and its EWMA state together).
   size_t max_entries = 1024;
-  // Lock striping width (clamped to >= 1).
-  uint32_t num_stripes = 8;
-  // EWMA decay constant in request ticks: a set's frequency halves every
-  // tau * ln 2 requests of silence. Deterministic and testable — no wall
-  // clock anywhere in the policy.
-  double ewma_tau = 256.0;
-  // A keyword set is admitted (cached on its next miss) once its EWMA
-  // reaches this. The default admits on first sight; raise it to keep
-  // one-off queries from churning the LRU.
-  double admit_ewma = 0.0;
-  // Over-fetch policy: K = clamp(k * factor, k + min_overfetch,
-  // k + max_overfetch), with hot sets (EWMA >= hot_ewma) using hot_factor.
-  // A wider K costs more at fill but widens the reusable ball
-  // (r_K - dist(p, p')) for every later perturbed repeat.
-  double overfetch_factor = 2.0;
-  double hot_factor = 4.0;
-  double hot_ewma = 4.0;
-  uint32_t min_overfetch = 4;
-  uint32_t max_overfetch = 256;
 };
 
 class ResultCache {
@@ -128,8 +108,9 @@ class ResultCache {
 
   // Admission policy after a miss: the K > q.k this keyword set should be
   // over-fetched to so the refill can serve future perturbed repeats, or 0
-  // when the set is too cold to cache. Frequency-aware: hot keyword sets
-  // (per-set EWMA) earn a larger K.
+  // when the query is not cacheable (an area or max_distance query, or
+  // k = 0). Frequency-aware: hot keyword sets (per-set EWMA) earn a larger
+  // K.
   uint32_t OverfetchK(const DistanceFirstQuery& q);
 
   // Stores the over-fetched answer for `q` (the same normalized query given
@@ -142,8 +123,8 @@ class ResultCache {
   void Admit(const DistanceFirstQuery& q, uint32_t fetched_k, uint64_t epoch,
              std::span<const QueryResult> results);
 
-  // Drops every entry *and* its EWMA admission state — a full reset, used
-  // by tests and /cachez?clear-style tooling.
+  // Drops every entry *and* its EWMA admission state — a full reset
+  // (result_cache_test).
   void Clear();
 
   // Point-in-time totals for /statusz, /cachez and tests.
@@ -180,7 +161,6 @@ class ResultCache {
   };
   std::vector<EntryRow> Table(size_t limit = 64) const;
 
-  const ResultCacheOptions& options() const { return options_; }
 
  private:
   struct Entry {

@@ -13,6 +13,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Distinct tenants beyond this many fold into the tenant="other" row and
+// label, bounding registry cardinality against hostile tenant churn.
+constexpr size_t kMaxLabelledTenants = 64;
+
 double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
@@ -22,7 +26,6 @@ double MsBetween(Clock::time_point from, Clock::time_point to) {
 ServerLoop::ServerLoop(ShardedDatabase* db, ServerLoopOptions options)
     : db_(db),
       options_(options),
-      latency_window_(options.latency_window),
       slo_(options.slo),
       query_log_(options.query_log) {
   IR2_CHECK(db_ != nullptr);
@@ -43,12 +46,12 @@ ServerLoop::~ServerLoop() { Stop(); }
 
 ServerLoop::TenantCells& ServerLoop::CellsFor(const std::string& tenant) {
   auto it = tenants_.find(tenant);
-  if (it == tenants_.end() && tenants_.size() >= options_.max_labelled_tenants) {
+  if (it == tenants_.end() && tenants_.size() >= kMaxLabelledTenants) {
     it = tenants_.find("other");
   }
   if (it == tenants_.end()) {
     const std::string label =
-        tenants_.size() >= options_.max_labelled_tenants ? "other" : tenant;
+        tenants_.size() >= kMaxLabelledTenants ? "other" : tenant;
     TenantCells cells;
     cells.row.tenant = label;
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();

@@ -55,12 +55,6 @@ struct ServerLoopOptions {
   // log's "slow" line: one threshold for both surfaces.
   obs::SloOptions slo;
   obs::QueryLogOptions query_log;
-  // Sliding window behind /statusz latency quantiles (default: last 60s in
-  // 10-second slots).
-  obs::WindowedHistogram::Options latency_window;
-  // Distinct tenants beyond this many fold into the tenant="other" row and
-  // label, bounding registry cardinality against hostile tenant churn.
-  size_t max_labelled_tenants = 64;
 };
 
 struct ServerStats {
@@ -169,7 +163,7 @@ class ServerLoop {
 
   void WorkerMain();
   // Finds or creates the tenant's cells, folding overflow tenants into
-  // "other" past max_labelled_tenants. Caller holds mu_.
+  // "other" past the first 64 distinct tenants. Caller holds mu_.
   TenantCells& CellsFor(const std::string& tenant);
   // Expected milliseconds until a queue slot frees up, from the service-time
   // EWMA. Caller holds mu_.

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "obs/trace.h"
+#include "serving/space_filling.h"
 
 namespace ir2 {
 namespace serving {
@@ -70,12 +71,8 @@ StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Build(
   db->sharding_.num_shards = std::max<uint64_t>(
       1, std::min<uint64_t>(sharding.num_shards, objects.size()));
 
-  PartitionOptions partition;
-  partition.num_shards = db->sharding_.num_shards;
-  partition.curve = sharding.curve;
-  partition.order = sharding.curve_order;
   std::vector<ShardAssignment> assignment =
-      PartitionBySpaceFillingCurve(objects, partition);
+      PartitionBySpaceFillingCurve(objects, db->sharding_.num_shards);
 
   DatabaseOptions shard_options = options;
   shard_options.structures = sharding.structures;
@@ -346,7 +343,7 @@ StatusOr<ShardedDatabase::ExplainResult> ShardedDatabase::Explain(
   char buf[64];
   obs::ExplainSection* query = report.AddSection("Sharded query");
   query->AddRow("shards", obs::FormatCount(shards_.size()));
-  query->AddRow("curve", CurveKindName(sharding_.curve));
+  query->AddRow("curve", CurveNameForDims(info_.front().bounds.dims()));
   query->AddRow("algorithm", out.cache_check.hit
                                  ? "auto -> result cache (no fan-out)"
                                  : AlgorithmName(algo));

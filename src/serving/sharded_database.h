@@ -32,7 +32,6 @@
 #include "obs/metrics.h"
 #include "rtree/node_cache.h"
 #include "serving/result_cache.h"
-#include "serving/space_filling.h"
 
 namespace ir2 {
 namespace serving {
@@ -64,8 +63,6 @@ inline constexpr StructureSet kServingStructures{Structure::kKcTree,
 struct ShardingOptions {
   // Effective shard count is clamped to [1, num_objects].
   uint64_t num_shards = 4;
-  CurveKind curve = CurveKind::kHilbert;
-  uint32_t curve_order = 16;
   // The index structures every shard builds; Build uses this set in place
   // of the DatabaseOptions' own. A fixed-algorithm query whose structure is
   // left out returns FailedPrecondition. Tiers that run fixed R-Tree, IR2

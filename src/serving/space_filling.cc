@@ -11,14 +11,8 @@
 namespace ir2 {
 namespace serving {
 
-const char* CurveKindName(CurveKind kind) {
-  switch (kind) {
-    case CurveKind::kHilbert:
-      return "hilbert";
-    case CurveKind::kMorton:
-      return "morton";
-  }
-  return "unknown";
+const char* CurveNameForDims(uint32_t dims) {
+  return dims == 2 ? "hilbert" : "morton";
 }
 
 uint64_t HilbertIndex2D(uint32_t x, uint32_t y, uint32_t order) {
@@ -62,6 +56,10 @@ uint64_t MortonIndex(std::span<const uint32_t> cell, uint32_t order) {
 
 namespace {
 
+// Grid resolution: 2^kCurveOrder cells per dimension, before the cap that
+// keeps dims * order within 64 bits.
+constexpr uint32_t kCurveOrder = 16;
+
 // Quantizes `value` within [lo, hi] to a grid cell in [0, 2^order).
 uint32_t QuantizeCoord(double value, double lo, double hi, uint32_t order) {
   const uint64_t cells = uint64_t{1} << order;
@@ -76,10 +74,10 @@ uint32_t QuantizeCoord(double value, double lo, double hi, uint32_t order) {
 }  // namespace
 
 std::vector<ShardAssignment> PartitionBySpaceFillingCurve(
-    std::span<const StoredObject> objects, const PartitionOptions& options) {
-  IR2_CHECK(options.num_shards >= 1);
+    std::span<const StoredObject> objects, uint64_t num_shards) {
+  IR2_CHECK(num_shards >= 1);
   const size_t n = objects.size();
-  std::vector<ShardAssignment> shards(options.num_shards);
+  std::vector<ShardAssignment> shards(num_shards);
   if (n == 0) return shards;
 
   const uint32_t dims =
@@ -98,11 +96,10 @@ std::vector<ShardAssignment> PartitionBySpaceFillingCurve(
   }
 
   // Hilbert needs exactly two dimensions; other dimensionalities use the
-  // Morton interleave, whose order is capped so the index fits in 64 bits.
-  const bool hilbert = options.curve == CurveKind::kHilbert && dims == 2;
-  uint32_t order = std::min(options.order, 31u);
-  if (order == 0) order = 1;
-  if (!hilbert) order = std::min(order, 64u / dims);
+  // Morton interleave (CurveNameForDims). The order is capped so the index
+  // fits in 64 bits, which only bites above four dimensions.
+  const bool hilbert = dims == 2;
+  const uint32_t order = std::min(kCurveOrder, 64u / dims);
 
   std::vector<std::pair<uint64_t, uint32_t>> keyed(n);
   std::vector<uint32_t> cell(dims);
@@ -115,15 +112,15 @@ std::vector<ShardAssignment> PartitionBySpaceFillingCurve(
     keyed[i] = {index, static_cast<uint32_t>(i)};
   }
   // Ties broken by input position: the partition is a deterministic
-  // function of (objects, options).
+  // function of (objects, num_shards).
   std::sort(keyed.begin(), keyed.end());
 
   // Cut the curve order into near-equal contiguous runs; the first
   // n % num_shards shards take one extra object.
-  const uint64_t base = n / options.num_shards;
-  const uint64_t extra = n % options.num_shards;
+  const uint64_t base = n / num_shards;
+  const uint64_t extra = n % num_shards;
   size_t next = 0;
-  for (uint64_t s = 0; s < options.num_shards; ++s) {
+  for (uint64_t s = 0; s < num_shards; ++s) {
     const uint64_t count = base + (s < extra ? 1 : 0);
     ShardAssignment& shard = shards[s];
     shard.members.reserve(count);

@@ -18,17 +18,13 @@
 namespace ir2 {
 namespace serving {
 
-enum class CurveKind : uint8_t {
-  // Hilbert curve (2-D datasets): every curve step is a unit grid step, so
-  // contiguous runs have the best locality. Non-2-D datasets silently use
-  // Morton — Hilbert's rotation bookkeeping does not generalize cheaply.
-  kHilbert = 0,
-  // Morton / Z-order bit interleave: any dimensionality, slightly worse
-  // locality at octant boundaries.
-  kMorton,
-};
-
-const char* CurveKindName(CurveKind kind);
+// The curve follows the dimensionality: the Hilbert curve for 2-D data
+// (every curve step is a unit grid step, so contiguous runs have the best
+// locality), the Morton / Z-order bit interleave otherwise (any
+// dimensionality, slightly worse locality at octant boundaries; Hilbert's
+// rotation bookkeeping does not generalize cheaply). Returns "hilbert" or
+// "morton".
+const char* CurveNameForDims(uint32_t dims);
 
 // Index of grid cell (x, y) along the 2-D Hilbert curve of 2^order x
 // 2^order cells. `order` in [1, 31]; x, y < 2^order.
@@ -39,14 +35,6 @@ uint64_t HilbertIndex2D(uint32_t x, uint32_t y, uint32_t order);
 // each cell coordinate < 2^order.
 uint64_t MortonIndex(std::span<const uint32_t> cell, uint32_t order);
 
-struct PartitionOptions {
-  uint64_t num_shards = 4;
-  CurveKind curve = CurveKind::kHilbert;
-  // Grid resolution: 2^order cells per dimension (before the Morton
-  // fallback caps it so dims * order fits in 64 bits).
-  uint32_t order = 16;
-};
-
 // One shard's slice of the dataset.
 struct ShardAssignment {
   // Indices into the input span, curve order preserved.
@@ -55,12 +43,14 @@ struct ShardAssignment {
   Rect bounds;
 };
 
-// Deterministic for a given (objects, options): sorts objects by
-// (curve index, input position) and cuts the sorted order into
+// Deterministic for a given (objects, num_shards): quantizes each location
+// to a grid of 2^16 cells per dimension (fewer for Morton above four
+// dimensions, so the index fits in 64 bits), sorts objects by (curve index
+// of CurveNameForDims, input position) and cuts the sorted order into
 // `num_shards` contiguous runs of near-equal size. Empty shards are
 // possible only when num_shards > objects.size().
 std::vector<ShardAssignment> PartitionBySpaceFillingCurve(
-    std::span<const StoredObject> objects, const PartitionOptions& options);
+    std::span<const StoredObject> objects, uint64_t num_shards);
 
 }  // namespace serving
 }  // namespace ir2

@@ -47,17 +47,6 @@ void AsyncIoBackend::Submit(const IoRequest& request) {
   work_cv_.notify_one();
 }
 
-bool AsyncIoBackend::TrySubmit(const IoRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stop_ || in_flight_ >= options_.queue_depth) {
-    return false;
-  }
-  submission_queue_.push_back(request);
-  ++in_flight_;
-  work_cv_.notify_one();
-  return true;
-}
-
 size_t AsyncIoBackend::Reap(std::vector<IoCompletion>* out,
                             size_t min_completions) {
   size_t reaped = 0;

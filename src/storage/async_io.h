@@ -20,7 +20,7 @@ struct AsyncIoOptions {
   uint32_t num_threads = 2;
 
   // Maximum outstanding (submitted, not yet completed) requests; Submit
-  // blocks while the ring is full, TrySubmit refuses. Bounds submission
+  // blocks while the ring is full. Bounds submission
   // backlog the way an io_uring's sqe ring would; completions wait in the
   // CQ until reaped, so a submitter may queue a whole pass ahead of its
   // reap loop without deadlocking.
@@ -75,9 +75,6 @@ class AsyncIoBackend {
 
   // Enqueues `request`; blocks while the ring is full.
   void Submit(const IoRequest& request);
-
-  // Non-blocking form: false (and no effect) when the ring is full.
-  bool TrySubmit(const IoRequest& request);
 
   // Harvests completions into `out` (appended). Blocks until at least
   // `min_completions` have been appended (0 = never block). Returns the

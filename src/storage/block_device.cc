@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -31,14 +30,6 @@ thread_local TlsIoSlot t_io_cache[kTlsIoCacheSize];
 std::atomic<uint64_t> g_next_device_id{1};
 
 }  // namespace
-
-std::string IoStats::ToString() const {
-  std::ostringstream os;
-  os << "reads(random=" << random_reads << ", seq=" << sequential_reads
-     << ") writes(random=" << random_writes << ", seq=" << sequential_writes
-     << ")";
-  return os.str();
-}
 
 Status CopyBlocks(BlockDevice* src, BlockDevice* dst) {
   if (src->block_size() != dst->block_size()) {

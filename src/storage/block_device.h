@@ -66,7 +66,6 @@ struct IoStats {
            a.sequential_writes == b.sequential_writes;
   }
 
-  std::string ToString() const;
 };
 
 // Abstract block-addressed storage with I/O accounting.

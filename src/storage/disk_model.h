@@ -2,7 +2,6 @@
 #define IR2TREE_STORAGE_DISK_MODEL_H_
 
 #include <cstddef>
-#include <string>
 
 #include "storage/block_device.h"
 
@@ -70,8 +69,6 @@ class DiskModel {
 
   const DiskModelParams& params() const { return params_; }
   size_t block_size() const { return block_size_; }
-
-  std::string ToString() const;
 
  private:
   DiskModelParams params_;

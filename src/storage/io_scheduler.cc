@@ -8,12 +8,22 @@
 
 namespace ir2 {
 
+namespace {
+
+// Longest sequential run one scheduling pass will issue. Caps how long a
+// speculative sweep can hold the (simulated) head before demand traffic
+// gets a turn.
+constexpr size_t kMaxRunBlocks = 64;
+
+// Prefetch requests beyond this many distinct pending blocks are dropped
+// (speculation must never become a correctness or memory liability).
+constexpr size_t kMaxPending = 1 << 16;
+
+}  // namespace
+
 IoScheduler::IoScheduler(BufferPool* pool, IoSchedulerOptions options)
     : pool_(pool), options_(options) {
   IR2_CHECK(pool != nullptr);
-  if (options_.max_run_blocks == 0) {
-    options_.max_run_blocks = 1;
-  }
 }
 
 IoScheduler::~IoScheduler() {
@@ -56,7 +66,7 @@ void IoScheduler::PrefetchRange(BlockId first, uint32_t count) {
   bool added = false;
   for (BlockId id = first; id < end; ++id) {
     ++counters_.requested;
-    if (pending_.size() >= options_.max_pending ||
+    if (pending_.size() >= kMaxPending ||
         pending_.count(id) != 0 || in_flight_.count(id) != 0 ||
         pool_->Contains(id)) {
       ++counters_.deduped;
@@ -79,7 +89,7 @@ void IoScheduler::PrefetchBatch(std::span<const BlockId> ids) {
   bool added = false;
   for (BlockId id : ids) {
     ++counters_.requested;
-    if (id >= num_blocks || pending_.size() >= options_.max_pending ||
+    if (id >= num_blocks || pending_.size() >= kMaxPending ||
         pending_.count(id) != 0 || in_flight_.count(id) != 0 ||
         pool_->Contains(id)) {
       ++counters_.deduped;
@@ -170,7 +180,7 @@ void IoScheduler::WorkerLoop() {
       while (i < ids.size()) {
         size_t j = i + 1;
         while (j < ids.size() && ids[j] == ids[j - 1] + 1 &&
-               j - i < options_.max_run_blocks) {
+               j - i < kMaxRunBlocks) {
           ++j;
         }
         backend_->Submit(IoRequest{ids[i], static_cast<uint32_t>(j - i),
@@ -197,10 +207,10 @@ void IoScheduler::WorkerLoop() {
       size_t i = 0;
       while (i < ids.size()) {
         // Greedy coalescing: the longest adjacent ascending run from
-        // ids[i], capped at max_run_blocks.
+        // ids[i], capped at kMaxRunBlocks.
         size_t j = i + 1;
         while (j < ids.size() && ids[j] == ids[j - 1] + 1 &&
-               j - i < options_.max_run_blocks) {
+               j - i < kMaxRunBlocks) {
           ++j;
         }
         ++runs;

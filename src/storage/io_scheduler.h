@@ -16,15 +16,6 @@
 namespace ir2 {
 
 struct IoSchedulerOptions {
-  // Longest sequential run one scheduling pass will issue. Caps how long a
-  // speculative sweep can hold the (simulated) head before demand traffic
-  // gets a turn.
-  uint32_t max_run_blocks = 64;
-
-  // Prefetch requests beyond this many distinct pending blocks are dropped
-  // (speculation must never become a correctness or memory liability).
-  size_t max_pending = 1 << 16;
-
   // When true, Prefetch()/PrefetchBatch() block until the prefetcher has
   // completed every pending block. The reads still happen on the scheduler
   // thread (so their physical I/O stays attributed to speculation, never to
@@ -45,7 +36,7 @@ struct IoSchedulerStats {
 //
 // Prefetch*() enqueues speculative block reads; a background thread sorts
 // the pending set, coalesces adjacent BlockIds into sequential runs (at
-// most max_run_blocks long), and reads each run ascending through the pool,
+// most kMaxRunBlocks long), and reads each run ascending through the pool,
 // so a prefetched frontier of tree siblings laid out contiguously on disk
 // (see RTreeBase bulk load / CompactInto) costs one random access plus
 // sequential transfers instead of one seek per node. Completed blocks sit

@@ -1,6 +1,5 @@
 #include "text/signature.h"
 
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -56,11 +55,6 @@ bool Signature::ContainsAllOf(const Signature& query) const {
   IR2_CHECK_EQ(num_bits_, query.num_bits_);
   return simd::WordsContainAll(words_.data(), query.words_.data(),
                                words_.size());
-}
-
-uint32_t Signature::CountOnes() const {
-  return static_cast<uint32_t>(simd::PopcountWords(words_.data(),
-                                                   words_.size()));
 }
 
 void Signature::ClearAllBits() {
@@ -134,15 +128,6 @@ void MakeSignatureFromHashesInto(std::span<const uint64_t> word_hashes,
   for (uint64_t hash : word_hashes) {
     AddWordHash(hash, config, out);
   }
-}
-
-Signature MakeSignature(std::span<const std::string> words,
-                        const SignatureConfig& config) {
-  Signature sig(config.bits);
-  for (const std::string& word : words) {
-    AddWordHash(HashWord(word), config, &sig);
-  }
-  return sig;
 }
 
 }  // namespace ir2

@@ -48,9 +48,9 @@ double ExpectedFalsePositiveRate(double distinct_words, uint32_t bits,
 // A fixed-width bit string. Width is set at construction (or by Reset) and
 // all binary operations require equal widths.
 //
-// Storage is an array of uint64_t words, so Superimpose / ContainsAllOf /
-// CountOnes — the innermost comparisons of IR2TopK — run word-wide
-// (AND/OR/std::popcount over 64 bits at a time) instead of byte-wide. Bits
+// Storage is an array of uint64_t words, so Superimpose / ContainsAllOf —
+// the innermost comparisons of IR2TopK — run word-wide (AND/OR over 64
+// bits at a time) instead of byte-wide. Bits
 // past num_bits() up to the word boundary are always zero, which keeps the
 // word loops free of tail masking. The serialized form (bytes()) is the
 // unchanged byte-granular disk layout: (num_bits + 7) / 8 bytes.
@@ -78,9 +78,6 @@ class Signature {
   // True iff every bit set in `query` is also set here — the signature
   // match test "S matches W" of the paper's IR2NearestNeighbor.
   bool ContainsAllOf(const Signature& query) const;
-
-  // Number of set bits (the signature's weight).
-  uint32_t CountOnes() const;
 
   void ClearAllBits();
 
@@ -129,10 +126,6 @@ void AddWordHash(uint64_t word_hash, const SignatureConfig& config,
 // True iff all k bit positions of the word are set — a (possibly false
 // positive) single-word membership test.
 bool MayContainWordHash(const Signature& sig, uint64_t word_hash,
-                        const SignatureConfig& config);
-
-// Builds the signature of a document given its distinct words.
-Signature MakeSignature(std::span<const std::string> words,
                         const SignatureConfig& config);
 
 // Builds a signature from pre-hashed words (one Fnv1a64 value per word).

@@ -132,7 +132,7 @@ TEST(CorruptionTest, TreeSearchNeverCrashesOnCorruptNodes) {
           tokenizer.DistinctTokens(objects[i].text);
       IR2_CHECK_OK(tree.InsertObject(
           refs[i], Rect::ForPoint(Point(objects[i].coords)),
-          std::span<const std::string>(words)));
+          testing_util::HashWords(words)));
     }
 
     for (int flips = 0; flips < 3; ++flips) {

@@ -38,7 +38,7 @@ class CursorTest : public ::testing::Test {
       ASSERT_TRUE(tree_
                       ->InsertObject(refs_[i],
                                      Rect::ForPoint(Point(objects_[i].coords)),
-                                     std::span<const std::string>(words))
+                                     testing_util::HashWords(words))
                       .ok());
     }
   }

@@ -150,7 +150,7 @@ TEST(FailureInjectionTest, Ir2SearchSurfacesMidQueryErrors) {
     std::vector<std::string> words = tokenizer.DistinctTokens(objects[i].text);
     ASSERT_TRUE(tree.InsertObject(refs[i],
                                   Rect::ForPoint(Point(objects[i].coords)),
-                                  std::span<const std::string>(words))
+                                  testing_util::HashWords(words))
                     .ok());
   }
 

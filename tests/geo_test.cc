@@ -50,18 +50,11 @@ TEST(RectTest, DegeneratePointRect) {
   EXPECT_FALSE(r.Contains(Point(7, -1.999)));
 }
 
-TEST(RectTest, ContainsAndIntersects) {
+TEST(RectTest, ContainsRect) {
   Rect a(Point(0, 0), Point(10, 10));
   Rect b(Point(2, 2), Point(3, 3));
-  Rect c(Point(9, 9), Point(12, 12));
-  Rect d(Point(11, 11), Point(12, 12));
   EXPECT_TRUE(a.Contains(b));
   EXPECT_FALSE(b.Contains(a));
-  EXPECT_TRUE(a.Intersects(c));
-  EXPECT_TRUE(c.Intersects(a));
-  EXPECT_FALSE(a.Intersects(d));
-  // Touching edges intersect.
-  EXPECT_TRUE(a.Intersects(Rect(Point(10, 0), Point(11, 1))));
 }
 
 TEST(RectTest, UnionAndEnlargement) {
@@ -133,10 +126,6 @@ TEST(RectTest, PropertyIntersectionAreaSymmetricAndBounded) {
     EXPECT_DOUBLE_EQ(ab, b.IntersectionArea(a));
     EXPECT_GE(ab, 0.0);
     EXPECT_LE(ab, std::min(a.Area(), b.Area()) + 1e-9);
-    EXPECT_EQ(ab > 0.0, a.Intersects(b) && ab > 0.0);
-    if (!a.Intersects(b)) {
-      EXPECT_DOUBLE_EQ(ab, 0.0);
-    }
   }
 }
 

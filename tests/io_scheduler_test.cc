@@ -87,17 +87,15 @@ TEST(IoSchedulerTest, NonAdjacentIdsBecomeSeparateRuns) {
 }
 
 TEST(IoSchedulerTest, MaxRunBlocksCapsRunLength) {
-  auto device = MakeDevice(64);
-  BufferPool pool(device.get(), /*capacity_blocks=*/64);
-  IoSchedulerOptions options = Synchronous();
-  options.max_run_blocks = 4;
-  IoScheduler scheduler(&pool, options);
+  auto device = MakeDevice(160);
+  BufferPool pool(device.get(), /*capacity_blocks=*/160);
+  IoScheduler scheduler(&pool, Synchronous());
 
-  scheduler.PrefetchRange(0, 10);  // 4 + 4 + 2.
+  scheduler.PrefetchRange(0, 150);  // Runs of at most 64: 64 + 64 + 22.
 
   const IoSchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.runs, 3u);
-  EXPECT_EQ(stats.blocks_fetched, 10u);
+  EXPECT_EQ(stats.blocks_fetched, 150u);
 }
 
 TEST(IoSchedulerTest, DedupsRepeatedAndAlreadyCachedRequests) {

@@ -28,7 +28,7 @@ struct Ir2Fixture {
   Status InsertText(ObjectRef ref, const Point& p, const std::string& text) {
     std::vector<std::string> words = tokenizer.DistinctTokens(text);
     return tree->InsertObject(ref, Rect::ForPoint(p),
-                              std::span<const std::string>(words));
+                              testing_util::HashWords(words));
   }
 
   MemoryBlockDevice device;
@@ -122,7 +122,8 @@ TEST(Ir2TreeTest, SignatureFilterNeverPrunesTrueMatches) {
     std::vector<uint64_t> hashes = {HashWord(keywords[0])};
     std::vector<Signature> sigs;
     for (uint32_t level = 0; level <= fx.tree->height(); ++level) {
-      sigs.push_back(fx.tree->QuerySignature(hashes, level));
+      sigs.push_back(
+          MakeSignatureFromHashes(hashes, fx.tree->LevelConfig(level)));
     }
     IncrementalNNCursor cursor(
         fx.tree.get(), Point(50, 50),
@@ -163,7 +164,8 @@ TEST(Ir2TreeTest, DeleteRetightensSignatures) {
   auto count_matches = [&]() {
     std::vector<Signature> sigs;
     for (uint32_t level = 0; level <= fx.tree->height(); ++level) {
-      sigs.push_back(fx.tree->QuerySignature(unicorn, level));
+      sigs.push_back(
+          MakeSignatureFromHashes(unicorn, fx.tree->LevelConfig(level)));
     }
     IncrementalNNCursor cursor(
         fx.tree.get(), rare_location,
@@ -188,10 +190,12 @@ TEST(Ir2TreeTest, QuerySignatureCombinesKeywords) {
   Ir2Fixture fx(8, SignatureConfig{512, 3});
   std::vector<uint64_t> both = {HashWord("internet"), HashWord("pool")};
   std::vector<uint64_t> one = {HashWord("internet")};
-  Signature sig_both = fx.tree->QuerySignature(both, 0);
-  Signature sig_one = fx.tree->QuerySignature(one, 0);
+  const SignatureConfig config = fx.tree->LevelConfig(0);
+  Signature sig_both = MakeSignatureFromHashes(both, config);
+  Signature sig_one = MakeSignatureFromHashes(one, config);
   EXPECT_TRUE(sig_both.ContainsAllOf(sig_one));
-  EXPECT_GE(sig_both.CountOnes(), sig_one.CountOnes());
+  EXPECT_GE(testing_util::CountOnes(sig_both),
+            testing_util::CountOnes(sig_one));
 }
 
 }  // namespace

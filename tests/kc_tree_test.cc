@@ -191,7 +191,7 @@ TEST(KcTreeTest, QueryBitsSplitHotAndColdRegions) {
     Signature bits;
     fx.tree->QueryBitsInto(std::span<const uint64_t>(&hash, 1), &bits);
     ASSERT_EQ(bits.num_bits(), fx.vocab.payload_bytes() * 8);
-    EXPECT_EQ(bits.CountOnes(), 1u);
+    EXPECT_EQ(testing_util::CountOnes(bits), 1u);
     EXPECT_TRUE(bits.TestBit(i));
   }
   // A cold keyword leaves the hot region untouched and sets at most
@@ -208,8 +208,9 @@ TEST(KcTreeTest, QueryBitsSplitHotAndColdRegions) {
   for (uint32_t b = 0; b < hot_region; ++b) {
     EXPECT_FALSE(cold_bits.TestBit(b));
   }
-  EXPECT_GE(cold_bits.CountOnes(), 1u);
-  EXPECT_LE(cold_bits.CountOnes(), fx.vocab.cold_config().hashes_per_word);
+  EXPECT_GE(testing_util::CountOnes(cold_bits), 1u);
+  EXPECT_LE(testing_util::CountOnes(cold_bits),
+            fx.vocab.cold_config().hashes_per_word);
 }
 
 // The structural core of the design: the hot bitmap is exact. For every hot

@@ -1,19 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
 #include "rtree/incremental_nn.h"
-#include "rtree/knn.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 
 namespace ir2 {
 namespace {
 
+// k-nearest-neighbour answers of the incremental cursor [HS99] — the one
+// traversal behind every algorithm of the paper — against brute force.
+
 struct KnnFixture {
-  explicit KnnFixture(uint32_t capacity, uint32_t n, uint64_t seed,
-                      SplitPolicy policy = SplitPolicy::kQuadratic)
+  KnnFixture(uint32_t capacity, uint32_t n, uint64_t seed, SplitPolicy policy)
       : pool(&device, 4096) {
     RTreeOptions options;
     options.capacity_override = capacity;
@@ -32,182 +35,54 @@ struct KnnFixture {
   std::vector<Point> points;
 };
 
-TEST(KnnTest, EmptyAndZeroK) {
-  KnnFixture fx(8, 0, 1);
-  EXPECT_TRUE(BranchAndBoundKnn(*fx.tree, Point(0, 0), 5).value().empty());
-  KnnFixture fx2(8, 10, 2);
-  EXPECT_TRUE(BranchAndBoundKnn(*fx2.tree, Point(0, 0), 0).value().empty());
-}
-
-TEST(KnnTest, KLargerThanDatasetReturnsAll) {
-  KnnFixture fx(4, 25, 3);
-  std::vector<Neighbor> result =
-      BranchAndBoundKnn(*fx.tree, Point(500, 500), 100).value();
-  EXPECT_EQ(result.size(), 25u);
-  for (size_t i = 1; i < result.size(); ++i) {
-    EXPECT_GE(result[i].distance, result[i - 1].distance);
-  }
-}
-
-TEST(KnnTest, DimensionMismatchRejected) {
-  KnnFixture fx(8, 10, 4);
-  double coords[] = {1.0, 2.0, 3.0};
-  EXPECT_FALSE(BranchAndBoundKnn(*fx.tree,
-                                 Point(std::span<const double>(coords, 3)), 3)
-                   .ok());
+TEST(KnnTest, EmptyTreeYieldsNothing) {
+  KnnFixture fx(8, 0, 1, SplitPolicy::kQuadratic);
+  IncrementalNNCursor cursor(fx.tree.get(), Point(0, 0));
+  EXPECT_FALSE(cursor.Next().value().has_value());
 }
 
 class KnnEquivalenceSweep
-    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<uint32_t, SplitPolicy, uint32_t>> {};
 
-// Branch-and-bound kNN must agree with k draws of the incremental cursor
-// (by distance — ties may order differently).
-TEST_P(KnnEquivalenceSweep, MatchesIncrementalNN) {
-  const auto [capacity, n] = GetParam();
-  KnnFixture fx(capacity, n, 100 + capacity);
+// Exhausting the cursor yields every object exactly once, in ascending
+// distance, and the first k distances equal the brute-force k smallest
+// (ties may order differently, so distances are compared, not refs).
+TEST_P(KnnEquivalenceSweep, CursorMatchesBruteForce) {
+  const auto [capacity, policy, n] = GetParam();
+  KnnFixture fx(capacity, n, 100 + capacity, policy);
+  ASSERT_TRUE(fx.tree->Validate().ok());
   Rng rng(5);
   for (int iter = 0; iter < 10; ++iter) {
     Point query(rng.NextDouble(-100, 1100), rng.NextDouble(-100, 1100));
-    uint32_t k = 1 + static_cast<uint32_t>(rng.NextUint64(20));
-    std::vector<Neighbor> bnb =
-        BranchAndBoundKnn(*fx.tree, query, k).value();
+    std::vector<double> expected;
+    expected.reserve(n);
+    for (const Point& point : fx.points) {
+      expected.push_back(Distance(point, query));
+    }
+    std::sort(expected.begin(), expected.end());
+
     IncrementalNNCursor cursor(fx.tree.get(), query);
-    for (uint32_t rank = 0; rank < std::min<uint32_t>(k, n); ++rank) {
-      auto incremental = cursor.Next().value();
-      ASSERT_TRUE(incremental.has_value());
-      ASSERT_LT(rank, bnb.size());
-      EXPECT_DOUBLE_EQ(bnb[rank].distance, incremental->distance)
-          << "k=" << k << " rank=" << rank;
+    std::vector<bool> seen(n, false);
+    for (uint32_t rank = 0; rank < n; ++rank) {
+      auto neighbor = cursor.Next().value();
+      ASSERT_TRUE(neighbor.has_value()) << "rank=" << rank;
+      ASSERT_LT(neighbor->ref, n);
+      EXPECT_FALSE(seen[neighbor->ref]) << "ref " << neighbor->ref;
+      seen[neighbor->ref] = true;
+      EXPECT_DOUBLE_EQ(neighbor->distance, expected[rank])
+          << "rank=" << rank;
     }
-    EXPECT_EQ(bnb.size(), std::min<size_t>(k, n));
+    EXPECT_FALSE(cursor.Next().value().has_value());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, KnnEquivalenceSweep,
-                         ::testing::Values(std::make_tuple(4u, 100u),
-                                           std::make_tuple(8u, 400u),
-                                           std::make_tuple(113u, 1000u)));
-
-// ---- R* split policy ----
-
-TEST(RStarSplitTest, InvariantsAndNNCorrectness) {
-  KnnFixture quadratic(6, 500, 77, SplitPolicy::kQuadratic);
-  KnnFixture rstar(6, 500, 77, SplitPolicy::kRStar);
-  ASSERT_TRUE(rstar.tree->Validate().ok());
-  ASSERT_TRUE(quadratic.tree->Validate().ok());
-
-  // Identical data -> identical NN distances under both split policies.
-  Rng rng(6);
-  for (int iter = 0; iter < 5; ++iter) {
-    Point query(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
-    auto a = BranchAndBoundKnn(*quadratic.tree, query, 15).value();
-    auto b = BranchAndBoundKnn(*rstar.tree, query, 15).value();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a[i].distance, b[i].distance);
-    }
-  }
-}
-
-TEST(RStarSplitTest, DeletesWorkUnderRStar) {
-  KnnFixture fx(5, 300, 88, SplitPolicy::kRStar);
-  for (uint32_t i = 0; i < 150; ++i) {
-    ASSERT_TRUE(fx.tree->Delete(i, Rect::ForPoint(fx.points[i])).value());
-  }
-  EXPECT_EQ(fx.tree->size(), 150u);
-  ASSERT_TRUE(fx.tree->Validate().ok());
-}
-
-TEST(RStarSplitTest, ForcedReinsertionLifecycle) {
-  MemoryBlockDevice device;
-  BufferPool pool(&device, 4096);
-  RTreeOptions options;
-  options.capacity_override = 8;
-  options.split_policy = SplitPolicy::kRStar;
-  options.forced_reinsert_fraction = 0.3;
-  RTree tree(&pool, options);
-  ASSERT_TRUE(tree.Init().ok());
-
-  Rng rng(99);
-  std::vector<Point> points;
-  for (uint32_t i = 0; i < 600; ++i) {
-    points.emplace_back(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
-    ASSERT_TRUE(tree.Insert(i, Rect::ForPoint(points.back())).ok());
-    if (i % 151 == 0) {
-      ASSERT_TRUE(tree.Validate().ok()) << "after insert " << i;
-    }
-  }
-  EXPECT_EQ(tree.size(), 600u);
-  ASSERT_TRUE(tree.Validate().ok());
-
-  // kNN correct against brute force.
-  Point query(400, 600);
-  std::vector<Neighbor> knn = BranchAndBoundKnn(tree, query, 25).value();
-  std::vector<uint32_t> order(points.size());
-  for (uint32_t i = 0; i < points.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return DistanceSquared(points[a], query) <
-           DistanceSquared(points[b], query);
-  });
-  for (size_t i = 0; i < knn.size(); ++i) {
-    EXPECT_DOUBLE_EQ(knn[i].distance, Distance(points[order[i]], query));
-  }
-
-  // Deletes (with condense re-insertion) still respect invariants.
-  for (uint32_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(tree.Delete(i, Rect::ForPoint(points[i])).value());
-  }
-  EXPECT_EQ(tree.size(), 300u);
-  ASSERT_TRUE(tree.Validate().ok());
-}
-
-TEST(RStarSplitTest, ForcedReinsertionImprovesPacking) {
-  // Re-clustering should not make the tree larger; typically it packs
-  // nodes better than pure splitting on random data.
-  auto build = [](double reinsert_fraction) {
-    auto device = std::make_unique<MemoryBlockDevice>();
-    BufferPool pool(device.get(), 1 << 14);
-    RTreeOptions options;
-    options.capacity_override = 16;
-    options.split_policy = SplitPolicy::kRStar;
-    options.forced_reinsert_fraction = reinsert_fraction;
-    RTree tree(&pool, options);
-    IR2_CHECK_OK(tree.Init());
-    Rng rng(7);
-    for (uint32_t i = 0; i < 3000; ++i) {
-      IR2_CHECK_OK(tree.Insert(
-          i, Rect::ForPoint(Point(rng.NextDouble(0, 1000),
-                                  rng.NextDouble(0, 1000)))));
-    }
-    IR2_CHECK_OK(tree.Flush());
-    return device->NumBlocks();
-  };
-  EXPECT_LE(build(0.3), build(0.0) * 11 / 10);
-}
-
-TEST(RStarSplitTest, IdenticalPointsDoNotBreakEitherPolicy) {
-  // Degenerate input: many objects at the same location. Splits must still
-  // terminate and respect fill invariants.
-  for (SplitPolicy policy : {SplitPolicy::kQuadratic, SplitPolicy::kRStar}) {
-    MemoryBlockDevice device;
-    BufferPool pool(&device, 1024);
-    RTreeOptions options;
-    options.capacity_override = 4;
-    options.split_policy = policy;
-    RTree tree(&pool, options);
-    ASSERT_TRUE(tree.Init().ok());
-    for (uint32_t i = 0; i < 100; ++i) {
-      ASSERT_TRUE(tree.Insert(i, Rect::ForPoint(Point(5, 5))).ok());
-    }
-    ASSERT_TRUE(tree.Validate().ok());
-    std::vector<Neighbor> all =
-        BranchAndBoundKnn(tree, Point(5, 5), 100).value();
-    EXPECT_EQ(all.size(), 100u);
-    for (const Neighbor& neighbor : all) {
-      EXPECT_DOUBLE_EQ(neighbor.distance, 0.0);
-    }
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, KnnEquivalenceSweep,
+    ::testing::Combine(::testing::Values(4u, 8u, 113u),
+                       ::testing::Values(SplitPolicy::kQuadratic,
+                                         SplitPolicy::kRStar),
+                       ::testing::Values(100u, 400u, 1000u)));
 
 }  // namespace
 }  // namespace ir2

@@ -40,7 +40,7 @@ struct Mir2Fixture {
           tokenizer.DistinctTokens(objects[i].text);
       IR2_CHECK_OK(tree->InsertObject(
           refs[i], Rect::ForPoint(Point(objects[i].coords)),
-          std::span<const std::string>(words)));
+          testing_util::HashWords(words)));
     }
     if (deferred) {
       IR2_CHECK_OK(tree->RecomputeAllSignatures());

@@ -82,7 +82,7 @@ TEST_P(ModelSweep, RandomOpsAgreeWithOracle) {
       ASSERT_TRUE(tree->InsertObject(
                           refs[i],
                           Rect::ForPoint(Point(universe[i].coords)),
-                          std::span<const std::string>(words[i]))
+                          testing_util::HashWords(words[i]))
                       .ok());
       alive[i] = true;
       ++ops;

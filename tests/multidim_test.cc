@@ -10,6 +10,7 @@
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 #include "storage/object_store.h"
+#include "tests/test_util.h"
 #include "text/tokenizer.h"
 
 namespace ir2 {
@@ -92,7 +93,7 @@ TEST(MultiDimTest, ThreeDimensionalSpatialKeywordQuery) {
     std::vector<std::string> words = tokenizer.DistinctTokens(objects[i].text);
     ASSERT_TRUE(tree.InsertObject(refs[i],
                                   Rect::ForPoint(Point(objects[i].coords)),
-                                  std::span<const std::string>(words))
+                                  testing_util::HashWords(words))
                     .ok());
   }
 

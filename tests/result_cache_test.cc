@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -198,41 +199,25 @@ TEST(ResultCacheTest, KeyIsTheSortedKeywordMultiset) {
 }
 
 TEST(ResultCacheTest, OverfetchPolicyScalesWithFrequency) {
-  ResultCacheOptions options;
-  options.overfetch_factor = 2.0;
-  options.hot_factor = 4.0;
-  options.hot_ewma = 4.0;
-  options.min_overfetch = 4;
-  options.max_overfetch = 32;
-  ResultCache cache(options);
+  // The policy's constants: factor 2, hot factor 4 once the EWMA reaches 4,
+  // K clamped to [k + 4, k + 256].
+  ResultCache cache;
 
   DistanceFirstQuery q = MakeQuery(0, 0, 10, {"w"});
   std::vector<QueryResult> out;
   // Cold set: factor 2 -> K = 20.
   cache.TryServe(q, 0, &out, nullptr);
   EXPECT_EQ(cache.OverfetchK(q), 20u);
-  // min_overfetch floors small k so exact repeats always over-fetch.
+  // The k + 4 floor makes small k over-fetch so exact repeats hit.
   DistanceFirstQuery tiny = MakeQuery(0, 0, 1, {"w"});
   EXPECT_EQ(cache.OverfetchK(tiny), 5u);
-  // Hammer the set hot (EWMA >= 4): factor 4 -> K = min(40, k + 32) = 40.
+  // Hammer the set hot (EWMA >= 4): factor 4 -> K = min(40, k + 256) = 40.
   for (int i = 0; i < 8; ++i) cache.TryServe(q, 0, &out, nullptr);
   EXPECT_EQ(cache.OverfetchK(q), 40u);
-  // max_overfetch caps the ball: k = 30 hot would be 120, capped to 62.
-  DistanceFirstQuery big = MakeQuery(0, 0, 30, {"w"});
-  EXPECT_EQ(cache.OverfetchK(big), 62u);
-}
-
-TEST(ResultCacheTest, AdmitEwmaThresholdDeclinesColdSets) {
-  ResultCacheOptions options;
-  options.admit_ewma = 1.5;  // Needs to be seen ~twice before caching.
-  ResultCache cache(options);
-
-  DistanceFirstQuery q = MakeQuery(0, 0, 5, {"w"});
-  std::vector<QueryResult> out;
-  cache.TryServe(q, 0, &out, nullptr);  // First sight: EWMA ~= 1.
-  EXPECT_EQ(cache.OverfetchK(q), 0u);   // Too cold — do not cache.
-  cache.TryServe(q, 0, &out, nullptr);  // Second sight: EWMA ~= 2.
-  EXPECT_GT(cache.OverfetchK(q), q.k);
+  // The k + 256 cap bounds the ball: k = 100 hot would be 400, capped to
+  // 356.
+  DistanceFirstQuery big = MakeQuery(0, 0, 100, {"w"});
+  EXPECT_EQ(cache.OverfetchK(big), 356u);
 }
 
 TEST(ResultCacheTest, GatedQueriesNeverTouchTheCache) {
@@ -256,27 +241,38 @@ TEST(ResultCacheTest, GatedQueriesNeverTouchTheCache) {
 }
 
 TEST(ResultCacheTest, LruEvictsTheColdestKeywordSet) {
+  // 16 entries over the cache's 8 lock stripes: two keyword sets per
+  // stripe. A one-keyword set's key is the keyword itself, striped by
+  // std::hash % 8; pick three keywords of one stripe so the third evicts.
   ResultCacheOptions options;
-  options.max_entries = 2;
-  options.num_stripes = 1;
+  options.max_entries = 16;
   ResultCache cache(options);
+  std::vector<std::string> keys;
+  const size_t stripe = std::hash<std::string>{}("s0") % 8;
+  for (int i = 0; keys.size() < 3; ++i) {
+    const std::string key = "s" + std::to_string(i);
+    if (std::hash<std::string>{}(key) % 8 == stripe) keys.push_back(key);
+  }
+  const std::string& a = keys[0];
+  const std::string& b = keys[1];
+  const std::string& c = keys[2];
 
   const Point p(0, 0);
   std::vector<QueryResult> one = {MakeResult(1, 1, 0, p)};
   std::vector<QueryResult> out;
-  cache.TryServe(MakeQuery(0, 0, 1, {"a"}), 0, &out, nullptr);
-  cache.Admit(MakeQuery(0, 0, 1, {"a"}), 6, 0, one);
-  cache.TryServe(MakeQuery(0, 0, 1, {"b"}), 0, &out, nullptr);
-  cache.Admit(MakeQuery(0, 0, 1, {"b"}), 6, 0, one);
-  // Touch "a" so "b" is the LRU victim when "c" arrives.
-  ASSERT_TRUE(cache.TryServe(MakeQuery(0, 0, 1, {"a"}), 0, &out, nullptr));
-  cache.TryServe(MakeQuery(0, 0, 1, {"c"}), 0, &out, nullptr);
-  cache.Admit(MakeQuery(0, 0, 1, {"c"}), 6, 0, one);
+  cache.TryServe(MakeQuery(0, 0, 1, {a}), 0, &out, nullptr);
+  cache.Admit(MakeQuery(0, 0, 1, {a}), 6, 0, one);
+  cache.TryServe(MakeQuery(0, 0, 1, {b}), 0, &out, nullptr);
+  cache.Admit(MakeQuery(0, 0, 1, {b}), 6, 0, one);
+  // Touch a so b is the LRU victim when c arrives.
+  ASSERT_TRUE(cache.TryServe(MakeQuery(0, 0, 1, {a}), 0, &out, nullptr));
+  cache.TryServe(MakeQuery(0, 0, 1, {c}), 0, &out, nullptr);
+  cache.Admit(MakeQuery(0, 0, 1, {c}), 6, 0, one);
 
   EXPECT_EQ(cache.GetStats().evictions, 1u);
-  EXPECT_TRUE(cache.TryServe(MakeQuery(0, 0, 1, {"a"}), 0, &out, nullptr));
-  EXPECT_TRUE(cache.TryServe(MakeQuery(0, 0, 1, {"c"}), 0, &out, nullptr));
-  EXPECT_FALSE(cache.TryServe(MakeQuery(0, 0, 1, {"b"}), 0, &out, nullptr));
+  EXPECT_TRUE(cache.TryServe(MakeQuery(0, 0, 1, {a}), 0, &out, nullptr));
+  EXPECT_TRUE(cache.TryServe(MakeQuery(0, 0, 1, {c}), 0, &out, nullptr));
+  EXPECT_FALSE(cache.TryServe(MakeQuery(0, 0, 1, {b}), 0, &out, nullptr));
 }
 
 TEST(ResultCacheTest, ClearDropsEntriesAndAdmissionState) {

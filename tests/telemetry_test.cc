@@ -32,8 +32,7 @@ using serving::TenantRow;
 // ------------------------------------------------------ windowed histogram
 
 TEST(WindowedHistogramTest, MergesLiveSlotsAndAgesOutOldOnes) {
-  WindowedHistogram::Options options;  // 6 slots x 10s = last 60 seconds.
-  WindowedHistogram window(options);
+  WindowedHistogram window;  // 6 slots x 10s = last 60 seconds.
   window.RecordAt(5.0, 1.0);
   window.RecordAt(15.0, 2.0);
 

@@ -2,8 +2,11 @@
 #define IR2TREE_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "geo/point.h"
 #include "storage/object_store.h"
 #include "text/corpus_terms.h"
+#include "text/signature.h"
 #include "text/tokenizer.h"
 
 namespace ir2 {
@@ -48,6 +52,22 @@ inline CorpusTerms CorpusOfTexts(const std::vector<std::string>& texts) {
   std::vector<StoredObject> objects(texts.size());
   for (size_t i = 0; i < texts.size(); ++i) objects[i].text = texts[i];
   return CorpusTerms::Build(Tokenizer(), objects);
+}
+
+// HashWord of each word, in order: the hash-keyed form every tree insert
+// and signature builder takes.
+inline std::vector<uint64_t> HashWords(std::span<const std::string> words) {
+  std::vector<uint64_t> hashes;
+  hashes.reserve(words.size());
+  for (const std::string& word : words) hashes.push_back(HashWord(word));
+  return hashes;
+}
+
+// Number of set bits of `sig` (its weight).
+inline uint32_t CountOnes(const Signature& sig) {
+  uint32_t ones = 0;
+  for (uint64_t word : sig.words()) ones += std::popcount(word);
+  return ones;
 }
 
 // The paper's running query point.

@@ -5,6 +5,7 @@
 #include "rtree/rtree.h"
 #include "rtree/tree_stats.h"
 #include "storage/buffer_pool.h"
+#include "tests/test_util.h"
 #include "text/tokenizer.h"
 
 namespace ir2 {
@@ -92,7 +93,7 @@ TEST(TreeStatsTest, SignatureDensityGrowsTowardRoot) {
                         i,
                         Rect::ForPoint(Point(rng.NextDouble(0, 100),
                                              rng.NextDouble(0, 100))),
-                        std::span<const std::string>(words))
+                        testing_util::HashWords(words))
                     .ok());
   }
   TreeStatsReport report = ComputeTreeStats(tree).value();
