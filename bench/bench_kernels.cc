@@ -1,25 +1,22 @@
 // Microbenchmark for the runtime-dispatched SIMD kernels (common/simd.h):
 // signature containment at the paper's two widths (64-bit restaurant
 // signatures, 1512-bit hotel signatures), d-gap varint posting-list decode
-// on short and long lists, and candidate
-// verification (the keyword-token search) over Hotels-shaped records. Each
-// kernel is timed on the scalar reference tier and on the best tier the
-// CPU offers; the ratio is the whole point of the kernels, so the
-// acceptance bar — >= 2x on at least one signature kernel, on posting
-// decode and on verification, plus a scalar verification reference that
-// beats the isalnum() scan it replaced — is evaluated here and recorded in
-// BENCH_kernels.json, which check.sh's kernels stage regenerates in
-// --smoke form.
+// on short and long lists, and candidate verification (the keyword-token
+// search) over Hotels-shaped records. Each kernel is timed on the scalar
+// reference tier and on the best tier the CPU offers; the ratio is the
+// whole point of the kernels, so the acceptance bar — >= 2x on at least
+// one signature kernel, on posting decode and on verification, plus a
+// scalar verification reference that beats the isalnum() scan it replaced
+// — is evaluated here and recorded in BENCH_kernels.json, which check.sh's
+// kernels stage regenerates in --smoke form.
 //
-// Methodology: each kernel runs kRepeats repeats over a fixed iteration
-// count (smoke: fewer); one repeat times every tier back to back, with a
-// volatile sink so the compiler cannot dead-code the kernel. A kernel's
-// ns/op figures are the medians of its repeats, its speedup (and the
-// scalar-vs-isalnum ratio) the median of the per-repeat ratios, and every
-// verdict is decided on those medians — one slow or fast repeat cannot
-// flip it. Inputs are sized to live in L1/L2, because these loops run over
-// node entry arrays and decoded posting chunks that are already resident —
-// the kernels' job is CPU time, not memory bandwidth.
+// Methodology: each measurement is the median of kRepeats runs over a
+// fixed iteration count (smoke: fewer), with a volatile sink so the
+// compiler cannot dead-code the kernel; every verdict is decided on those
+// medians, so one slow or fast run cannot flip it. Inputs are sized to
+// live in L1/L2, because these loops run over node entry arrays and decoded
+// posting chunks that are already resident — the kernels' job is CPU time,
+// not memory bandwidth.
 
 #include <algorithm>
 #include <bit>
@@ -45,62 +42,31 @@ namespace {
 
 volatile uint64_t g_sink = 0;
 
-// Repeats per kernel; odd, so each median is one measured repeat.
-constexpr size_t kRepeats = 15;
+// Runs per measurement; odd, so each median is one measured run.
+constexpr size_t kRepeats = 5;
 // Acceptance thresholds, recorded in the JSON next to the verdicts.
 constexpr double kSpeedupThreshold = 2.0;  // Dispatched vs scalar.
-constexpr double kIsalnumThreshold = 1.0;  // Scalar verify vs isalnum scan.
+constexpr double kIsalnumThreshold = 1.0;  // isalnum scan vs scalar verify.
 
 struct KernelReport {
   std::string name;
   double scalar_ns = 0;  // Per op (one signature test / one list decode).
   double simd_ns = 0;
   double speedup = 0;
+  std::string simd_level;
   double isalnum_ns = 0;  // verify_hotels_text only: the replaced scan.
-  double scalar_vs_isalnum = 0;
 };
 
-// The tiers a kernel is timed on: the scalar reference, the dispatched
-// entry point, and (verification only) the isalnum scan it replaced.
-enum class Way { kScalar, kDispatched, kIsalnum };
-
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-// Times `run(way, iters)` for each tier back to back, kRepeats times, and
-// reports the medians. `ops_per_iter` converts one iteration's time into
-// ns per op.
-template <typename Run>
-KernelReport Measure(std::string name, size_t iters, double ops_per_iter,
-                     bool with_isalnum, Run&& run) {
-  const auto time_ns = [&](Way way) {
-    Stopwatch watch;
-    run(way, iters);
-    return watch.ElapsedSeconds() * 1e9 /
-           (static_cast<double>(iters) * ops_per_iter);
-  };
-  std::vector<double> scalar, simd, speedup, isalnum, vs_isalnum;
+template <typename Fn>
+double MedianNs(size_t iters, Fn&& fn) {
+  std::vector<double> ns;
   for (size_t r = 0; r < kRepeats; ++r) {
-    scalar.push_back(time_ns(Way::kScalar));
-    simd.push_back(time_ns(Way::kDispatched));
-    speedup.push_back(scalar.back() / simd.back());
-    if (with_isalnum) {
-      isalnum.push_back(time_ns(Way::kIsalnum));
-      vs_isalnum.push_back(isalnum.back() / scalar.back());
-    }
+    Stopwatch watch;
+    fn(iters);
+    ns.push_back(watch.ElapsedSeconds() * 1e9 / iters);
   }
-  KernelReport report;
-  report.name = std::move(name);
-  report.scalar_ns = Median(scalar);
-  report.simd_ns = Median(simd);
-  report.speedup = Median(speedup);
-  if (with_isalnum) {
-    report.isalnum_ns = Median(isalnum);
-    report.scalar_vs_isalnum = Median(vs_isalnum);
-  }
-  return report;
+  std::sort(ns.begin(), ns.end());
+  return ns[ns.size() / 2];
 }
 
 // --- Signature containment over a node's entry array -------------------
@@ -146,27 +112,40 @@ SignatureBatch MakeSignatureBatch(size_t num_words, size_t num_signatures,
   return batch;
 }
 
+template <bool kScalarOnly>
+void RunContains(const SignatureBatch& batch, size_t iters) {
+  uint64_t matches = 0;
+  for (size_t it = 0; it < iters; ++it) {
+    for (size_t s = 0; s < batch.num_signatures; ++s) {
+      const uint64_t* data = batch.data.data() + s * batch.num_words;
+      if constexpr (kScalarOnly) {
+        matches += simd::WordsContainAllScalar(data, batch.query.data(),
+                                               batch.num_words);
+      } else {
+        matches += simd::WordsContainAll(data, batch.query.data(),
+                                         batch.num_words);
+      }
+    }
+  }
+  g_sink += matches;
+}
+
 KernelReport BenchContains(const char* name, size_t num_words,
                            size_t num_signatures, size_t iters) {
   const SignatureBatch batch =
       MakeSignatureBatch(num_words, num_signatures, 0xc0ffee + num_words);
-  const auto run = [&](Way way, size_t n) {
-    uint64_t matches = 0;
-    for (size_t it = 0; it < n; ++it) {
-      for (size_t s = 0; s < batch.num_signatures; ++s) {
-        const uint64_t* data = batch.data.data() + s * batch.num_words;
-        matches += way == Way::kScalar
-                       ? simd::WordsContainAllScalar(
-                             data, batch.query.data(), batch.num_words)
-                       : simd::WordsContainAll(data, batch.query.data(),
-                                               batch.num_words);
-      }
-    }
-    g_sink = g_sink + matches;
-  };
+  KernelReport report;
+  report.name = name;
   // Per-op = one signature test.
-  return Measure(name, iters, static_cast<double>(num_signatures),
-                 /*with_isalnum=*/false, run);
+  report.scalar_ns =
+      MedianNs(iters, [&](size_t n) { RunContains<true>(batch, n); }) /
+      static_cast<double>(num_signatures);
+  report.simd_ns =
+      MedianNs(iters, [&](size_t n) { RunContains<false>(batch, n); }) /
+      static_cast<double>(num_signatures);
+  report.speedup = report.scalar_ns / report.simd_ns;
+  report.simd_level = simd::LevelName(simd::ActiveLevel());
+  return report;
 }
 
 // --- Posting-list decode ----------------------------------------------
@@ -192,10 +171,10 @@ KernelReport BenchDecode(const char* name, size_t count, uint32_t max_gap,
                          size_t iters) {
   const std::vector<uint8_t> encoded = EncodePostings(count, max_gap, count);
   std::vector<uint32_t> out(count);
-  const auto run = [&](Way way, size_t n) {
+  const auto run = [&](bool scalar, size_t n) {
     size_t consumed = 0;
     for (size_t it = 0; it < n; ++it) {
-      consumed += way == Way::kScalar
+      consumed += scalar
                       ? simd::DecodeDGapVarintsScalar(
                             encoded.data(), encoded.size(),
                             static_cast<uint32_t>(count), out.data())
@@ -205,9 +184,16 @@ KernelReport BenchDecode(const char* name, size_t count, uint32_t max_gap,
     }
     g_sink += consumed + out[count / 2];
   };
+  KernelReport report;
+  report.name = name;
   // Per-op = one decoded posting.
-  return Measure(name, iters, static_cast<double>(count),
-                 /*with_isalnum=*/false, run);
+  report.scalar_ns = MedianNs(iters, [&](size_t n) { run(true, n); }) /
+                     static_cast<double>(count);
+  report.simd_ns = MedianNs(iters, [&](size_t n) { run(false, n); }) /
+                   static_cast<double>(count);
+  report.speedup = report.scalar_ns / report.simd_ns;
+  report.simd_level = simd::LevelName(simd::ActiveLevel());
+  return report;
 }
 
 // --- Candidate verification over Hotels-shaped text -------------------
@@ -267,6 +253,7 @@ KernelReport BenchVerify(size_t iters) {
     }
     queries.push_back(tokenizer.NormalizeKeywords(query));
   }
+  enum class Way { kIsalnum, kScalar, kDispatched };
   const auto run = [&](Way way, size_t n) {
     uint64_t hits = 0;
     for (size_t it = 0; it < n; ++it) {
@@ -302,8 +289,17 @@ KernelReport BenchVerify(size_t iters) {
   IR2_CHECK_EQ(run(Way::kScalar, 1), expected);
   IR2_CHECK_EQ(run(Way::kDispatched, 1), expected);
   const double pairs = static_cast<double>(records.size() * queries.size());
-  return Measure("verify_hotels_text", iters, pairs, /*with_isalnum=*/true,
-                 run);
+  KernelReport report;
+  report.name = "verify_hotels_text";
+  report.isalnum_ns =
+      MedianNs(iters, [&](size_t n) { run(Way::kIsalnum, n); }) / pairs;
+  report.scalar_ns =
+      MedianNs(iters, [&](size_t n) { run(Way::kScalar, n); }) / pairs;
+  report.simd_ns =
+      MedianNs(iters, [&](size_t n) { run(Way::kDispatched, n); }) / pairs;
+  report.speedup = report.scalar_ns / report.simd_ns;
+  report.simd_level = simd::LevelName(simd::ActiveLevel());
+  return report;
 }
 
 void WriteJson(const char* path, bool smoke,
@@ -327,7 +323,7 @@ void WriteJson(const char* path, bool smoke,
       std::fprintf(f,
                    ", \"isalnum_ns_per_op\": %.3f, "
                    "\"scalar_vs_isalnum\": %.2f",
-                   r.isalnum_ns, r.scalar_vs_isalnum);
+                   r.isalnum_ns, r.isalnum_ns / r.scalar_ns);
     }
     std::fprintf(f, "}%s\n", i + 1 < reports.size() ? "," : "");
   }
@@ -387,9 +383,9 @@ void Main(bool smoke) {
     if (r.isalnum_ns > 0) {
       std::printf("%-32s %12.3f %12s %8.2fx (isalnum scan vs scalar)\n",
                   "  isalnum scan (replaced)", r.isalnum_ns, "",
-                  r.scalar_vs_isalnum);
+                  r.isalnum_ns / r.scalar_ns);
       verify_pass = r.speedup >= kSpeedupThreshold;
-      verify_scalar_pass = r.scalar_vs_isalnum > kIsalnumThreshold;
+      verify_scalar_pass = r.isalnum_ns / r.scalar_ns > kIsalnumThreshold;
     }
   }
   const bool pass =

@@ -73,6 +73,8 @@ StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Build(
 
   std::vector<ShardAssignment> assignment =
       PartitionBySpaceFillingCurve(objects, db->sharding_.num_shards);
+  db->curve_ =
+      CurveNameForDims(static_cast<uint32_t>(objects.front().coords.size()));
 
   DatabaseOptions shard_options = options;
   shard_options.structures = sharding.structures;
@@ -343,7 +345,7 @@ StatusOr<ShardedDatabase::ExplainResult> ShardedDatabase::Explain(
   char buf[64];
   obs::ExplainSection* query = report.AddSection("Sharded query");
   query->AddRow("shards", obs::FormatCount(shards_.size()));
-  query->AddRow("curve", CurveNameForDims(info_.front().bounds.dims()));
+  query->AddRow("curve", curve_);
   query->AddRow("algorithm", out.cache_check.hit
                                  ? "auto -> result cache (no fan-out)"
                                  : AlgorithmName(algo));

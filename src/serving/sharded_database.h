@@ -202,6 +202,9 @@ class ShardedDatabase {
                                                  CacheReuseCheck* check_out);
 
   ShardingOptions sharding_;
+  // The curve Build partitioned along (CurveNameForDims); "none" for a
+  // WrapSingle tier, where no partition ran.
+  const char* curve_ = "none";
   // One decoded-node cache per warm shard tree (NodeCache keys on BlockId,
   // which is per device, so trees cannot share one). Declared before
   // shards_ so the caches are destroyed after the trees that point at them.

@@ -11,8 +11,15 @@
 namespace ir2 {
 namespace serving {
 
+namespace {
+
+// The one place the curve is chosen: Hilbert needs exactly two dimensions.
+bool UsesHilbert(uint32_t dims) { return dims == 2; }
+
+}  // namespace
+
 const char* CurveNameForDims(uint32_t dims) {
-  return dims == 2 ? "hilbert" : "morton";
+  return UsesHilbert(dims) ? "hilbert" : "morton";
 }
 
 uint64_t HilbertIndex2D(uint32_t x, uint32_t y, uint32_t order) {
@@ -95,10 +102,10 @@ std::vector<ShardAssignment> PartitionBySpaceFillingCurve(
     }
   }
 
-  // Hilbert needs exactly two dimensions; other dimensionalities use the
-  // Morton interleave (CurveNameForDims). The order is capped so the index
+  // Hilbert for 2-D data, the Morton interleave otherwise (UsesHilbert,
+  // which CurveNameForDims also reads). The order is capped so the index
   // fits in 64 bits, which only bites above four dimensions.
-  const bool hilbert = dims == 2;
+  const bool hilbert = UsesHilbert(dims);
   const uint32_t order = std::min(kCurveOrder, 64u / dims);
 
   std::vector<std::pair<uint64_t, uint32_t>> keyed(n);

@@ -403,6 +403,18 @@ TEST_F(ShardedDatabaseTest, WarmShardTreesGetNodeCachesColdOnesDoNot) {
   }
 }
 
+TEST_F(ShardedDatabaseTest, WrappedTierExplainNamesNoCurve) {
+  // WrapSingle runs no partition, so EXPLAIN's curve row names none.
+  auto wrapped = ShardedDatabase::WrapSingle(
+      SpatialKeywordDatabase::Build(objects_, DatabaseOptions()).value());
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  auto explain = wrapped.value()->Explain(queries_.front(), Algorithm::kAuto);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  const std::string report = explain.value().report.ToString();
+  EXPECT_EQ(report.find("hilbert"), std::string::npos) << report;
+  EXPECT_EQ(report.find("morton"), std::string::npos) << report;
+}
+
 TEST_F(ShardedDatabaseTest, NodeCachesLeaveAnswersAndPhysicalIoUnchanged) {
   // Two identical warm tiers, one with its caches detached: every fixed
   // algorithm and kAuto must return the same answers with the same
