@@ -59,8 +59,11 @@ struct RunConfig {
   bool has_algo = false;
   Algo algo = Algo::kAuto;
   // --device=file: Save the built database to a real directory and re-Open
-  // it on FileBlockDevices (O_DIRECT requested, async backends wired), so
-  // every physical block read below actually hits the filesystem. The
+  // it on FileBlockDevices (O_DIRECT requested), so every physical block
+  // read below actually hits the filesystem. The mode measures
+  // FileBlockDevice only: BatchExecutor runs with prefetch off, so no
+  // AsyncIoBackend would ever receive a request (file_device_async_test
+  // covers the backend). The
   // simulated-time accounting is medium-independent (the cold-regime
   // regression pins that), so this mode puts real wall-clock next to the
   // simulated disk milliseconds the figures report.
@@ -271,9 +274,8 @@ void Main(const RunConfig& config) {
   if (config.file_device) {
     // Save the freshly built database and re-open it over real files, so
     // every physical block read below goes through FileBlockDevice
-    // (O_DIRECT when the filesystem allows it) and the async prefetch
-    // backends. Structure comes from the manifest; runtime knobs are the
-    // build options plus the on-disk extras.
+    // (O_DIRECT when the filesystem allows it). Structure comes from the
+    // manifest; runtime knobs are the build options plus O_DIRECT.
     const std::string dir =
         (std::filesystem::temp_directory_path() / "ir2db_bench_throughput")
             .string();
@@ -282,7 +284,6 @@ void Main(const RunConfig& config) {
     IR2_CHECK(saved.ok()) << saved.ToString();
     DatabaseOptions runtime = options;
     runtime.file_device.direct_io = true;
-    runtime.async_io_threads = 2;
     StatusOr<std::unique_ptr<SpatialKeywordDatabase>> reopened =
         SpatialKeywordDatabase::Open(dir, runtime);
     IR2_CHECK(reopened.ok()) << reopened.status().ToString();

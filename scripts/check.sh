@@ -13,6 +13,14 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 2)
 
+# The anchored ctest -R regex that selects exactly the named suites, so a
+# sanitizer stage names its suites once, in one array, for both the build
+# targets and the test selection.
+suite_regex() {
+  local IFS='|'
+  echo "^($*)\$"
+}
+
 echo "== Release build + full test suite =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$jobs"
@@ -254,13 +262,15 @@ else
   # concurrent scatter-gather workers, and the striped result cache's
   # lookup/fill/evict races) — the rest of the suite is single-threaded
   # and covered by the Release run.
-  cmake --build build-tsan -j "$jobs" --target \
-    concurrency_test batch_executor_test database_test node_cache_test \
-    storage_test io_scheduler_test file_device_async_test obs_test \
-    planner_test server_loop_test sharded_database_test kc_tree_test \
+  tsan_suites=(
+    concurrency_test batch_executor_test database_test node_cache_test
+    storage_test io_scheduler_test file_device_async_test obs_test
+    planner_test server_loop_test sharded_database_test kc_tree_test
     telemetry_test admin_server_test result_cache_test
+  )
+  cmake --build build-tsan -j "$jobs" --target "${tsan_suites[@]}"
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(concurrency_test|batch_executor_test|database_test|node_cache_test|storage_test|io_scheduler_test|file_device_async_test|obs_test|planner_test|server_loop_test|sharded_database_test|kc_tree_test|telemetry_test|admin_server_test|result_cache_test)$'
+    -R "$(suite_regex "${tsan_suites[@]}")"
 fi
 
 echo
@@ -274,16 +284,22 @@ echo "== UndefinedBehaviorSanitizer build =="
 # coordinate parser.
 cmake -B build-ubsan -S . -DIR2_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-ubsan -j "$jobs" --target \
-  io_scheduler_test prefetch_invariance_test cold_regime_regression_test \
-  storage_test bulk_load_test simd_test kc_tree_test result_cache_test \
+ubsan_suites=(
+  io_scheduler_test prefetch_invariance_test cold_regime_regression_test
+  storage_test bulk_load_test simd_test kc_tree_test result_cache_test
   tokenizer_test corruption_test
+)
+# The kernel-heavy subset reruns on the scalar tier.
+ubsan_scalar_suites=(
+  cold_regime_regression_test simd_test kc_tree_test tokenizer_test
+)
+cmake --build build-ubsan -j "$jobs" --target "${ubsan_suites[@]}"
 # Twice: dispatched kernels (wide loads, unaligned pointers) and the
 # scalar tier both have to be UB-clean.
 ctest --test-dir build-ubsan --output-on-failure \
-  -R '^(io_scheduler_test|prefetch_invariance_test|cold_regime_regression_test|storage_test|bulk_load_test|simd_test|kc_tree_test|result_cache_test|tokenizer_test|corruption_test)$'
+  -R "$(suite_regex "${ubsan_suites[@]}")"
 IR2_DISABLE_SIMD=1 ctest --test-dir build-ubsan --output-on-failure \
-  -R '^(cold_regime_regression_test|simd_test|kc_tree_test|tokenizer_test)$'
+  -R "$(suite_regex "${ubsan_scalar_suites[@]}")"
 
 if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   echo
@@ -298,32 +314,35 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   # suites: every tree search's filter signatures, batch flags and
   # candidate buffers live in a query scratch the verified NN cursor owns
   # or borrows, which is where a dangling pointer would hide. The
-  # concurrency suite's batch workers own private pools whose
-  # ScopedReadPool scopes unwind at worker exit. The build-path suites
+  # concurrency suite's batch workers own private read pools that their
+  # query contexts point at until worker exit. The build-path suites
   # cover the one tree loop: MIR2's deferred-payload build, the bulk
   # loader's per-object payload fill and the locality_placement
   # compaction, each of which swaps trees, pools and devices in and out of
   # the structure table. The corpus suites drive the build's one tokenize
   # pass (CorpusTerms), whose term lookup keys on views into its word
   # store, and the builders that read its CSR and inverse CSR.
-  cmake --build build-asan -j "$jobs" --target \
-    node_cache_test cold_regime_regression_test ir2_tree_test rtree_test \
-    algorithms_test simd_test file_device_async_test sharded_database_test \
-    server_loop_test tokenizer_test corruption_test storage_test \
-    database_test persistence_test batch_executor_test planner_test \
-    result_cache_test io_scheduler_test cursor_test kc_tree_test \
-    hybrid_index_test general_cursor_test concurrency_test \
-    mir2_tree_test bulk_load_test prefetch_invariance_test \
+  asan_suites=(
+    node_cache_test cold_regime_regression_test ir2_tree_test rtree_test
+    algorithms_test simd_test file_device_async_test sharded_database_test
+    server_loop_test tokenizer_test corruption_test storage_test
+    database_test persistence_test batch_executor_test planner_test
+    result_cache_test io_scheduler_test cursor_test kc_tree_test
+    hybrid_index_test general_cursor_test concurrency_test
+    mir2_tree_test bulk_load_test prefetch_invariance_test
     corpus_terms_test build_equivalence_test inverted_index_test
+  )
+  asan_scalar_suites=(cold_regime_regression_test simd_test tokenizer_test)
+  cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
   # Both SIMD ways here too: the dispatched kernels read signature and
   # posting buffers in wide chunks, exactly where an out-of-bounds read
   # would hide from the scalar tier. FindToken's lane loads reach up to
   # keyword length - 1 + 32 bytes past a lane start; simd_test searches
   # exactly sized heap copies so a read past the text is reported.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|sharded_database_test|server_loop_test|tokenizer_test|corruption_test|storage_test|database_test|persistence_test|batch_executor_test|planner_test|result_cache_test|io_scheduler_test|cursor_test|kc_tree_test|hybrid_index_test|general_cursor_test|concurrency_test|mir2_tree_test|bulk_load_test|prefetch_invariance_test|corpus_terms_test|build_equivalence_test|inverted_index_test)$'
+    -R "$(suite_regex "${asan_suites[@]}")"
   IR2_DISABLE_SIMD=1 ctest --test-dir build-asan --output-on-failure \
-    -R '^(cold_regime_regression_test|simd_test|tokenizer_test)$'
+    -R "$(suite_regex "${asan_scalar_suites[@]}")"
 fi
 
 echo

@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "core/database.h"
-#include "rtree/rtree_base.h"
 
 namespace ir2 {
 
@@ -41,10 +40,6 @@ StatusOr<BatchResults> BatchExecutor::Run(
     return Status::InvalidArgument("BatchExecutor requires prefetch off");
   }
 
-  // Trees get worker-private pools (node reads are the contended hot
-  // path); object and posting reads go through the database's bypass
-  // pools, which forward per-thread counts 1:1 to their devices.
-  const std::vector<RTreeBase*> trees = db_->trees();
   size_t num_threads = options_.num_threads;
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
@@ -58,24 +53,27 @@ StatusOr<BatchResults> BatchExecutor::Run(
   std::mutex stats_mu;
 
   auto worker = [&]() {
-    // One private pool per tree, routed via ScopedReadPool for the life of
-    // the worker (the scopes unwind LIFO at worker exit).
+    // The worker's query context. Trees get worker-private read pools
+    // (node reads are the contended hot path); object and posting reads go
+    // through the database's bypass pools, which forward per-thread counts
+    // 1:1 to their devices. The traversal scratch (NN priority queue,
+    // keyword hashes, query signatures) stops allocating once its
+    // capacities have grown; planner feedback is worker-private, merged
+    // once on drain.
     std::vector<std::unique_ptr<BufferPool>> local_pools;
-    std::vector<std::unique_ptr<ScopedReadPool>> scopes;
-    local_pools.reserve(trees.size());
-    scopes.reserve(trees.size());
-    for (RTreeBase* tree : trees) {
-      local_pools.push_back(std::make_unique<BufferPool>(
-          tree->pool()->device(), db_options.pool_blocks));
-      scopes.push_back(
-          std::make_unique<ScopedReadPool>(tree, local_pools.back().get()));
-    }
-    // Reusable traversal buffers: the NN priority queue, keyword hashes and
-    // query signatures stop allocating once their capacities have grown.
     Ir2QueryScratch scratch;
-    BufferPoolStats pool_accum;
-    // Worker-private planner feedback, merged once on drain.
     PlannerFeedback local_feedback;
+    QueryContext ctx;
+    ctx.scratch = &scratch;
+    ctx.feedback = &local_feedback;
+    for (size_t s = 0; s < kNumStructures; ++s) {
+      const auto& slot = db_->slots_[s];
+      if (slot.tree == nullptr) continue;
+      local_pools.push_back(std::make_unique<BufferPool>(
+          slot.device.get(), db_options.pool_blocks));
+      ctx.read_pools[s] = local_pools.back().get();
+    }
+    BufferPoolStats pool_accum;
 
     auto run_one = [&](const DistanceFirstQuery& query,
                        std::vector<QueryResult>* results,
@@ -87,20 +85,19 @@ StatusOr<BatchResults> BatchExecutor::Run(
           pool_accum += pool->Stats();
           IR2_RETURN_IF_ERROR(pool->Clear());
         }
-        for (RTreeBase* tree : trees) {
-          if (NodeCache* cache = tree->node_cache()) {
-            cache->Clear();
-          }
-        }
-        // Every device a query of any algorithm can touch.
+        // Every device a query of any algorithm can touch, and every
+        // tree's decoded-node cache.
         for (const auto& slot : db_->slots_) {
           if (slot.device != nullptr) slot.device->ResetThreadCursor();
+          if (slot.tree != nullptr && slot.tree->node_cache() != nullptr) {
+            slot.tree->node_cache()->Clear();
+          }
         }
       }
-      IR2_ASSIGN_OR_RETURN(
-          *results, db_->ExecuteQuery(query, options_.algorithm, stats,
-                                      /*plan_out=*/nullptr, &scratch,
-                                      &local_feedback));
+      ctx.stats = QueryStats();
+      IR2_ASSIGN_OR_RETURN(*results,
+                           db_->ExecuteQuery(query, options_.algorithm, ctx));
+      *stats = std::move(ctx.stats);
       return Status::Ok();
     };
 
@@ -123,11 +120,6 @@ StatusOr<BatchResults> BatchExecutor::Run(
       pool_accum += pool->Stats();
     }
     db_->planner()->feedback().MergeFrom(local_feedback);
-    // The ScopedReadPool overrides must unwind LIFO; a vector destroys
-    // front-to-back, so pop them explicitly.
-    while (!scopes.empty()) {
-      scopes.pop_back();
-    }
     std::lock_guard<std::mutex> lock(stats_mu);
     out.pool_stats += pool_accum;
   };

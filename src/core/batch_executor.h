@@ -57,13 +57,19 @@ struct BatchResults {
 // the index, independent of batch order and thread count.
 //
 // Each worker opens a *private* BufferPool (pool_blocks) over every tree's
-// device and routes its node reads through it with a ScopedReadPool, so
+// device and puts it in its QueryContext as that tree's read pool, so
 // workers never contend on a shared cache. Object and posting reads go
-// through the database's bypass pools, which is why Run requires
-// db->options().prefetch == false (a shared caching pool would break
-// per-query cold isolation across workers). Per-query I/O is attributed
-// through the devices' per-thread counters, so concurrent workers never
-// bleed into each other's IoStats.
+// through the database's bypass pools. Per-query I/O is attributed through
+// the devices' per-thread counters, so concurrent workers never bleed into
+// each other's IoStats.
+//
+// Run rejects a database with prefetch on, and explicit read pools do not
+// lift that. The IoSchedulers prefetch into each slot's shared pool, which
+// a worker's private read pools never read, so tree prefetches would cost
+// disk time and save none. And prefetch turns the object and IIO pools
+// from bypass into shared caches, through which one worker's reads would
+// leak into another's cold profile; cold per-query isolation needs them
+// in bypass mode.
 //
 // Queries are claimed from a shared atomic index (dynamic load balancing);
 // results land at the query's original position. The first query error

@@ -22,7 +22,6 @@
 #include "core/rtree_baseline.h"
 #include "core/stats.h"
 #include "obs/metrics.h"
-#include "obs/query_log.h"
 #include "obs/trace.h"
 #include "rtree/node_cache.h"
 #include "rtree/tree_stats.h"
@@ -434,17 +433,18 @@ IoStats SpatialKeywordDatabase::AggregateIo() const {
 }
 
 SpatialKeywordDatabase::ThreadCounters
-SpatialKeywordDatabase::CurrentThreadCounters() const {
+SpatialKeywordDatabase::CurrentThreadCounters(const QueryContext& ctx) const {
   ThreadCounters counters;
   counters.node_decodes = RTreeBase::ThreadNodeDecodes();
-  for (const StructureSlot& slot : slots_) {
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    const StructureSlot& slot = slots_[s];
     if (slot.device == nullptr) {
       continue;
     }
-    // A tree's demand is counted at the pool this thread reads it through:
-    // a ScopedReadPool override (BatchExecutor workers) or its own.
-    const BufferPool* pool =
-        slot.tree != nullptr ? slot.tree->read_pool() : slot.pool.get();
+    // A tree's demand is counted at the pool the query reads it through.
+    const BufferPool* pool = slot.tree != nullptr
+                                 ? ReadPool(ctx, static_cast<Structure>(s))
+                                 : slot.pool.get();
     counters.demand += pool->thread_stats();
     counters.physical += slot.device->thread_stats();
     counters.speculative += slot.scheduler->speculative_stats();
@@ -453,8 +453,9 @@ SpatialKeywordDatabase::CurrentThreadCounters() const {
 }
 
 void SpatialKeywordDatabase::AccountSince(const ThreadCounters& before,
+                                          const QueryContext& ctx,
                                           QueryStats* stats) const {
-  const ThreadCounters after = CurrentThreadCounters();
+  const ThreadCounters after = CurrentThreadCounters(ctx);
   stats->io = after.physical - before.physical;
   stats->demand_io = after.demand - before.demand;
   stats->speculative_io = after.speculative - before.speculative;
@@ -466,42 +467,42 @@ void SpatialKeywordDatabase::AccountSince(const ThreadCounters& before,
 
 template <typename Fn>
 StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
-    QueryStats* stats, Fn&& fn) {
+    QueryContext& ctx, Fn&& body, double* simulated_disk_ms) {
   // Three-way diff, all per-thread so concurrent work cannot bleed in:
   //   pools      -> demand_io       (logical requests by this thread)
   //   devices    -> io              (physical reads by this thread)
   //   schedulers -> speculative_io  (physical reads by prefetch threads)
   // With prefetching off the schedulers stay idle and the bypass pools add
   // nothing, so io reproduces the historical device-diff values exactly.
-  const ThreadCounters before = CurrentThreadCounters();
+  const ThreadCounters before = CurrentThreadCounters(ctx);
   // One kQuery span per query (covering the algorithm and the drain);
   // free when no tracer is installed.
   obs::TraceSpan query_span(obs::SpanKind::kQuery);
   Stopwatch watch;
-  QueryStats local;
-  IR2_ASSIGN_OR_RETURN(std::vector<QueryResult> results, fn(&local));
+  IR2_ASSIGN_OR_RETURN(std::vector<QueryResult> results, body());
   if (options_.prefetch) {
     // Speculation issued on this query's behalf settles before accounting
     // (and before a next query's DropCaches could discard it half-done).
     DrainSchedulers();
   }
-  local.seconds = watch.ElapsedSeconds();
-  AccountSince(before, &local);
+  QueryStats measured;
+  measured.seconds = watch.ElapsedSeconds();
+  AccountSince(before, ctx, &measured);
   const obs::CoreMetrics& metrics = obs::DefaultMetrics();
   metrics.queries_total->Add();
-  metrics.query_latency_ms->Record(local.seconds * 1000.0);
-  metrics.query_sim_disk_ms->Record(local.simulated_disk_ms);
+  metrics.query_latency_ms->Record(measured.seconds * 1000.0);
+  metrics.query_sim_disk_ms->Record(measured.simulated_disk_ms);
   metrics.query_demand_blocks->Record(
-      static_cast<double>(local.demand_io.TotalReads()));
-  if (stats != nullptr) {
-    *stats += local;
+      static_cast<double>(measured.demand_io.TotalReads()));
+  ctx.stats += measured;
+  if (simulated_disk_ms != nullptr) {
+    *simulated_disk_ms = measured.simulated_disk_ms;
   }
   return results;
 }
 
 StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunAlgorithm(
-    Algorithm algo, const DistanceFirstQuery& q, QueryStats* stats,
-    Ir2QueryScratch* scratch) {
+    const DistanceFirstQuery& q, Algorithm algo, QueryContext& ctx) {
   if (algo == Algorithm::kAuto) {
     return Status::Internal("RunAlgorithm needs a fixed algorithm");
   }
@@ -511,28 +512,32 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunAlgorithm(
         std::string(kStructureNames[static_cast<size_t>(s)]) +
         " was not built");
   }
+  QueryStats* stats = &ctx.stats;
   if (algo == Algorithm::kIio) {
     return IioTopK(*iio_, *object_store_, tokenizer_, q, stats,
                    options_.prefetch ? slot(kObjects).scheduler.get()
                                      : nullptr);
   }
   // The tree traversals speculate on their frontier through the tree's own
-  // scheduler.
+  // scheduler and read nodes through the context's pool for the tree.
   IoScheduler* node_scheduler =
       options_.prefetch ? slot(s).scheduler.get() : nullptr;
+  BufferPool* read_pool = ReadPool(ctx, s);
   const RTreeBase& algo_tree = *tree(s);
   MaybeSweepObjectFile(q);
   switch (algo) {
     case Algorithm::kRTree:
       return RTreeTopK(algo_tree, *object_store_, tokenizer_, q, stats,
-                       node_scheduler);
+                       node_scheduler, read_pool);
     case Algorithm::kIr2:
     case Algorithm::kMir2:
       return Ir2TopK(static_cast<const Ir2Tree&>(algo_tree), *object_store_,
-                     tokenizer_, q, stats, scratch, node_scheduler);
+                     tokenizer_, q, stats, ctx.scratch, node_scheduler,
+                     read_pool);
     case Algorithm::kKcTree:
       return KcTopK(static_cast<const KcTree&>(algo_tree), *object_store_,
-                    tokenizer_, q, stats, scratch, node_scheduler);
+                    tokenizer_, q, stats, ctx.scratch, node_scheduler,
+                    read_pool);
     case Algorithm::kIio:
     case Algorithm::kAuto:
       break;
@@ -549,48 +554,44 @@ uint64_t SpatialKeywordDatabase::MutationEpoch() const {
 }
 
 StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Query(
-    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
-    QueryPlan* plan_out) {
+    const DistanceFirstQuery& q, Algorithm algo, QueryContext& ctx) {
   if (options_.cold_queries) {
     IR2_RETURN_IF_ERROR(DropCaches());
   }
-  return ExecuteQuery(q, algo, stats, plan_out, /*scratch=*/nullptr,
-                      /*feedback=*/nullptr);
+  return ExecuteQuery(q, algo, ctx);
+}
+
+StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Query(
+    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
+    QueryPlan* plan_out) {
+  QueryContext ctx;
+  StatusOr<std::vector<QueryResult>> results = Query(q, algo, ctx);
+  if (stats != nullptr) *stats += ctx.stats;
+  if (plan_out != nullptr) *plan_out = ctx.plan;
+  return results;
 }
 
 StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::ExecuteQuery(
-    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
-    QueryPlan* plan_out, Ir2QueryScratch* scratch, PlannerFeedback* feedback) {
-  QueryPlan plan;
-  if (algo == Algorithm::kAuto) {
+    const DistanceFirstQuery& q, Algorithm algo, QueryContext& ctx) {
+  const bool planned = algo == Algorithm::kAuto;
+  if (planned) {
     // Planning is pure in-memory arithmetic (pinned by
     // cold_regime_regression_test), so the executed query's disk profile is
     // exactly what a direct call to the chosen algorithm would produce.
-    plan = planner_->Plan(q);
-    if (plan_out != nullptr) {
-      *plan_out = plan;
-    }
-    if (!plan.has_choice) {
+    ctx.plan = planner_->Plan(q);
+    if (!ctx.plan.has_choice) {
       return Status::FailedPrecondition(
           "No structure available to answer the query");
     }
-    algo = plan.chosen;
+    algo = ctx.plan.chosen;
   }
-  QueryStats local;
-  IR2_ASSIGN_OR_RETURN(std::vector<QueryResult> results,
-                       RunQuery(&local, [&](QueryStats* run_stats) {
-                         return RunAlgorithm(algo, q, run_stats, scratch);
-                       }));
-  if (plan.has_choice) {
-    planner_->RecordOutcome(plan, local.simulated_disk_ms, feedback);
-    // Mispricing audit for the serving query log: no-op unless the calling
-    // thread installed a sink (one thread_local load otherwise).
-    obs::ScopedPlanAudit::Record(AlgorithmName(plan.chosen),
-                                 plan.chosen_predicted_ms,
-                                 local.simulated_disk_ms);
-  }
-  if (stats != nullptr) {
-    *stats += local;
+  double observed_ms = 0.0;
+  IR2_ASSIGN_OR_RETURN(
+      std::vector<QueryResult> results,
+      RunQuery(ctx, [&] { return RunAlgorithm(q, algo, ctx); }, &observed_ms));
+  if (planned) {
+    planner_->RecordOutcome(ctx.plan, observed_ms, ctx.feedback);
+    ctx.audit.Add(ctx.plan, observed_ms);
   }
   return results;
 }
@@ -903,12 +904,18 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryGeneral(
   if (options_.cold_queries) {
     IR2_RETURN_IF_ERROR(DropCaches());
   }
-  return RunQuery(stats, [&](QueryStats* local) {
-    std::vector<ScoredQueryTerm> terms =
-        BuildQueryTerms(*iio_, *scorer_, tokenizer_, q.keywords);
-    return GeneralIr2TopK(*tree, *object_store_, tokenizer_, *scorer_, terms,
-                          q, local);
-  });
+  QueryContext ctx;
+  StatusOr<std::vector<QueryResult>> results = RunQuery(
+      ctx,
+      [&] {
+        std::vector<ScoredQueryTerm> terms =
+            BuildQueryTerms(*iio_, *scorer_, tokenizer_, q.keywords);
+        return GeneralIr2TopK(*tree, *object_store_, tokenizer_, *scorer_,
+                              terms, q, &ctx.stats);
+      },
+      /*simulated_disk_ms=*/nullptr);
+  if (stats != nullptr) *stats += ctx.stats;
+  return results;
 }
 
 StatusOr<std::vector<ObjectRef>> SpatialKeywordDatabase::KeywordMatches(
@@ -925,7 +932,8 @@ StatusOr<std::vector<ObjectRef>> SpatialKeywordDatabase::KeywordMatches(
     IR2_RETURN_IF_ERROR(DropCaches());
   }
   // Same three-way accounting as RunQuery (see the comment there).
-  const ThreadCounters before = CurrentThreadCounters();
+  const QueryContext ctx;
+  const ThreadCounters before = CurrentThreadCounters(ctx);
   Stopwatch watch;
   std::vector<std::vector<ObjectRef>> lists;
   lists.reserve(normalized.size());
@@ -941,7 +949,7 @@ StatusOr<std::vector<ObjectRef>> SpatialKeywordDatabase::KeywordMatches(
   if (stats != nullptr) {
     QueryStats local;
     local.seconds = watch.ElapsedSeconds();
-    AccountSince(before, &local);
+    AccountSince(before, ctx, &local);
     *stats += local;
   }
   return matches;

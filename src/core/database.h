@@ -61,6 +61,56 @@ inline constexpr size_t kNumStructures = 6;
 inline constexpr const char* kStructureNames[kNumStructures] = {
     "objects", "rtree", "ir2", "mir2", "kctree", "iio"};
 
+// Everything one distance-first query's callers hand down and read back,
+// passed explicitly from the serving tier (ServerLoop, ShardedDatabase)
+// and BatchExecutor through the database's per-query step to the tree
+// cursors. A context may serve many queries in turn; `stats` and `audit`
+// accumulate over them.
+struct QueryContext {
+  // ---- Handed down (all optional) ----
+
+  // Reusable traversal buffers for the tree searches (one per
+  // BatchExecutor worker); the cursors own their own when null.
+  Ir2QueryScratch* scratch = nullptr;
+  // Where kAuto records its observed cost; the planner's own feedback when
+  // null.
+  PlannerFeedback* feedback = nullptr;
+  // The pool each tree's node reads go through, by structure slot; null
+  // means the slot's own pool. BatchExecutor workers put private pools
+  // over the tree devices here, so node caching is per worker and a
+  // query's disk-access profile is a function of the query alone. Read for
+  // the tree slots only (object and posting reads go through the slots'
+  // own pools); the caller clears the pools it hands in.
+  std::array<BufferPool*, kNumStructures> read_pools{};
+
+  // ---- Read back ----
+
+  QueryStats stats;
+  // kAuto's decision on a single database (kept even when nothing can
+  // answer the query). A sharded tier leaves it alone and folds each leg's
+  // plan into `audit` instead.
+  QueryPlan plan;
+
+  // Planner audit for the serving query log: sums over every executed
+  // kAuto plan — one per shard leg under a scatter-gather.
+  struct PlanAudit {
+    Algorithm algo = Algorithm::kAuto;  // Last chosen algorithm.
+    double predicted_ms = 0.0;
+    double observed_ms = 0.0;  // Simulated disk ms the plans cost.
+    uint32_t plans = 0;
+
+    // Folds in one executed plan; no-op unless it made a choice.
+    void Add(const QueryPlan& executed, double executed_ms) {
+      if (!executed.has_choice) return;
+      algo = executed.chosen;
+      predicted_ms += executed.chosen_predicted_ms;
+      observed_ms += executed_ms;
+      ++plans;
+    }
+  };
+  PlanAudit audit;
+};
+
 // A set of structures: one bit per slot of the structure table.
 class StructureSet {
  public:
@@ -251,8 +301,14 @@ class SpatialKeywordDatabase {
   // from the IIO's resident dictionary; see docs/planner.md), executes the
   // cheapest plan, and feeds the observed simulated-disk time back into the
   // planner's EWMA corrections. Under cold_queries every cache is dropped
-  // first. Accumulates into *stats. `plan_out` (optional) receives kAuto's
-  // full decision.
+  // first (the slots' own pools; the caller clears any read pool it puts
+  // in `ctx`). Accumulates into ctx.stats and ctx.audit; kAuto's full
+  // decision lands in ctx.plan.
+  StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
+                                           Algorithm algo, QueryContext& ctx);
+
+  // The same with a fresh context: accumulates into *stats; `plan_out`
+  // (optional) receives kAuto's decision.
   StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
                                            Algorithm algo,
                                            QueryStats* stats = nullptr,
@@ -369,8 +425,9 @@ class SpatialKeywordDatabase {
  private:
   using enum Structure;
 
-  // Workers run ExecuteQuery with their own scratch and feedback after
-  // resetting their private pools and device cursors.
+  // Workers run ExecuteQuery with their own context (scratch, feedback and
+  // private read pools) after clearing those pools and resetting the
+  // device cursors.
   friend class BatchExecutor;
 
   // One structure's storage stack, declared bottom-up so it tears down
@@ -422,42 +479,48 @@ class SpatialKeywordDatabase {
   // snapshot's reads never appear in any measurement.
   Status WirePlanner();
 
+  // The pool slot `s`'s reads go through under `ctx`: its read pool, or
+  // the slot's own.
+  BufferPool* ReadPool(const QueryContext& ctx, Structure s) const {
+    BufferPool* pool = ctx.read_pools[static_cast<size_t>(s)];
+    return pool != nullptr ? pool : slot(s).pool.get();
+  }
+
   // The single per-algorithm dispatch: runs fixed algorithm `algo` (never
   // kAuto) over its structure with this database's prefetch wiring and
-  // object-file sweep policy. Returns FailedPrecondition when the
-  // structure was not built. `scratch` (optional) donates reusable
-  // traversal buffers to the tree searches.
-  StatusOr<std::vector<QueryResult>> RunAlgorithm(Algorithm algo,
-                                                  const DistanceFirstQuery& q,
-                                                  QueryStats* stats,
-                                                  Ir2QueryScratch* scratch);
+  // object-file sweep policy, handing the tree searches ctx's scratch and
+  // the tree's read pool. Adds the algorithm's counters to ctx.stats.
+  // Returns FailedPrecondition when the structure was not built.
+  StatusOr<std::vector<QueryResult>> RunAlgorithm(const DistanceFirstQuery& q,
+                                                  Algorithm algo,
+                                                  QueryContext& ctx);
 
   // The per-query step behind Query and every BatchExecutor worker (the
   // caller applies its own cold protocol first): plans `algo` under kAuto
-  // (`plan_out`, optional, receives the decision), runs RunAlgorithm with
-  // the optional `scratch` inside RunQuery, then records the outcome into
-  // `feedback` (the planner's own when null) and the plan audit.
-  // Accumulates into *stats.
+  // into ctx.plan, runs RunAlgorithm inside RunQuery, then records the
+  // outcome into ctx.feedback (the planner's own when null) and ctx.audit.
   StatusOr<std::vector<QueryResult>> ExecuteQuery(const DistanceFirstQuery& q,
                                                   Algorithm algo,
-                                                  QueryStats* stats,
-                                                  QueryPlan* plan_out,
-                                                  Ir2QueryScratch* scratch,
-                                                  PlannerFeedback* feedback);
+                                                  QueryContext& ctx);
 
-  // Measured run of one query body: timing, the kQuery span, three-way
-  // I/O diffing (demand / physical / speculative), simulated-time pricing
-  // and the core query metrics. Drops no caches; callers do that first.
+  // Measured run of one query body, which adds its own counters to
+  // ctx.stats: timing, the kQuery span, three-way I/O diffing (demand at
+  // ctx's read pools / physical / speculative), simulated-time pricing and
+  // the core query metrics, all added to ctx.stats. `*simulated_disk_ms`
+  // (optional) receives the run's own simulated disk time. Drops no
+  // caches; callers do that first.
   template <typename Fn>
-  StatusOr<std::vector<QueryResult>> RunQuery(QueryStats* stats, Fn&& fn);
+  StatusOr<std::vector<QueryResult>> RunQuery(QueryContext& ctx, Fn&& body,
+                                              double* simulated_disk_ms);
 
   // The calling thread's counters: demand requests at the pools it reads
-  // through, its device accesses, all prefetch-thread accesses and its
-  // node decodes.
-  ThreadCounters CurrentThreadCounters() const;
+  // through under `ctx`, its device accesses, all prefetch-thread accesses
+  // and its node decodes.
+  ThreadCounters CurrentThreadCounters(const QueryContext& ctx) const;
   // Fills the I/O fields and node_decodes of *stats with the calling
   // thread's counters since `before` and prices simulated_disk_ms.
-  void AccountSince(const ThreadCounters& before, QueryStats* stats) const;
+  void AccountSince(const ThreadCounters& before, const QueryContext& ctx,
+                    QueryStats* stats) const;
 
   // Blocks until no scheduler has work pending or in flight.
   void DrainSchedulers();

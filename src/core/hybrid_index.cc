@@ -89,8 +89,8 @@ StatusOr<std::vector<QueryResult>> HybridKeywordIndex::TopK(
     // verifies the rest of the keywords on each candidate.
     VerifiedNNCursor<AcceptAllEntries> cursor(
         tree_it->second.get(), &objects, tokenizer, target, query.keywords,
-        /*scratch=*/nullptr, /*node_scheduler=*/nullptr, query.max_distance,
-        NoEntryFilter);
+        /*scratch=*/nullptr, /*node_scheduler=*/nullptr,
+        /*read_pool=*/nullptr, query.max_distance, NoEntryFilter);
     return CollectTopK(cursor, query.k, stats);
   }
 

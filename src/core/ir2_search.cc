@@ -7,10 +7,12 @@ Ir2TopKCursor::Ir2TopKCursor(const Ir2Tree* tree, const ObjectStore* objects,
                              const std::vector<std::string>& keywords,
                              Ir2QueryScratch* scratch,
                              IoScheduler* node_scheduler,
-                             std::optional<double> max_distance)
+                             std::optional<double> max_distance,
+                             BufferPool* read_pool)
     : VerifiedNNCursor(
           tree, objects, *tokenizer, target, keywords, scratch, node_scheduler,
-          max_distance, [tree](Ir2QueryScratch& s, QueryStats* stats) {
+          read_pool, max_distance,
+          [tree](Ir2QueryScratch& s, QueryStats* stats) {
             // W <- Signature(Q.t), one per level width (identical widths
             // for the uniform IR2-Tree; per-level for the MIR2-Tree). Built
             // in place so a scratch-backed query reuses the signatures'
@@ -31,10 +33,11 @@ StatusOr<std::vector<QueryResult>> Ir2TopK(const Ir2Tree& tree,
                                            const DistanceFirstQuery& query,
                                            QueryStats* stats,
                                            Ir2QueryScratch* scratch,
-                                           IoScheduler* node_scheduler) {
+                                           IoScheduler* node_scheduler,
+                                           BufferPool* read_pool) {
   Ir2TopKCursor cursor(&tree, &objects, &tokenizer, query.Target(),
                        query.keywords, scratch, node_scheduler,
-                       query.max_distance);
+                       query.max_distance, read_pool);
   return CollectTopK(cursor, query.k, stats);
 }
 

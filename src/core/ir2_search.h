@@ -72,10 +72,13 @@ struct SignatureEntryFilter {
 // buffers; it must not back another live query. `node_scheduler`
 // (optional) prefetches the traversal's frontier; see IncrementalNNCursor —
 // results and pool-level demand accounting are invariant to it.
+// `read_pool` (optional) is the pool node reads go through (null: the
+// tree's own).
 StatusOr<std::vector<QueryResult>> Ir2TopK(
     const Ir2Tree& tree, const ObjectStore& objects, const Tokenizer& tokenizer,
     const DistanceFirstQuery& query, QueryStats* stats = nullptr,
-    Ir2QueryScratch* scratch = nullptr, IoScheduler* node_scheduler = nullptr);
+    Ir2QueryScratch* scratch = nullptr, IoScheduler* node_scheduler = nullptr,
+    BufferPool* read_pool = nullptr);
 
 // Incremental cursor form of the same algorithm, for callers that consume
 // results lazily (e.g. "next matching hotel" pagination): the shared
@@ -89,9 +92,11 @@ class Ir2TopKCursor : public VerifiedNNCursor<SignatureEntryFilter> {
                 const std::vector<std::string>& keywords,
                 Ir2QueryScratch* scratch = nullptr,
                 IoScheduler* node_scheduler = nullptr,
-                std::optional<double> max_distance = {})
+                std::optional<double> max_distance = {},
+                BufferPool* read_pool = nullptr)
       : Ir2TopKCursor(tree, objects, tokenizer, Rect::ForPoint(point),
-                      keywords, scratch, node_scheduler, max_distance) {}
+                      keywords, scratch, node_scheduler, max_distance,
+                      read_pool) {}
 
   // Area-target variant: results ordered by MINDIST to `target`.
   Ir2TopKCursor(const Ir2Tree* tree, const ObjectStore* objects,
@@ -99,7 +104,8 @@ class Ir2TopKCursor : public VerifiedNNCursor<SignatureEntryFilter> {
                 const std::vector<std::string>& keywords,
                 Ir2QueryScratch* scratch = nullptr,
                 IoScheduler* node_scheduler = nullptr,
-                std::optional<double> max_distance = {});
+                std::optional<double> max_distance = {},
+                BufferPool* read_pool = nullptr);
 };
 
 }  // namespace ir2

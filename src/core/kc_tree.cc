@@ -310,10 +310,11 @@ StatusOr<std::vector<QueryResult>> KcTopK(const KcTree& tree,
                                           const DistanceFirstQuery& query,
                                           QueryStats* stats,
                                           Ir2QueryScratch* scratch,
-                                          IoScheduler* node_scheduler) {
+                                          IoScheduler* node_scheduler,
+                                          BufferPool* read_pool) {
   VerifiedNNCursor<KcEntryFilter> cursor(
       &tree, &objects, tokenizer, query.Target(), query.keywords, scratch,
-      node_scheduler, query.max_distance,
+      node_scheduler, read_pool, query.max_distance,
       [&tree](Ir2QueryScratch& s, QueryStats* stats) {
         // The query bits live in level_signatures[0], the cold-region temp
         // in [1].

@@ -200,11 +200,12 @@ struct KcEntryFilter {
 // BatchExecutor worker shares one Ir2QueryScratch across all tree
 // algorithms. Honors query.max_distance (the bounded-cursor form): the NN
 // stream is distance-ordered, so the first neighbor past the bound ends
-// the search.
+// the search. `node_scheduler` and `read_pool` as for Ir2TopK.
 StatusOr<std::vector<QueryResult>> KcTopK(
     const KcTree& tree, const ObjectStore& objects, const Tokenizer& tokenizer,
     const DistanceFirstQuery& query, QueryStats* stats = nullptr,
-    Ir2QueryScratch* scratch = nullptr, IoScheduler* node_scheduler = nullptr);
+    Ir2QueryScratch* scratch = nullptr, IoScheduler* node_scheduler = nullptr,
+    BufferPool* read_pool = nullptr);
 
 }  // namespace ir2
 

@@ -9,10 +9,11 @@ StatusOr<std::vector<QueryResult>> RTreeTopK(const RTreeBase& tree,
                                              const Tokenizer& tokenizer,
                                              const DistanceFirstQuery& query,
                                              QueryStats* stats,
-                                             IoScheduler* node_scheduler) {
+                                             IoScheduler* node_scheduler,
+                                             BufferPool* read_pool) {
   VerifiedNNCursor<AcceptAllEntries> cursor(
       &tree, &objects, tokenizer, query.Target(), query.keywords,
-      /*scratch=*/nullptr, node_scheduler, query.max_distance,
+      /*scratch=*/nullptr, node_scheduler, read_pool, query.max_distance,
       NoEntryFilter);
   return CollectTopK(cursor, query.k, stats);
 }

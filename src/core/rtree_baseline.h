@@ -17,11 +17,13 @@ namespace ir2 {
 // against the query keywords until k objects pass. Potentially retrieves
 // many "useless" objects — in the worst case the whole dataset.
 // `node_scheduler` (optional) prefetches the traversal's frontier; results
-// and pool-level demand accounting are invariant to it.
+// and pool-level demand accounting are invariant to it. `read_pool`
+// (optional) is the pool node reads go through (null: the tree's own).
 StatusOr<std::vector<QueryResult>> RTreeTopK(
     const RTreeBase& tree, const ObjectStore& objects,
     const Tokenizer& tokenizer, const DistanceFirstQuery& query,
-    QueryStats* stats = nullptr, IoScheduler* node_scheduler = nullptr);
+    QueryStats* stats = nullptr, IoScheduler* node_scheduler = nullptr,
+    BufferPool* read_pool = nullptr);
 
 }  // namespace ir2
 

@@ -99,8 +99,10 @@ struct Ir2QueryScratch {
 // build the filter: it may derive query signatures into the scratch and
 // keep pointers into both, which outlive the traversal. `scratch`
 // (optional) donates reusable buffers and must not back another live
-// cursor; without one the cursor owns its own. `max_distance` (inclusive)
-// is the bounded form: the first neighbor strictly past it ends the stream.
+// cursor; without one the cursor owns its own. `node_scheduler` and
+// `read_pool` (both optional) are IncrementalNNCursor's. `max_distance`
+// (inclusive) is the bounded form: the first neighbor strictly past it ends
+// the stream.
 // Once ended the cursor stays ended — further Next() calls do no work.
 // Not movable: the traversal holds pointers into the cursor's scratch.
 template <typename Filter>
@@ -111,7 +113,7 @@ class VerifiedNNCursor {
                    const Tokenizer& tokenizer, const Rect& target,
                    const std::vector<std::string>& keywords,
                    Ir2QueryScratch* scratch, IoScheduler* node_scheduler,
-                   std::optional<double> max_distance,
+                   BufferPool* read_pool, std::optional<double> max_distance,
                    MakeFilter&& make_filter)
       : objects_(objects),
         keywords_(tokenizer.NormalizeKeywords(keywords)),
@@ -124,7 +126,7 @@ class VerifiedNNCursor {
       hashes.push_back(HashWord(keyword));
     }
     nn_.emplace(tree, target, make_filter(*scratch_, &stats_), &scratch_->nn,
-                node_scheduler);
+                node_scheduler, read_pool);
   }
 
   VerifiedNNCursor(const VerifiedNNCursor&) = delete;

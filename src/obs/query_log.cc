@@ -1,6 +1,7 @@
 #include "obs/query_log.h"
 
 #include <cstdio>
+#include <string_view>
 
 #include "common/hash.h"
 
@@ -33,8 +34,6 @@ void AppendString(std::string* out, std::string_view s) {
   }
   out->push_back('"');
 }
-
-thread_local ScopedPlanAudit* g_plan_audit = nullptr;
 
 }  // namespace
 
@@ -159,22 +158,6 @@ uint64_t QueryLog::recorded() const {
 uint64_t QueryLog::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return recorded_ - ring_.size();
-}
-
-ScopedPlanAudit::ScopedPlanAudit() : previous_(g_plan_audit) {
-  g_plan_audit = this;
-}
-
-ScopedPlanAudit::~ScopedPlanAudit() { g_plan_audit = previous_; }
-
-void ScopedPlanAudit::Record(std::string_view algo, double predicted_ms,
-                             double observed_ms) {
-  ScopedPlanAudit* sink = g_plan_audit;
-  if (sink == nullptr) return;
-  sink->audit_.algo.assign(algo);
-  sink->audit_.predicted_ms += predicted_ms;
-  sink->audit_.observed_ms += observed_ms;
-  ++sink->audit_.plans;
 }
 
 }  // namespace obs

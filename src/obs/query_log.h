@@ -15,17 +15,15 @@
 // carries a flat QueryLogStats mirror of the interesting core::QueryStats
 // fields instead of the struct itself; serving does the conversion.
 //
-// ScopedPlanAudit is the planner audit hook: Database::QueryAuto reports
-// (chosen algorithm, predicted cost, observed cost) to a thread-local sink
-// when one is installed, so the serving tier can attribute planner
-// mispricing per logged query without threading a parameter through every
-// query signature. Under a sharded scatter-gather each shard leg records
-// once; the sink sums predictions/observations and counts the legs.
+// The planner audit fields (algo, predicted_ms, observed_ms, plans) come
+// from the request's QueryContext (core/database.h): every executed kAuto
+// plan adds its chosen algorithm and predicted and observed cost there, so
+// the serving tier can attribute planner mispricing per logged query.
+// Under a sharded scatter-gather each executed shard leg adds once.
 
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -61,9 +59,10 @@ struct QueryLogRecord {
   uint32_t num_keywords = 0;
   bool area = false;  // Region query (MINDIST to a rect) vs point query.
 
-  // Planner audit (empty algo = the query ran without an audit sink or
-  // with a forced algorithm). predicted/observed are DiskModel-priced ms,
-  // summed over the audited shard legs (`plans` of them).
+  // Planner audit (empty algo = no kAuto plan executed: a forced
+  // algorithm or a result-cache hit). predicted/observed are
+  // DiskModel-priced ms, summed over the audited shard legs (`plans` of
+  // them).
   std::string algo;
   double predicted_ms = 0.0;
   double observed_ms = 0.0;
@@ -120,37 +119,6 @@ class QueryLog {
   std::vector<QueryLogRecord> ring_;
   size_t next_ = 0;
   uint64_t recorded_ = 0;
-};
-
-// Sums of what QueryAuto reported while the scope was installed on this
-// thread.
-struct PlanAudit {
-  std::string algo;  // Last chosen algorithm's name.
-  double predicted_ms = 0.0;
-  double observed_ms = 0.0;
-  uint32_t plans = 0;
-};
-
-// Installs this thread's plan-audit sink for its lifetime (scopes nest;
-// the previous sink is restored on destruction). Cost when no scope is
-// installed is one thread_local load in QueryAuto.
-class ScopedPlanAudit {
- public:
-  ScopedPlanAudit();
-  ~ScopedPlanAudit();
-  ScopedPlanAudit(const ScopedPlanAudit&) = delete;
-  ScopedPlanAudit& operator=(const ScopedPlanAudit&) = delete;
-
-  const PlanAudit& audit() const { return audit_; }
-
-  // Called by Database::QueryAuto after executing a plan; no-op when the
-  // calling thread has no installed scope.
-  static void Record(std::string_view algo, double predicted_ms,
-                     double observed_ms);
-
- private:
-  PlanAudit audit_;
-  ScopedPlanAudit* previous_;
 };
 
 }  // namespace obs

@@ -93,8 +93,8 @@ inline void NNFilterPrepareNode(Filter& filter, const Node& node) {
 // The cursor owns a binary heap of nodes and objects ordered by MINDIST to
 // the query target; each Next() call pops until an object surfaces, which is
 // then the next-nearest (filtered) object. Node loads go through
-// RTreeBase::LoadNodeShared — the tree's buffer pool (visible in the
-// device's IoStats) or, warm, its decoded-node cache.
+// RTreeBase::LoadNodeShared — the cursor's read pool (visible in the
+// device's IoStats) or, warm, the tree's decoded-node cache.
 //
 // `Filter` is invoked through static dispatch: a concrete filter type (e.g.
 // ir2_search's SignatureEntryFilter, or a lambda — class template argument
@@ -117,24 +117,34 @@ class IncrementalNNCursor {
   // untouched; only the physical split between QueryStats.io and
   // .speculative_io changes. Null is byte-for-byte the non-prefetching
   // traversal.
+  //
+  // `read_pool` (optional) is the pool node reads go through: a pool over
+  // the tree's device, such as a BatchExecutor worker's private one. Null
+  // reads through tree->pool().
   IncrementalNNCursor(const RTreeBase* tree, const Point& query,
                        Filter filter = Filter{}, NNScratch* scratch = nullptr,
-                       IoScheduler* node_scheduler = nullptr)
+                       IoScheduler* node_scheduler = nullptr,
+                       BufferPool* read_pool = nullptr)
       : IncrementalNNCursor(tree, Rect::ForPoint(query), std::move(filter),
-                             scratch, node_scheduler) {}
+                             scratch, node_scheduler, read_pool) {}
 
   // Area-target variant ("a point p, which is the query point (an area
   // could be used instead)"): distances are MINDIST to `query_area`.
   IncrementalNNCursor(const RTreeBase* tree, const Rect& query_area,
                        Filter filter = Filter{}, NNScratch* scratch = nullptr,
-                       IoScheduler* node_scheduler = nullptr)
+                       IoScheduler* node_scheduler = nullptr,
+                       BufferPool* read_pool = nullptr)
       : tree_(tree),
         target_(query_area),
         filter_(std::move(filter)),
         heap_(scratch != nullptr ? &scratch->AcquireHeap() : &own_heap_),
-        node_scheduler_(node_scheduler) {
+        node_scheduler_(node_scheduler),
+        read_pool_(read_pool) {
     IR2_CHECK(tree != nullptr);
     IR2_CHECK_EQ(target_.dims(), tree->dims());
+    if (read_pool != nullptr) {
+      IR2_CHECK_EQ(read_pool->block_size(), tree->pool()->block_size());
+    }
     // "Priority queue U initially contains root node of R with distance 0."
     Push(NNQueueItem{0.0, /*is_object=*/false, seq_++, tree->root_id(),
                      Rect()});
@@ -157,7 +167,7 @@ class IncrementalNNCursor {
       }
       obs::TraceSpan expand_span(obs::SpanKind::kNodeExpand, item.id);
       IR2_ASSIGN_OR_RETURN(std::shared_ptr<const Node> node,
-                           tree_->LoadNodeShared(item.id));
+                           tree_->LoadNodeShared(item.id, read_pool_));
       ++nodes_visited_;
       obs::DefaultMetrics().nn_nodes_expanded->Add();
       internal::NNFilterPrepareNode(filter_, *node);
@@ -213,6 +223,7 @@ class IncrementalNNCursor {
   std::vector<NNQueueItem> own_heap_;
   std::vector<NNQueueItem>* heap_;  // Scratch-donated, or &own_heap_.
   IoScheduler* node_scheduler_;
+  BufferPool* read_pool_;  // Null = tree_->pool().
   // Scratch for the frontier prefetch; only ever grows when prefetching is
   // enabled, so the prefetch-off traversal stays allocation-free.
   std::vector<BlockId> prefetch_ids_;

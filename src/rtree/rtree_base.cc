@@ -26,15 +26,6 @@ Rect BoundingRectOf(const std::vector<Entry>& entries) {
   return bound;
 }
 
-// Per-thread stack of active ScopedReadPool overrides (a thread rarely has
-// more than one, but nesting is legal). Thread-local, so no locking and no
-// cross-thread visibility by construction.
-struct ReadPoolOverride {
-  const RTreeBase* tree;
-  BufferPool* pool;
-};
-thread_local std::vector<ReadPoolOverride> t_read_pool_overrides;
-
 // Node deserializations across all trees and threads; the warm-path benches
 // diff it around a run to report the decode tax.
 std::atomic<uint64_t> g_node_decodes{0};
@@ -49,30 +40,6 @@ uint64_t RTreeBase::TotalNodeDecodes() {
 }
 
 uint64_t RTreeBase::ThreadNodeDecodes() { return t_node_decodes; }
-
-ScopedReadPool::ScopedReadPool(const RTreeBase* tree, BufferPool* pool)
-    : tree_(tree) {
-  IR2_CHECK(tree != nullptr);
-  IR2_CHECK(pool != nullptr);
-  IR2_CHECK_EQ(pool->block_size(), tree->pool()->block_size());
-  t_read_pool_overrides.push_back(ReadPoolOverride{tree, pool});
-}
-
-ScopedReadPool::~ScopedReadPool() {
-  IR2_CHECK(!t_read_pool_overrides.empty());
-  IR2_CHECK(t_read_pool_overrides.back().tree == tree_);
-  t_read_pool_overrides.pop_back();
-}
-
-BufferPool* RTreeBase::read_pool() const {
-  for (auto it = t_read_pool_overrides.rbegin();
-       it != t_read_pool_overrides.rend(); ++it) {
-    if (it->tree == this) {
-      return it->pool;
-    }
-  }
-  return pool_;
-}
 
 Rect Node::BoundingRect() const { return BoundingRectOf(entries); }
 
@@ -230,8 +197,8 @@ Status RTreeBase::StoreNode(const Node& node) {
   return Status::Ok();
 }
 
-StatusOr<Node> RTreeBase::LoadNode(BlockId id) const {
-  BufferPool* pool = read_pool();
+StatusOr<Node> RTreeBase::LoadNode(BlockId id, BufferPool* pool) const {
+  if (pool == nullptr) pool = pool_;
   const size_t block_size = pool->block_size();
   std::vector<uint8_t> buffer(block_size);
   IR2_RETURN_IF_ERROR(pool->Read(id, buffer));
@@ -285,16 +252,16 @@ StatusOr<Node> RTreeBase::LoadNode(BlockId id) const {
 }
 
 StatusOr<std::shared_ptr<const Node>> RTreeBase::LoadNodeShared(
-    BlockId id) const {
+    BlockId id, BufferPool* pool) const {
   if (node_cache_ == nullptr) {
-    IR2_ASSIGN_OR_RETURN(Node node, LoadNode(id));
+    IR2_ASSIGN_OR_RETURN(Node node, LoadNode(id, pool));
     return std::make_shared<const Node>(std::move(node));
   }
   const uint64_t version = this->version();
   if (NodeCache::NodeRef cached = node_cache_->Lookup(id, version)) {
     return std::shared_ptr<const Node>(std::move(cached));
   }
-  IR2_ASSIGN_OR_RETURN(Node node, LoadNode(id));
+  IR2_ASSIGN_OR_RETURN(Node node, LoadNode(id, pool));
   auto ref = std::make_shared<const Node>(std::move(node));
   node_cache_->Insert(id, version, ref);
   return std::shared_ptr<const Node>(std::move(ref));

@@ -92,8 +92,8 @@ struct RTreeOptions {
 //
 // Thread-safety: a fully built tree is immutable, so any number of threads
 // may run searches (LoadNode and everything built on it) concurrently —
-// provided each worker routes its reads through a private BufferPool via
-// ScopedReadPool below, which both removes pool contention and keeps each
+// provided each worker passes a private BufferPool over the tree's device
+// as the read pool, which both removes pool contention and keeps each
 // worker's cache state (and therefore its per-query disk-access counts)
 // independent of the other workers. Mutations are single-threaded.
 class RTreeBase {
@@ -196,8 +196,10 @@ class RTreeBase {
   // actually occupies — what LoadNode/StoreNode transfer.
   uint32_t BlocksUsed(uint32_t level, uint32_t entry_count) const;
 
-  // Reads a node from disk (counts I/O: 1 random + sequential reads).
-  StatusOr<Node> LoadNode(BlockId id) const;
+  // Reads a node from disk (counts I/O: 1 random + sequential reads)
+  // through `pool` — a pool over this tree's device — or, when null,
+  // through pool().
+  StatusOr<Node> LoadNode(BlockId id, BufferPool* pool = nullptr) const;
 
   // Warm-path variant: when a NodeCache is attached, a hit returns the
   // already-decoded node without touching the device, the pool, or the
@@ -206,8 +208,9 @@ class RTreeBase {
   // shared_ptr allocation. Traversals that only read nodes (IncrementalNN
   // and everything built on it) go through here; mutation paths keep using
   // LoadNode so a node about to be modified is never served from — or
-  // inserted into — the cache.
-  StatusOr<std::shared_ptr<const Node>> LoadNodeShared(BlockId id) const;
+  // inserted into — the cache. `pool` as for LoadNode.
+  StatusOr<std::shared_ptr<const Node>> LoadNodeShared(
+      BlockId id, BufferPool* pool = nullptr) const;
 
   // Attaches (or, with nullptr, detaches) a decoded-node cache. The cache
   // must outlive the tree or be detached first; one cache may be shared by
@@ -241,10 +244,6 @@ class RTreeBase {
   Status Validate() const;
 
   BufferPool* pool() const { return pool_; }
-
-  // The pool LoadNode reads through on the calling thread: the innermost
-  // ScopedReadPool override for this tree if one is active, else pool().
-  BufferPool* read_pool() const;
 
  protected:
   RTreeBase(BufferPool* pool, RTreeOptions options);
@@ -359,29 +358,6 @@ class RTreeBase {
   uint64_t reinserted_levels_ = 0;
   // Depth guard: reinsertion recursion beyond this falls back to splits.
   int reinsert_depth_ = 0;
-};
-
-// While in scope, LoadNode reads that the *calling thread* issues against
-// `tree` go through `pool` instead of tree->pool(). Writes are unaffected.
-//
-// This is how BatchExecutor workers share one read-only tree over one
-// device: each worker opens a private pool on the tree's device and wraps
-// its query loop in a ScopedReadPool, so node caching is per worker and a
-// query's disk-access profile is a pure function of the query — identical
-// to a serial cold run regardless of what other workers do.
-//
-// Scopes nest LIFO per thread; the innermost override for a given tree
-// wins. The override never leaks to other threads.
-class ScopedReadPool {
- public:
-  ScopedReadPool(const RTreeBase* tree, BufferPool* pool);
-  ~ScopedReadPool();
-
-  ScopedReadPool(const ScopedReadPool&) = delete;
-  ScopedReadPool& operator=(const ScopedReadPool&) = delete;
-
- private:
-  const RTreeBase* tree_;
 };
 
 }  // namespace ir2

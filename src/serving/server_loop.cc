@@ -164,16 +164,13 @@ void ServerLoop::WorkerMain() {
     metrics.server_queue_wait_ms->Record(queue_ms);
 
     Stopwatch watch;
-    QueryStats stats;
-    StatusOr<std::vector<QueryResult>> results(Status::Internal("unset"));
-    obs::PlanAudit audit;
-    {
-      // The audit sink lives for exactly this query: every shard leg's
-      // QueryAuto reports its chosen plan and predicted/observed cost here.
-      obs::ScopedPlanAudit scoped;
-      results = db_->Query(request.query, options_.algorithm, &stats);
-      audit = scoped.audit();
-    }
+    // One context per request: the tier adds every executed shard leg's
+    // plan to its audit.
+    QueryContext ctx;
+    StatusOr<std::vector<QueryResult>> results =
+        db_->Query(request.query, options_.algorithm, ctx);
+    const QueryStats& stats = ctx.stats;
+    const QueryContext::PlanAudit& audit = ctx.audit;
     const double service_ms = watch.ElapsedSeconds() * 1000.0;
 
     const double latency_ms = queue_ms + service_ms;
@@ -193,7 +190,7 @@ void ServerLoop::WorkerMain() {
       record.num_keywords =
           static_cast<uint32_t>(request.query.keywords.size());
       record.area = request.query.area.has_value();
-      record.algo = audit.algo;
+      if (audit.plans > 0) record.algo = AlgorithmName(audit.algo);
       record.predicted_ms = audit.predicted_ms;
       record.observed_ms = audit.observed_ms;
       record.plans = audit.plans;

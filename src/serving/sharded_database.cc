@@ -153,12 +153,20 @@ uint64_t ShardedDatabase::MutationEpoch() const {
 }
 
 StatusOr<std::vector<QueryResult>> ShardedDatabase::Query(
+    const DistanceFirstQuery& q, Algorithm algo, QueryContext& ctx) {
+  return QueryCached(q, algo, ctx, nullptr, nullptr);
+}
+
+StatusOr<std::vector<QueryResult>> ShardedDatabase::Query(
     const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats) {
-  return QueryCached(q, algo, stats, nullptr, nullptr);
+  QueryContext ctx;
+  StatusOr<std::vector<QueryResult>> results = Query(q, algo, ctx);
+  if (stats != nullptr) *stats += ctx.stats;
+  return results;
 }
 
 StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryCached(
-    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
+    const DistanceFirstQuery& q, Algorithm algo, QueryContext& ctx,
     std::vector<ShardLeg>* legs, CacheReuseCheck* check_out) {
   // One canonical normalization at the facade: the cache key and every
   // shard leg share it (shard-side normalization is idempotent, so legs do
@@ -171,37 +179,33 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryCached(
     // Fixed-algorithm, windowed, and bounded queries never consult the
     // cache: their stats and answers are identical with the cache on or
     // off, which the cold-regime goldens pin.
-    return QueryImpl(canonical, algo, stats, legs);
+    return QueryImpl(canonical, algo, ctx, legs);
   }
   const uint64_t epoch = MutationEpoch();
   CacheReuseCheck check;
   std::vector<QueryResult> cached;
   if (cache_->TryServe(canonical, epoch, &cached, &check)) {
-    if (stats != nullptr) {
-      if (check.exact || check.exhaustive) {
-        ++stats->result_cache_hits;
-      } else {
-        ++stats->result_cache_near_hits;
-      }
+    if (check.exact || check.exhaustive) {
+      ++ctx.stats.result_cache_hits;
+    } else {
+      ++ctx.stats.result_cache_near_hits;
     }
     if (check_out != nullptr) *check_out = check;
     return cached;
   }
-  if (stats != nullptr) {
-    ++stats->result_cache_misses;
-    if (check.stale) ++stats->result_cache_invalidations;
-  }
+  ++ctx.stats.result_cache_misses;
+  if (check.stale) ++ctx.stats.result_cache_invalidations;
   if (check_out != nullptr) *check_out = check;
   const uint32_t fetch_k = cache_->OverfetchK(canonical);
   if (fetch_k <= canonical.k) {
-    return QueryImpl(canonical, algo, stats, legs);
+    return QueryImpl(canonical, algo, ctx, legs);
   }
   // Over-fetched fill: the top-K global merge's first k entries are the
   // plain top-k answer (one total order), and the extra K - k tail widens
   // the reusable ball r_K - dist(p, p') for later perturbed repeats.
   DistanceFirstQuery overfetch = canonical;
   overfetch.k = fetch_k;
-  auto fetched = QueryImpl(overfetch, algo, stats, legs);
+  auto fetched = QueryImpl(overfetch, algo, ctx, legs);
   IR2_RETURN_IF_ERROR(fetched.status());
   cache_->Admit(canonical, fetch_k, epoch, fetched.value());
   std::vector<QueryResult> top = std::move(fetched).value();
@@ -210,7 +214,7 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryCached(
 }
 
 StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryImpl(
-    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
+    const DistanceFirstQuery& q, Algorithm algo, QueryContext& ctx,
     std::vector<ShardLeg>* legs) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const ServingMetrics& metrics = DefaultServingMetrics();
@@ -283,20 +287,16 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryImpl(
          kth < *leg_query.max_distance)) {
       leg_query.max_distance = kth;
     }
-    auto shard_results = [&]() -> StatusOr<std::vector<QueryResult>> {
+    QueryContext leg_ctx;
+    auto shard_results = [&] {
       obs::TraceSpan span(obs::SpanKind::kShardFanout, entry.shard);
-      if (algo == Algorithm::kAuto) {
-        QueryPlan plan;
-        auto results =
-            shards_[entry.shard]->QueryAuto(leg_query, &leg.stats, &plan);
-        leg.executed = plan.has_choice ? plan.chosen : Algorithm::kAuto;
-        return results;
-      }
-      leg.executed = algo;
-      return shards_[entry.shard]->Query(leg_query, algo, &leg.stats);
+      return shards_[entry.shard]->Query(leg_query, algo, leg_ctx);
     }();
     IR2_RETURN_IF_ERROR(shard_results.status());
-    if (stats != nullptr) *stats += leg.stats;
+    leg.executed = leg_ctx.plan.has_choice ? leg_ctx.plan.chosen : algo;
+    ctx.audit.Add(leg_ctx.plan, leg_ctx.stats.simulated_disk_ms);
+    ctx.stats += leg_ctx.stats;
+    leg.stats = std::move(leg_ctx.stats);
     leg.results_returned = shard_results.value().size();
     if (legs != nullptr) {
       for (const QueryResult& r : shard_results.value()) {
@@ -325,19 +325,19 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryImpl(
     }
   }
 
-  if (stats != nullptr) {
-    stats->shards_queried += queried;
-    stats->shards_pruned += pruned;
-  }
+  ctx.stats.shards_queried += queried;
+  ctx.stats.shards_pruned += pruned;
   return merged;
 }
 
 StatusOr<ShardedDatabase::ExplainResult> ShardedDatabase::Explain(
     const DistanceFirstQuery& q, Algorithm algo) {
   ExplainResult out;
-  auto results = QueryCached(q, algo, &out.stats, &out.legs, &out.cache_check);
+  QueryContext ctx;
+  auto results = QueryCached(q, algo, ctx, &out.legs, &out.cache_check);
   IR2_RETURN_IF_ERROR(results.status());
   out.results = std::move(results).value();
+  out.stats = std::move(ctx.stats);
 
   obs::ExplainReport& report = out.report;
   report.title = "SHARDED EXPLAIN";

@@ -137,9 +137,16 @@ class ShardedDatabase {
   // Scatter-gather top-k: fans `q` to the shards that can still beat the
   // running k-th result, merges by (distance, object id) and returns the
   // global top-k. `algo` kAuto lets every shard's planner choose
-  // independently. Accumulates into *stats (the Query* convention),
-  // including shards_queried / shards_pruned. Thread-safe for concurrent
-  // callers when the shards run warm (cold_queries off): legs only read.
+  // independently. Accumulates into ctx.stats, including shards_queried /
+  // shards_pruned, and adds every executed leg's plan to ctx.audit (a
+  // result-cache hit adds none). Each leg runs under its own context, so
+  // ctx's read pools, scratch and feedback are not handed to the shards.
+  // Thread-safe for concurrent callers when the shards run warm
+  // (cold_queries off): legs only read.
+  StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
+                                           Algorithm algo, QueryContext& ctx);
+
+  // The same with a fresh context, accumulating into *stats.
   StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
                                            Algorithm algo = Algorithm::kAuto,
                                            QueryStats* stats = nullptr);
@@ -189,7 +196,7 @@ class ShardedDatabase {
 
   StatusOr<std::vector<QueryResult>> QueryImpl(const DistanceFirstQuery& q,
                                                Algorithm algo,
-                                               QueryStats* stats,
+                                               QueryContext& ctx,
                                                std::vector<ShardLeg>* legs);
   // Query() with the result cache consulted above the scatter-gather:
   // normalizes keywords once at the facade (the cache key and every shard
@@ -197,7 +204,7 @@ class ShardedDatabase {
   // over-fetched QueryImpl and admits the answer.
   StatusOr<std::vector<QueryResult>> QueryCached(const DistanceFirstQuery& q,
                                                  Algorithm algo,
-                                                 QueryStats* stats,
+                                                 QueryContext& ctx,
                                                  std::vector<ShardLeg>* legs,
                                                  CacheReuseCheck* check_out);
 

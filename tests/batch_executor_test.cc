@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/database.h"
-#include "core/ir2_search.h"
 #include "datagen/workload.h"
 #include "rtree/rtree_base.h"
 #include "storage/buffer_pool.h"
@@ -93,26 +92,32 @@ TEST(BatchExecutorTest, MatchesHandRolledSerialColdRuns) {
   BatchExecutor executor(db.get(), options);
   BatchResults batch = executor.Run(queries).value();
 
-  // Reference: one query at a time on this thread, under the exact cold
-  // protocol the executor's workers use.
+  // Reference: one query at a time on this thread through the database's
+  // own Query, under the exact cold protocol the executor's workers use: a
+  // private pool over the tree's device, handed down as the tree's read
+  // pool in the query context.
   const Ir2Tree* tree = db->ir2_tree();
   BlockDevice* tree_device = tree->pool()->device();
   BlockDevice* object_device = db->object_store().device();
   BufferPool reference_pool(tree_device, db->options().pool_blocks);
-  ScopedReadPool scope(tree, &reference_pool);
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(reference_pool.Clear().ok());
     tree_device->ResetThreadCursor();
     object_device->ResetThreadCursor();
-    IoStats before = tree_device->thread_stats();
-    before += object_device->thread_stats();
-    QueryStats stats;
+    const IoStats tree_before = tree_device->thread_stats();
+    const IoStats object_before = object_device->thread_stats();
+    QueryContext ctx;
+    ctx.read_pools[static_cast<size_t>(Structure::kIr2)] = &reference_pool;
     std::vector<QueryResult> results =
-        Ir2TopK(*tree, db->object_store(), db->tokenizer(), queries[i], &stats)
-            .value();
-    IoStats after = tree_device->thread_stats();
-    after += object_device->thread_stats();
-    stats.io = after - before;
+        db->Query(queries[i], Algorithm::kIr2, ctx).value();
+    const IoStats tree_io = tree_device->thread_stats() - tree_before;
+    QueryStats stats = ctx.stats;
+    stats.io = tree_io + (object_device->thread_stats() - object_before);
+    EXPECT_EQ(ctx.stats.io, stats.io) << "query " << i;
+    // Every node block the query read came through the reference pool.
+    EXPECT_GT(tree_io.TotalReads(), 0u) << "query " << i;
+    EXPECT_EQ(reference_pool.Stats().misses, tree_io.TotalReads())
+        << "query " << i;
 
     ExpectSameResults(results, batch.results[i], i);
     ExpectSameProfile(stats, batch.per_query[i], i);
@@ -120,6 +125,49 @@ TEST(BatchExecutorTest, MatchesHandRolledSerialColdRuns) {
     EXPECT_GT(batch.per_query[i].io.TotalAccesses(), 0u) << "query " << i;
     EXPECT_GT(batch.per_query[i].seconds, 0.0) << "query " << i;
   }
+}
+
+TEST(BatchExecutorTest, ColdRunLeavesTreePoolsAndCallerRoutingAlone) {
+  std::vector<StoredObject> objects;
+  auto db = BuildDatabase(&objects);
+  std::vector<DistanceFirstQuery> queries = MakeWorkload(*db, objects);
+  ASSERT_TRUE(db->DropCaches().ok());
+
+  // Workers read the trees through their private pools only: no tree's
+  // own pool sees a request.
+  std::vector<BufferPoolStats> before;
+  for (const RTreeBase* tree : db->trees()) {
+    before.push_back(tree->pool()->Stats());
+  }
+  BatchExecutorOptions options;
+  options.num_threads = 4;
+  options.algorithm = Algorithm::kIr2;
+  StatusOr<BatchResults> batch = BatchExecutor(db.get(), options).Run(queries);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_GT(batch.value().pool_stats.misses, 0u);
+  // One worker runs on the calling thread itself.
+  options.num_threads = 1;
+  batch = BatchExecutor(db.get(), options).Run(queries);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_GT(batch.value().pool_stats.misses, 0u);
+  const std::vector<RTreeBase*> trees = db->trees();
+  for (size_t t = 0; t < trees.size(); ++t) {
+    const BufferPoolStats after = trees[t]->pool()->Stats();
+    EXPECT_EQ(after.hits, before[t].hits) << "tree " << t;
+    EXPECT_EQ(after.misses, before[t].misses) << "tree " << t;
+    EXPECT_EQ(after.evictions, before[t].evictions) << "tree " << t;
+  }
+
+  // A plain query on the calling thread afterwards reads through the tree's
+  // own pool: no worker's routing outlives the batch.
+  const BufferPool* own_pool = db->ir2_tree()->pool();
+  const IoStats own_before = own_pool->thread_stats();
+  QueryStats stats;
+  ASSERT_TRUE(db->Query(queries[0], Algorithm::kIr2, &stats).ok());
+  const IoStats own_reads = own_pool->thread_stats() - own_before;
+  EXPECT_GT(own_reads.TotalReads(), 0u);
+  EXPECT_GT(own_pool->Stats().misses, 0u);
+  EXPECT_GT(stats.nodes_visited, 0u);
 }
 
 TEST(BatchExecutorTest, RunsOverMir2Tree) {

@@ -317,6 +317,8 @@ TEST_F(ServerLoopTest, QueryLogCapturesEveryRequestAtFullSampling) {
     EXPECT_FALSE(record.algo.empty());
     EXPECT_EQ(record.plans, 4u);  // One audited plan per shard.
     EXPECT_GT(record.observed_ms, 0.0);
+    // The audit sums exactly the legs the stats sum.
+    EXPECT_EQ(record.observed_ms, record.stats.simulated_disk_ms);
     EXPECT_GE(record.latency_ms, record.queue_ms);
     EXPECT_GT(record.stats.nodes_visited, 0u);
     EXPECT_EQ(record.stats.shards_queried, 4u);
@@ -326,6 +328,35 @@ TEST_F(ServerLoopTest, QueryLogCapturesEveryRequestAtFullSampling) {
   EXPECT_EQ(loop.LatencyWindow().count, queries_.size());
   const obs::SloTracker::Report slo = loop.SloReport();
   EXPECT_EQ(slo.total_5m, queries_.size());
+}
+
+TEST_F(ServerLoopTest, ResultCacheHitLogsNoPlan) {
+  db_->EnableResultCache();
+  ServerLoopOptions options;
+  options.num_workers = 1;
+  options.query_log.sample_rate = 1.0;
+  ServerLoop loop(db_.get(), options);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    ASSERT_EQ(loop.Submit("acme", queries_[0],
+                          [](StatusOr<std::vector<QueryResult>>,
+                             const QueryStats&) {})
+                  .outcome,
+              ServerLoop::Admission::Outcome::kAdmitted);
+    loop.Drain();
+  }
+
+  const std::vector<obs::QueryLogRecord> records =
+      loop.query_log()->Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  // The miss fans out and audits its legs; the hit runs no plan.
+  EXPECT_FALSE(records[0].algo.empty());
+  EXPECT_EQ(records[0].plans, records[0].stats.shards_queried);
+  EXPECT_GT(records[0].plans, 0u);
+  EXPECT_TRUE(records[1].ok);
+  EXPECT_EQ(records[1].algo, "");
+  EXPECT_EQ(records[1].plans, 0u);
+  EXPECT_EQ(records[1].observed_ms, 0.0);
+  EXPECT_EQ(records[1].stats.shards_queried, 0u);
 }
 
 TEST_F(ServerLoopTest, SlowRequestsAreCapturedDespiteZeroSampleRate) {

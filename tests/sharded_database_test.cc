@@ -205,6 +205,41 @@ TEST_F(ShardedDatabaseTest, PrunesFarShardsAndCountsThem) {
   }
 }
 
+TEST_F(ShardedDatabaseTest, PlanAuditSumsExecutedLegs) {
+  // Cold shards and no result cache: every kAuto query fans out, and the
+  // caller's context gets one audited plan per executed leg.
+  auto sharded = BuildSharded(4);
+  ASSERT_EQ(sharded->result_cache(), nullptr);
+  auto reset_feedback = [&] {
+    for (size_t s = 0; s < sharded->num_shards(); ++s) {
+      sharded->shard(s)->planner()->feedback().Reset();
+    }
+  };
+  for (const DistanceFirstQuery& q : queries_) {
+    reset_feedback();
+    QueryContext ctx;
+    ASSERT_TRUE(sharded->Query(q, Algorithm::kAuto, ctx).ok());
+    ASSERT_GT(ctx.stats.shards_queried, 0u);
+    EXPECT_EQ(ctx.audit.plans, ctx.stats.shards_queried);
+    EXPECT_EQ(ctx.audit.observed_ms, ctx.stats.simulated_disk_ms);
+    EXPECT_GT(ctx.audit.predicted_ms, 0.0);
+
+    // Replayed under the same feedback, the query executes the same legs;
+    // the audit names the last executed leg's algorithm.
+    reset_feedback();
+    auto explain = sharded->Explain(q, Algorithm::kAuto);
+    ASSERT_TRUE(explain.ok());
+    EXPECT_EQ(explain.value().stats.shards_queried,
+              ctx.stats.shards_queried);
+    const serving::ShardLeg* last = nullptr;
+    for (const serving::ShardLeg& leg : explain.value().legs) {
+      if (!leg.pruned) last = &leg;
+    }
+    ASSERT_NE(last, nullptr);
+    EXPECT_EQ(ctx.audit.algo, last->executed);
+  }
+}
+
 TEST_F(ShardedDatabaseTest, VerifyPruningGuardHolds) {
   // Guard mode re-executes every pruned shard and CHECK-fails if any of
   // its results beats the k-th distance the skip was justified against —

@@ -17,11 +17,9 @@
 namespace ir2 {
 namespace {
 
-using obs::PlanAudit;
 using obs::QueryLog;
 using obs::QueryLogOptions;
 using obs::QueryLogRecord;
-using obs::ScopedPlanAudit;
 using obs::SloOptions;
 using obs::SloTracker;
 using obs::WindowedHistogram;
@@ -324,29 +322,6 @@ TEST(StatusJsonTest, ShapeGolden) {
                 "\"misses\":1,\"invalidations\":0,\"admitted\":1,"
                 "\"evictions\":0,\"hit_rate\":0.75}," +
                 shards);
-}
-
-// ------------------------------------------------------------- plan audit
-
-TEST(PlanAuditTest, SinkSumsLegsAndRestoresOnExit) {
-  // No sink installed: Record is a no-op, not a crash.
-  ScopedPlanAudit::Record("ir2", 1.0, 2.0);
-
-  ScopedPlanAudit outer;
-  ScopedPlanAudit::Record("ir2", 1.5, 2.0);
-  {
-    ScopedPlanAudit inner;
-    ScopedPlanAudit::Record("mir2", 0.5, 1.0);
-    EXPECT_EQ(inner.audit().algo, "mir2");
-    EXPECT_EQ(inner.audit().plans, 1u);
-  }
-  // The inner scope uninstalled itself; new records land in `outer` again.
-  ScopedPlanAudit::Record("kctree", 2.0, 3.0);
-  const PlanAudit& audit = outer.audit();
-  EXPECT_EQ(audit.algo, "kctree");  // Last chosen wins the label.
-  EXPECT_DOUBLE_EQ(audit.predicted_ms, 3.5);
-  EXPECT_DOUBLE_EQ(audit.observed_ms, 5.0);
-  EXPECT_EQ(audit.plans, 2u);
 }
 
 }  // namespace
