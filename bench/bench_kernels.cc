@@ -1,22 +1,22 @@
 // Microbenchmark for the runtime-dispatched SIMD kernels (common/simd.h):
-// signature containment at the paper's two widths (64-bit restaurant
-// signatures, 1512-bit hotel signatures), d-gap varint posting-list decode
-// on short and long lists, and candidate verification (the keyword-token
-// search) over Hotels-shaped records. Each kernel is timed on the scalar
-// reference tier and on the best tier the CPU offers; the ratio is the
-// whole point of the kernels, so the acceptance bar — >= 2x on at least
-// one signature kernel, on posting decode and on verification, plus a
-// scalar verification reference that beats the isalnum() scan it replaced
-// — is evaluated here and recorded in BENCH_kernels.json, which check.sh's
-// kernels stage regenerates in --smoke form.
+// d-gap varint posting-list decode on short and long lists, and candidate
+// verification (the keyword-token search) over Hotels-shaped records. Each
+// kernel is timed on the scalar reference tier and on the best tier the CPU
+// offers; the ratio is the whole point of the kernels, so the acceptance
+// bar — >= 2x on posting decode and on verification, plus a scalar
+// verification reference that beats the isalnum() scan it replaced — is
+// evaluated here and recorded in BENCH_kernels.json, which check.sh's
+// kernels stage regenerates in --smoke form. Signature containment is a
+// scalar loop with no tiers to compare; bench_micro's
+// BM_SignatureContainment times it.
 //
 // Methodology: each measurement is the median of kRepeats runs over a
 // fixed iteration count (smoke: fewer), with a volatile sink so the
 // compiler cannot dead-code the kernel; every verdict is decided on those
 // medians, so one slow or fast run cannot flip it. Inputs are sized to
-// live in L1/L2, because these loops run over node entry arrays and decoded
-// posting chunks that are already resident — the kernels' job is CPU time,
-// not memory bandwidth.
+// live in L1/L2, because these loops run over decoded posting chunks and
+// loaded candidate records that are already resident — the kernels' job is
+// CPU time, not memory bandwidth.
 
 #include <algorithm>
 #include <bit>
@@ -50,7 +50,7 @@ constexpr double kIsalnumThreshold = 1.0;  // isalnum scan vs scalar verify.
 
 struct KernelReport {
   std::string name;
-  double scalar_ns = 0;  // Per op (one signature test / one list decode).
+  double scalar_ns = 0;  // Per op (one decoded posting / one verification).
   double simd_ns = 0;
   double speedup = 0;
   std::string simd_level;
@@ -67,85 +67,6 @@ double MedianNs(size_t iters, Fn&& fn) {
   }
   std::sort(ns.begin(), ns.end());
   return ns[ns.size() / 2];
-}
-
-// --- Signature containment over a node's entry array -------------------
-
-struct SignatureBatch {
-  size_t num_words = 0;
-  size_t num_signatures = 0;
-  std::vector<uint64_t> data;   // num_signatures * num_words.
-  std::vector<uint64_t> query;  // num_words.
-};
-
-SignatureBatch MakeSignatureBatch(size_t num_words, size_t num_signatures,
-                                  uint64_t seed) {
-  SignatureBatch batch;
-  batch.num_words = num_words;
-  batch.num_signatures = num_signatures;
-  batch.data.resize(num_words * num_signatures);
-  batch.query.resize(num_words);
-  Rng rng(seed);
-  for (uint64_t& w : batch.query) {
-    w = rng.NextUint64() & rng.NextUint64() & rng.NextUint64();
-  }
-  // Against a fully random batch nearly every entry mismatches in its first
-  // word and both paths exit immediately — that measures the early-exit
-  // branch, not the scan. Node scans that matter are the ones near the
-  // query's region, where signatures are close: make half the entries
-  // contain the query outright and give the other half exactly one missing
-  // query bit at a random word, so the average test walks half the width.
-  for (size_t s = 0; s < num_signatures; ++s) {
-    uint64_t* data = batch.data.data() + s * num_words;
-    for (size_t i = 0; i < num_words; ++i) {
-      data[i] = rng.NextUint64() | rng.NextUint64() | batch.query[i];
-    }
-    if (s % 2 == 0 && num_words > 0) {
-      const size_t word = rng.NextUint64(num_words);
-      const uint64_t bits = batch.query[word];
-      if (bits != 0) {
-        const int bit = __builtin_ctzll(bits);
-        data[word] &= ~(uint64_t{1} << bit);
-      }
-    }
-  }
-  return batch;
-}
-
-template <bool kScalarOnly>
-void RunContains(const SignatureBatch& batch, size_t iters) {
-  uint64_t matches = 0;
-  for (size_t it = 0; it < iters; ++it) {
-    for (size_t s = 0; s < batch.num_signatures; ++s) {
-      const uint64_t* data = batch.data.data() + s * batch.num_words;
-      if constexpr (kScalarOnly) {
-        matches += simd::WordsContainAllScalar(data, batch.query.data(),
-                                               batch.num_words);
-      } else {
-        matches += simd::WordsContainAll(data, batch.query.data(),
-                                         batch.num_words);
-      }
-    }
-  }
-  g_sink += matches;
-}
-
-KernelReport BenchContains(const char* name, size_t num_words,
-                           size_t num_signatures, size_t iters) {
-  const SignatureBatch batch =
-      MakeSignatureBatch(num_words, num_signatures, 0xc0ffee + num_words);
-  KernelReport report;
-  report.name = name;
-  // Per-op = one signature test.
-  report.scalar_ns =
-      MedianNs(iters, [&](size_t n) { RunContains<true>(batch, n); }) /
-      static_cast<double>(num_signatures);
-  report.simd_ns =
-      MedianNs(iters, [&](size_t n) { RunContains<false>(batch, n); }) /
-      static_cast<double>(num_signatures);
-  report.speedup = report.scalar_ns / report.simd_ns;
-  report.simd_level = simd::LevelName(simd::ActiveLevel());
-  return report;
 }
 
 // --- Posting-list decode ----------------------------------------------
@@ -304,8 +225,7 @@ KernelReport BenchVerify(size_t iters) {
 
 void WriteJson(const char* path, bool smoke,
                const std::vector<KernelReport>& reports,
-               bool signature_pass, bool decode_pass, bool verify_pass,
-               bool verify_scalar_pass) {
+               bool decode_pass, bool verify_pass, bool verify_scalar_pass) {
   std::FILE* f = std::fopen(path, "w");
   IR2_CHECK(f != nullptr) << "cannot write " << path;
   std::fprintf(f, "{\n  \"bench\": \"kernels\",\n");
@@ -333,14 +253,11 @@ void WriteJson(const char* path, bool smoke,
                "  \"acceptance\": {\"repeats\": %zu, "
                "\"statistic\": \"median\", \"speedup_threshold\": %.1f, "
                "\"scalar_vs_isalnum_threshold\": %.1f, "
-               "\"signature_2x\": %s, "
                "\"decode_2x\": %s, \"verify_2x\": %s, "
                "\"verify_scalar_beats_isalnum\": %s, \"pass\": %s}\n}\n",
                kRepeats, kSpeedupThreshold, kIsalnumThreshold,
-               b(signature_pass), b(decode_pass), b(verify_pass),
-               b(verify_scalar_pass),
-               b(signature_pass && decode_pass && verify_pass &&
-                 verify_scalar_pass));
+               b(decode_pass), b(verify_pass), b(verify_scalar_pass),
+               b(decode_pass && verify_pass && verify_scalar_pass));
   std::fclose(f);
 }
 
@@ -350,12 +267,6 @@ void Main(bool smoke) {
               smoke ? " (smoke)" : "");
 
   std::vector<KernelReport> reports;
-  // 64-bit = the paper's restaurant signatures (1 word per entry); 1512-bit
-  // = the hotel signatures (24 words). 512 signatures ~ a few tree nodes.
-  reports.push_back(
-      BenchContains("signature_contains_64bit", 1, 512, iters * 4));
-  reports.push_back(
-      BenchContains("signature_contains_1512bit", 24, 512, iters));
   // Short lists = tail words (tiny decode, call overhead visible); long
   // lists = head words, where decode time actually matters. Small gaps are
   // the realistic dense-list case and the vector fast path; the mixed-gap
@@ -367,16 +278,12 @@ void Main(bool smoke) {
   // 48 x 48 (record, keyword set) pairs per iteration.
   reports.push_back(BenchVerify(smoke ? 1 : 8));
 
-  bool signature_pass = false, decode_pass = false, verify_pass = false;
-  bool verify_scalar_pass = false;
+  bool decode_pass = false, verify_pass = false, verify_scalar_pass = false;
   std::printf("%-32s %12s %12s %9s\n", "kernel", "scalar ns/op",
               "simd ns/op", "speedup");
   for (const KernelReport& r : reports) {
     std::printf("%-32s %12.3f %12.3f %8.2fx\n", r.name.c_str(), r.scalar_ns,
                 r.simd_ns, r.speedup);
-    if (r.name.rfind("signature_", 0) == 0) {
-      signature_pass = signature_pass || r.speedup >= kSpeedupThreshold;
-    }
     if (r.name.rfind("decode_", 0) == 0) {
       decode_pass = decode_pass || r.speedup >= kSpeedupThreshold;
     }
@@ -388,16 +295,14 @@ void Main(bool smoke) {
       verify_scalar_pass = r.isalnum_ns / r.scalar_ns > kIsalnumThreshold;
     }
   }
-  const bool pass =
-      signature_pass && decode_pass && verify_pass && verify_scalar_pass;
+  const bool pass = decode_pass && verify_pass && verify_scalar_pass;
   std::printf(
-      "acceptance: signature>=2x %s, decode>=2x %s, verify>=2x %s, "
+      "acceptance: decode>=2x %s, verify>=2x %s, "
       "verify scalar beats isalnum %s => %s\n",
-      signature_pass ? "yes" : "NO", decode_pass ? "yes" : "NO",
-      verify_pass ? "yes" : "NO", verify_scalar_pass ? "yes" : "NO",
-      pass ? "PASS" : "FAIL");
-  WriteJson("BENCH_kernels.json", smoke, reports, signature_pass,
-            decode_pass, verify_pass, verify_scalar_pass);
+      decode_pass ? "yes" : "NO", verify_pass ? "yes" : "NO",
+      verify_scalar_pass ? "yes" : "NO", pass ? "PASS" : "FAIL");
+  WriteJson("BENCH_kernels.json", smoke, reports, decode_pass, verify_pass,
+            verify_scalar_pass);
   std::printf("wrote BENCH_kernels.json\n");
 }
 

@@ -6,7 +6,7 @@ smaller dataset/query count than the checked-in full-size baselines: raw
 scale-dependent figures (qps, seconds, ms, counts) are NOT comparable and
 are only tallied. What must still agree across scales:
 
-  * booleans — acceptance verdicts (auto_beats_all_fixed, signature_2x,
+  * booleans — acceptance verdicts (auto_beats_all_fixed, decode_2x,
     determinism_checked, ...) may not flip relative to the baseline;
   * mismatch counters — any *mismatch* field that is 0 in the baseline
     (golden_mismatches, profile_mismatches) must stay 0;

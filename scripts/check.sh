@@ -70,10 +70,11 @@ fi
 echo
 echo "== KC-Tree: goldens + bitmap/signature agreement, both SIMD tiers =="
 # The KC-Tree's exact hot-word bitmaps and cold-tail signature ride the
-# same dispatched byte-containment kernels as IR2 signatures; run the
-# suite (build/save/open round-trips, bitmap-vs-brute-force fuzz, top-k
-# pinned to the IR2/IIO answers) with dispatch on and forced scalar, and
-# hold the cold-regime KC disk-count goldens on both tiers too (see
+# same scalar containment loop as IR2 signatures, and its candidates go
+# through the dispatched FindToken verification; run the suite
+# (build/save/open round-trips, bitmap-vs-brute-force fuzz, top-k pinned
+# to the IR2/IIO answers) with dispatch on and forced scalar, and hold the
+# cold-regime KC disk-count goldens on both tiers too (see
 # docs/performance.md).
 ./build/tests/kc_tree_test > /dev/null && echo "kc_tree_test: OK"
 IR2_DISABLE_SIMD=1 ./build/tests/kc_tree_test > /dev/null   && echo "kc_tree_test (scalar forced): OK"

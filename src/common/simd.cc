@@ -3,7 +3,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define IR2_SIMD_X86 1
@@ -23,31 +22,6 @@ namespace {
 // reproduce bit for bit; simd_test cross-checks them on random and
 // adversarial inputs.
 // ---------------------------------------------------------------------------
-
-// Word loop + zero-extended byte tail starting at `byte_off` (a multiple of
-// 8). The vector tiers delegate their sub-register remainders here so the
-// tail semantics exist in exactly one place.
-inline bool BytesContainTail(const uint8_t* bytes, size_t num_bytes,
-                             const uint64_t* query_words, size_t byte_off) {
-  size_t w = byte_off / sizeof(uint64_t);
-  const size_t full_words = num_bytes / sizeof(uint64_t);
-  for (; w < full_words; ++w) {
-    uint64_t word;
-    std::memcpy(&word, bytes + w * sizeof(uint64_t), sizeof(uint64_t));
-    if ((word & query_words[w]) != query_words[w]) {
-      return false;
-    }
-  }
-  const size_t tail = num_bytes - full_words * sizeof(uint64_t);
-  if (tail != 0) {
-    uint64_t word = 0;
-    std::memcpy(&word, bytes + full_words * sizeof(uint64_t), tail);
-    if ((word & query_words[full_words]) != query_words[full_words]) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // Decodes one varint at in[pos]; returns false on truncation or a value
 // wider than 5 bytes (shift > 28), the exact corruption conditions of the
@@ -118,21 +92,6 @@ inline size_t FindTokenFrom(const uint8_t* text, size_t size, size_t off,
 
 }  // namespace
 
-bool WordsContainAllScalar(const uint64_t* data, const uint64_t* query,
-                           size_t num_words) {
-  for (size_t i = 0; i < num_words; ++i) {
-    if ((data[i] & query[i]) != query[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool BytesContainWordsScalar(const uint8_t* bytes, size_t num_bytes,
-                             const uint64_t* query_words) {
-  return BytesContainTail(bytes, num_bytes, query_words, 0);
-}
-
 size_t DecodeDGapVarintsScalar(const uint8_t* in, size_t in_size,
                                uint32_t count, uint32_t* out) {
   uint32_t previous = 0;
@@ -165,39 +124,6 @@ size_t FindTokenScalar(const char* text, size_t size,
 #if IR2_SIMD_X86
 
 namespace {
-
-bool WordsContainAllSse2(const uint64_t* data, const uint64_t* query,
-                         size_t num_words) {
-  size_t i = 0;
-  for (; i + 2 <= num_words; i += 2) {
-    const __m128i d =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    const __m128i q =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + i));
-    const __m128i eq = _mm_cmpeq_epi8(_mm_and_si128(d, q), q);
-    if (_mm_movemask_epi8(eq) != 0xFFFF) {
-      return false;
-    }
-  }
-  return WordsContainAllScalar(data + i, query + i, num_words - i);
-}
-
-bool BytesContainWordsSse2(const uint8_t* bytes, size_t num_bytes,
-                           const uint64_t* query_words) {
-  const uint8_t* q = reinterpret_cast<const uint8_t*>(query_words);
-  size_t off = 0;
-  for (; off + 16 <= num_bytes; off += 16) {
-    const __m128i d =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + off));
-    const __m128i qv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + off));
-    const __m128i eq = _mm_cmpeq_epi8(_mm_and_si128(d, qv), qv);
-    if (_mm_movemask_epi8(eq) != 0xFFFF) {
-      return false;
-    }
-  }
-  return BytesContainTail(bytes, num_bytes, query_words, off & ~size_t{7});
-}
 
 size_t DecodeDGapVarintsSse2(const uint8_t* in, size_t in_size, uint32_t count,
                              uint32_t* out) {
@@ -237,40 +163,6 @@ size_t DecodeDGapVarintsSse2(const uint8_t* in, size_t in_size, uint32_t count,
     out[i] = previous;
   }
   return pos;
-}
-
-__attribute__((target("avx2"))) bool WordsContainAllAvx2(
-    const uint64_t* data, const uint64_t* query, size_t num_words) {
-  size_t i = 0;
-  for (; i + 4 <= num_words; i += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const __m256i q =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(query + i));
-    // testc: CF = ((~d) & q) == 0, i.e. d contains every bit of q.
-    if (!_mm256_testc_si256(d, q)) {
-      return false;
-    }
-  }
-  return WordsContainAllScalar(data + i, query + i, num_words - i);
-}
-
-__attribute__((target("avx2"))) bool BytesContainWordsAvx2(
-    const uint8_t* bytes, size_t num_bytes, const uint64_t* query_words) {
-  // The query backing store spans ceil(num_bytes / 8) words >= num_bytes
-  // bytes, so every 32-byte load below stays inside both buffers.
-  const uint8_t* q = reinterpret_cast<const uint8_t*>(query_words);
-  size_t off = 0;
-  for (; off + 32 <= num_bytes; off += 32) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bytes + off));
-    const __m256i qv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + off));
-    if (!_mm256_testc_si256(d, qv)) {
-      return false;
-    }
-  }
-  return BytesContainTail(bytes, num_bytes, query_words, off);
 }
 
 __attribute__((target("avx2"))) size_t DecodeDGapVarintsAvx2(
@@ -407,34 +299,6 @@ __attribute__((target("avx2"))) size_t FindTokenAvx2(
 
 namespace {
 
-bool WordsContainAllNeon(const uint64_t* data, const uint64_t* query,
-                         size_t num_words) {
-  size_t i = 0;
-  for (; i + 2 <= num_words; i += 2) {
-    const uint64x2_t d = vld1q_u64(data + i);
-    const uint64x2_t q = vld1q_u64(query + i);
-    const uint64x2_t miss = vbicq_u64(q, d);  // q & ~d
-    if (vmaxvq_u32(vreinterpretq_u32_u64(miss)) != 0) {
-      return false;
-    }
-  }
-  return WordsContainAllScalar(data + i, query + i, num_words - i);
-}
-
-bool BytesContainWordsNeon(const uint8_t* bytes, size_t num_bytes,
-                           const uint64_t* query_words) {
-  const uint8_t* q = reinterpret_cast<const uint8_t*>(query_words);
-  size_t off = 0;
-  for (; off + 16 <= num_bytes; off += 16) {
-    const uint8x16_t d = vld1q_u8(bytes + off);
-    const uint8x16_t qv = vld1q_u8(q + off);
-    if (vmaxvq_u8(vbicq_u8(qv, d)) != 0) {
-      return false;
-    }
-  }
-  return BytesContainTail(bytes, num_bytes, query_words, off & ~size_t{7});
-}
-
 size_t DecodeDGapVarintsNeon(const uint8_t* in, size_t in_size, uint32_t count,
                              uint32_t* out) {
   uint32_t previous = 0;
@@ -515,33 +379,23 @@ namespace {
 
 struct KernelTable {
   Level level;
-  bool (*words_contain_all)(const uint64_t*, const uint64_t*, size_t);
-  bool (*bytes_contain)(const uint8_t*, size_t, const uint64_t*);
   size_t (*decode_dgaps)(const uint8_t*, size_t, uint32_t, uint32_t*);
   size_t (*find_token)(const char*, size_t, std::string_view);
 };
 
-constexpr KernelTable kScalarTable = {
-    Level::kScalar,          WordsContainAllScalar, BytesContainWordsScalar,
-    DecodeDGapVarintsScalar, FindTokenScalar,
-};
+constexpr KernelTable kScalarTable = {Level::kScalar, DecodeDGapVarintsScalar,
+                                      FindTokenScalar};
 
 #if IR2_SIMD_X86
-constexpr KernelTable kSse2Table = {
-    Level::kSse2,          WordsContainAllSse2, BytesContainWordsSse2,
-    DecodeDGapVarintsSse2, FindTokenSse2,
-};
-constexpr KernelTable kAvx2Table = {
-    Level::kAvx2,          WordsContainAllAvx2, BytesContainWordsAvx2,
-    DecodeDGapVarintsAvx2, FindTokenAvx2,
-};
+constexpr KernelTable kSse2Table = {Level::kSse2, DecodeDGapVarintsSse2,
+                                    FindTokenSse2};
+constexpr KernelTable kAvx2Table = {Level::kAvx2, DecodeDGapVarintsAvx2,
+                                    FindTokenAvx2};
 #endif
 
 #if IR2_SIMD_NEON
-constexpr KernelTable kNeonTable = {
-    Level::kNeon,          WordsContainAllNeon, BytesContainWordsNeon,
-    DecodeDGapVarintsNeon, FindTokenNeon,
-};
+constexpr KernelTable kNeonTable = {Level::kNeon, DecodeDGapVarintsNeon,
+                                    FindTokenNeon};
 #endif
 
 const KernelTable* TableForLevel(Level level) {
@@ -611,18 +465,6 @@ const char* LevelName(Level level) {
 void ForceLevelForTest(Level level) {
   g_table.store(TableForLevel(level), std::memory_order_release);
 }
-
-bool WordsContainAll(const uint64_t* data, const uint64_t* query,
-                     size_t num_words) {
-  return ActiveTable().words_contain_all(data, query, num_words);
-}
-
-bool BytesContainWords(const uint8_t* bytes, size_t num_bytes,
-                       const uint64_t* query_words) {
-  return ActiveTable().bytes_contain(bytes, num_bytes, query_words);
-}
-
-BytesContainFn ActiveBytesContainFn() { return ActiveTable().bytes_contain; }
 
 size_t DecodeDGapVarints(const uint8_t* in, size_t in_size, uint32_t count,
                          uint32_t* out) {

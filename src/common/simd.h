@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <string_view>
 
-// Runtime-dispatched vector kernels for the three hot inner loops of query
-// time: signature containment tests (IR2/MIR2 node scans and the sequential
-// signature-file scan), d-gap varint posting-list decode (the IIO
-// baseline), and the keyword-token search FindToken that verifies every
-// candidate object against the query keywords (the false-positive check
-// behind every signature filter). Dispatch is resolved once per
+// Runtime-dispatched vector kernels for the two hot inner loops of query
+// time that pay for their vector tiers (bench_kernels): d-gap varint
+// posting-list decode (the IIO baseline) and the keyword-token search
+// FindToken that verifies every candidate object against the query keywords
+// (the false-positive check behind every signature filter). Signature
+// containment is not here: it is one scalar word loop in text/signature.cc,
+// where vector tiers measured too small a gain to pay for their code.
+// Dispatch is resolved once per
 // process from CPUID (x86) or the target architecture (NEON) and can be
 // forced to the scalar reference with IR2_DISABLE_SIMD=1 in the environment,
 // which scripts/check.sh uses to golden-diff the two paths.
@@ -38,30 +40,6 @@ const char* LevelName(Level level);
 // thread-safe against in-flight kernel calls, so only call at startup or
 // between single-threaded test cases.
 void ForceLevelForTest(Level level);
-
-// True iff every bit set in `query` is also set in `data`; both are
-// word-aligned arrays of `num_words` words (the Signature backing store,
-// bits past num_bits zeroed — no tail masking needed).
-bool WordsContainAll(const uint64_t* data, const uint64_t* query,
-                     size_t num_words);
-bool WordsContainAllScalar(const uint64_t* data, const uint64_t* query,
-                           size_t num_words);
-
-// True iff every bit set in the query words is also set in `bytes`, a raw
-// (possibly unaligned) little-endian bit string of `num_bytes` bytes.
-// `query_words` must hold ceil(num_bytes / 8) words with bits past
-// num_bytes * 8 zeroed — exactly Signature::words() of an equal-width query.
-bool BytesContainWords(const uint8_t* bytes, size_t num_bytes,
-                       const uint64_t* query_words);
-bool BytesContainWordsScalar(const uint8_t* bytes, size_t num_bytes,
-                             const uint64_t* query_words);
-
-// The function-pointer form of BytesContainWords for batched node scans:
-// resolving the tier once per node instead of once per entry keeps the
-// dispatch load and the query register warm across a whole entry array.
-using BytesContainFn = bool (*)(const uint8_t* bytes, size_t num_bytes,
-                                const uint64_t* query_words);
-BytesContainFn ActiveBytesContainFn();
 
 // Decodes exactly `count` d-gap varints (7 data bits per byte, high bit =
 // continuation, at most 5 bytes per value) from in[0, in_size), writing the

@@ -302,7 +302,11 @@ class SpatialKeywordDatabase {
   // cheapest plan, and feeds the observed simulated-disk time back into the
   // planner's EWMA corrections. Under cold_queries every cache is dropped
   // first (the slots' own pools; the caller clears any read pool it puts
-  // in `ctx`). Accumulates into ctx.stats and ctx.audit; kAuto's full
+  // in `ctx`), but the devices' per-thread sequential-access cursors are
+  // not reset: a cold query's first read may count as sequential when it
+  // continues the previous query's last run on the same thread
+  // (BatchExecutor does reset them, and the cold goldens count this
+  // carry-over). Accumulates into ctx.stats and ctx.audit; kAuto's full
   // decision lands in ctx.plan.
   StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
                                            Algorithm algo, QueryContext& ctx);

@@ -23,8 +23,7 @@ Ir2TopKCursor::Ir2TopKCursor(const Ir2Tree* tree, const ObjectStore* objects,
                                           tree->LevelConfig(level),
                                           &s.level_signatures[level]);
             }
-            return SignatureEntryFilter{&s.level_signatures, stats,
-                                        &s.signature_batch};
+            return SignatureEntryFilter{&s.level_signatures, stats};
           }) {}
 
 StatusOr<std::vector<QueryResult>> Ir2TopK(const Ir2Tree& tree,

@@ -19,26 +19,15 @@ namespace ir2 {
 // The "S matches W" pruning test of IR2NearestNeighbor in concrete form:
 // handed to IncrementalNNCursor as a statically-dispatched filter, so the
 // per-entry check is a direct (inlinable) call. Holds pointers only — the
-// cursor copies the filter by value; `batch` must be set.
-//
-// The cursor's PrepareNode hook precomputes the whole node's match flags
-// with one resolution of the dispatched kernel — the batched
-// multi-signature test — and operator() just reads its entry's flag. All
-// counting (metrics, QueryStats) stays in operator(), so the per-entry
-// accounting is identical to an unbatched test.
+// cursor copies the filter by value.
 struct SignatureEntryFilter {
   const std::vector<Signature>* level_signatures = nullptr;
   QueryStats* stats = nullptr;
-  SignatureBatchScratch* batch = nullptr;
-
-  void PrepareNode(const Node& node) {
-    batch->Prepare(node, QuerySignature(node));
-  }
 
   bool operator()(const Node& node, const Entry& entry) const {
     obs::TraceSpan span(obs::SpanKind::kSignatureTest, entry.ref);
     obs::DefaultMetrics().signature_tests->Add();
-    if (batch->Matches(node, entry, QuerySignature(node))) {
+    if (PayloadContainsSignature(entry.payload, QuerySignature(node))) {
       return true;
     }
     obs::DefaultMetrics().signature_prunes->Add();

@@ -246,24 +246,16 @@ void KcTree::QueryBitsInto(std::span<const uint64_t> keyword_hashes,
   }
 }
 
-void KcEntryFilter::PrepareNode(const Node& node) {
-  // The cursor tests every entry of an expanded node, so the node's tests
-  // are counted once here rather than with a global atomic per entry.
-  obs::DefaultMetrics().kctree_bitmap_tests->Add(node.entries.size());
-  if (stats != nullptr) stats->kc_bitmap_tests += node.entries.size();
-  batch->Prepare(node, *query_bits);
-}
-
 bool KcEntryFilter::operator()(const Node& node, const Entry& entry) const {
   obs::TraceSpan span(obs::SpanKind::kSignatureTest, entry.ref);
-  if (batch->Matches(node, entry, *query_bits)) {
+  obs::DefaultMetrics().kctree_bitmap_tests->Add();
+  if (stats != nullptr) ++stats->kc_bitmap_tests;
+  if (PayloadContainsSignature(entry.payload, *query_bits)) {
     return true;
   }
-  // Attribute the prune — scalar, on the prune path only, so the batched
-  // kernel stays the sole decider and counts are identical across SIMD
-  // tiers: the first hot-bitmap byte with a query bit the payload lacks
-  // names the pruning cluster; no missing hot bit means the cold-tail
-  // signature did it.
+  // Attribute the prune, on the prune path only: the first hot-bitmap byte
+  // with a query bit the payload lacks names the pruning cluster; no
+  // missing hot bit means the cold-tail signature did it.
   int32_t missing_bit = -1;
   if (entry.payload.size() == query_bits->num_bytes()) {
     const std::span<const uint8_t> query_bytes = query_bits->bytes();
@@ -322,7 +314,7 @@ StatusOr<std::vector<QueryResult>> KcTopK(const KcTree& tree,
         tree.QueryBitsInto(s.keyword_hashes, &s.level_signatures[0],
                            &s.level_signatures[1]);
         return KcEntryFilter{&tree.vocabulary(), &s.level_signatures[0],
-                             stats, &s.signature_batch};
+                             stats};
       });
   return CollectTopK(cursor, query.k, stats);
 }

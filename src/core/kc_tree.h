@@ -24,7 +24,7 @@
 // A KC entry payload is [hot bitmap (byte-padded) | cold signature], a plain
 // byte string ORed up the tree like any IR2 payload — so the whole
 // BufferPool / NodeCache / IoScheduler / DiskModel stack, the R-tree node
-// layout, and the word-wide containment kernels (simd::ActiveBytesContainFn)
+// layout, and the word-wide containment loop (PayloadContainsSignature)
 // work unchanged. Query bits put hot keywords in their exact bits and cold
 // keywords in the cold signature; one containment test prunes on both at
 // once. See docs/performance.md (KC-Tree chapter) and docs/planner.md.
@@ -173,22 +173,15 @@ class KcTree : public RTreeBase {
 };
 
 // Entry filter for the incremental NN traversal, the KC analogue of
-// SignatureEntryFilter: PrepareNode precomputes the whole node's
-// containment flags with one batched kernel pass (SIMD-dispatched;
-// bit-identical across tiers), operator() reads its entry's flag and, on a
-// prune, attributes it — scalar, prune path only — to the first hot
-// cluster with a missing bit, or to the cold signature when the whole
-// bitmap was contained. PrepareNode counts the node's entry tests (the
-// cursor tests every entry of an expanded node); operator() counts the
-// prunes. Use it only through a cursor that calls PrepareNode; `batch`
-// must be set.
+// SignatureEntryFilter: one containment test of the entry payload against
+// the query bits, counted per entry, and on a prune an attribution to the
+// first hot cluster with a missing bit, or to the cold signature when the
+// whole bitmap was contained.
 struct KcEntryFilter {
   const KcVocabulary* vocab = nullptr;
   const Signature* query_bits = nullptr;  // One width for all levels.
   QueryStats* stats = nullptr;
-  SignatureBatchScratch* batch = nullptr;
 
-  void PrepareNode(const Node& node);
   bool operator()(const Node& node, const Entry& entry) const;
 };
 

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.h"
 #include "common/status_or.h"
 #include "core/ir2_tree.h"
 #include "core/query.h"
@@ -27,61 +26,16 @@
 
 namespace ir2 {
 
-// Per-node buffer for the batched payload-containment test of the
-// signature-style entry filters (SignatureEntryFilter, KcEntryFilter):
-// Prepare fills one match flag per entry of an expanded node with one
-// resolution of the dispatched kernel, and Matches reads an entry's flag
-// back. Lives in the query scratch, so steady-state queries stop allocating
-// once the flag vector has grown to the tree's fan-out.
-class SignatureBatchScratch {
- public:
-  // Flags whether each entry payload of `node` contains `query`. A width
-  // mismatch (corrupted node) never prunes — the same contract as
-  // PayloadContainsSignature.
-  void Prepare(const Node& node, const Signature& query) {
-    const simd::BytesContainFn contains = simd::ActiveBytesContainFn();
-    const uint64_t* query_words = query.words().data();
-    const size_t query_bytes = query.num_bytes();
-    entries_base_ = node.entries.data();
-    count_ = node.entries.size();
-    flags_.resize(count_);
-    for (size_t i = 0; i < count_; ++i) {
-      const std::vector<uint8_t>& payload = node.entries[i].payload;
-      flags_[i] = payload.size() != query_bytes ||
-                          contains(payload.data(), payload.size(), query_words)
-                      ? 1
-                      : 0;
-    }
-  }
-
-  // `entry`'s prepared flag when `node` is the prepared node, else the
-  // unbatched test.
-  bool Matches(const Node& node, const Entry& entry,
-               const Signature& query) const {
-    const size_t index = static_cast<size_t>(&entry - node.entries.data());
-    if (entries_base_ == node.entries.data() && index < count_) {
-      return flags_[index] != 0;
-    }
-    return PayloadContainsSignature(entry.payload, query);
-  }
-
- private:
-  std::vector<uint8_t> flags_;
-  const Entry* entries_base_ = nullptr;  // Identifies the prepared node.
-  size_t count_ = 0;
-};
-
 // Reusable per-worker buffers for the query path: the NN priority queue's
-// storage, the keyword-hash and per-level query-signature vectors, the
-// batched filter flags, and the candidate-verification buffers (the loaded
-// object and its raw record line). A worker that runs many queries through
-// one scratch stops allocating per query once capacities have grown. A
-// scratch must back at most one live cursor at a time.
+// storage, the keyword-hash and per-level query-signature vectors, and the
+// candidate-verification buffers (the loaded object and its raw record
+// line). A worker that runs many queries through one scratch stops
+// allocating per query once capacities have grown. A scratch must back at
+// most one live cursor at a time.
 struct Ir2QueryScratch {
   NNScratch nn;
   std::vector<uint64_t> keyword_hashes;
   std::vector<Signature> level_signatures;
-  SignatureBatchScratch signature_batch;
   StoredObject candidate;
   std::string record_line;
 };

@@ -70,21 +70,6 @@ struct AcceptAllEntries {
   bool operator()(const Node&, const Entry&) const { return true; }
 };
 
-namespace internal {
-
-// Filters that expose PrepareNode(node) have it invoked once per expanded
-// node before the entry scan — the batched-kernel hook (ir2_search's
-// SignatureEntryFilter precomputes a whole node's signature-match flags in
-// one pass there). Filters without the member are untouched.
-template <typename Filter>
-inline void NNFilterPrepareNode(Filter& filter, const Node& node) {
-  if constexpr (requires { filter.PrepareNode(node); }) {
-    filter.PrepareNode(node);
-  }
-}
-
-}  // namespace internal
-
 // The Incremental Nearest Neighbor algorithm of Hjaltason and Samet [HS99]
 // (Figure 3 of the paper), extended with the entry filter that turns it
 // into IR2NearestNeighbor (Figure 8): entries whose signature does not match
@@ -170,7 +155,6 @@ class IncrementalNNCursor {
                            tree_->LoadNodeShared(item.id, read_pool_));
       ++nodes_visited_;
       obs::DefaultMetrics().nn_nodes_expanded->Add();
-      internal::NNFilterPrepareNode(filter_, *node);
       const bool is_leaf = node->is_leaf();
       const bool prefetch_children = !is_leaf && node_scheduler_ != nullptr;
       if (prefetch_children) {

@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/simd.h"
 
 namespace ir2 {
 
@@ -53,8 +52,12 @@ void Signature::Superimpose(const Signature& other) {
 
 bool Signature::ContainsAllOf(const Signature& query) const {
   IR2_CHECK_EQ(num_bits_, query.num_bits_);
-  return simd::WordsContainAll(words_.data(), query.words_.data(),
-                               words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) {
+    if ((words_[i] & query.words_[i]) != query.words_[i]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Signature::ClearAllBits() {
@@ -81,11 +84,26 @@ std::string Signature::ToBitString() const {
 bool BytesContainSignature(std::span<const uint8_t> bytes,
                            const Signature& query) {
   IR2_DCHECK(bytes.size() == query.num_bytes());
-  // The query's backing store is word-aligned with zero bits past
-  // num_bytes(), the exact contract of the vector kernel; `bytes` may be
-  // unaligned (tree entry payloads, signature-file records).
-  return simd::BytesContainWords(bytes.data(), bytes.size(),
-                                 query.words().data());
+  // `bytes` may be unaligned (tree entry payloads, signature-file records),
+  // so each word is memcpy-loaded; the query's words are aligned and zero
+  // past num_bytes(), so the partial last word is zero-extended and
+  // compared like any other.
+  const std::span<const uint64_t> query_words = query.words();
+  const size_t full_words = bytes.size() / sizeof(uint64_t);
+  for (size_t w = 0; w < full_words; ++w) {
+    uint64_t word;
+    std::memcpy(&word, bytes.data() + w * sizeof(uint64_t), sizeof(word));
+    if ((word & query_words[w]) != query_words[w]) {
+      return false;
+    }
+  }
+  const size_t tail = bytes.size() - full_words * sizeof(uint64_t);
+  if (tail == 0) {
+    return true;
+  }
+  uint64_t word = 0;
+  std::memcpy(&word, bytes.data() + full_words * sizeof(uint64_t), tail);
+  return (word & query_words[full_words]) == query_words[full_words];
 }
 
 void AddWordHash(uint64_t word_hash, const SignatureConfig& config,

@@ -10,7 +10,7 @@
 
 namespace ir2 {
 
-// The word-wide signature kernels reinterpret the uint64_t backing store as
+// The word-wide signature loops reinterpret the uint64_t backing store as
 // the little-endian byte string the disk format defines (bit i lives in
 // byte i/8, position i%8) — identical layouts only on little-endian hosts.
 static_assert(std::endian::native == std::endian::little,
@@ -91,8 +91,8 @@ class Signature {
     return {reinterpret_cast<uint8_t*>(words_.data()), num_bytes()};
   }
 
-  // Word-aligned view for kernels that test raw payload bytes against this
-  // signature (see PayloadContainsSignature).
+  // Word-aligned view for loops that test raw payload bytes against this
+  // signature (see BytesContainSignature).
   std::span<const uint64_t> words() const { return words_; }
 
   // Deserializes from raw bytes previously produced by bytes().
@@ -113,7 +113,7 @@ class Signature {
 
 // True iff every bit set in `query` is also set in `bytes`, a raw
 // little-endian bit string of exactly query.num_bytes() bytes (e.g. a tree
-// entry payload or a signature-file record). The word-wide kernel behind
+// entry payload or a signature-file record). The word-wide loop behind
 // every "S matches W" test; `bytes` may be unaligned.
 bool BytesContainSignature(std::span<const uint8_t> bytes,
                            const Signature& query);

@@ -249,8 +249,8 @@ TEST_F(ColdRegimeRegressionTest, AutoModePerturbsNoColdCounts) {
   }
 }
 
-// The SIMD kernels behind signature tests and posting decode are pure
-// accelerations: forcing the scalar reference tier must reproduce every
+// The SIMD kernels behind posting decode and candidate verification
+// (FindToken) are pure accelerations: forcing the scalar reference tier must reproduce every
 // golden count bit for bit. (scripts/check.sh additionally runs the whole
 // suite under IR2_DISABLE_SIMD=1, which exercises the env-var dispatch
 // path; this test exercises the in-process force hook across tiers.)
@@ -281,9 +281,10 @@ TEST_F(ColdRegimeRegressionTest, SimdTierPerturbsNoColdCounts) {
         });
     ExpectProfile(iio_stats, GoldenProfile{302, 0, 0, 0, 232, 140},
                   simd::LevelName(level));
-    // The KC entry test ORs the byte-padded hot bitmap and the cold-tail
-    // signature through the same ActiveBytesContainFn kernel; every tier
-    // must reproduce the hybrid pruning split bit for bit.
+    // The KC entry test checks the byte-padded hot bitmap and the cold-tail
+    // signature in one scalar containment loop, but its candidates are
+    // verified through the dispatched FindToken; every tier must reproduce
+    // the hybrid pruning split bit for bit.
     QueryStats kc_stats =
         RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
           return db_->QueryKc(q, s);

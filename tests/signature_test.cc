@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -218,7 +220,7 @@ TEST(SignatureTest, WordAndByteLayoutsAgree) {
   EXPECT_EQ(testing_util::CountOnes(sig), 5u);
 }
 
-// Reference bit-by-bit containment, the semantics the word kernels must
+// Reference bit-by-bit containment, the semantics the word loops must
 // reproduce exactly.
 bool ContainsAllOfBitwise(const Signature& doc, const Signature& query) {
   for (uint32_t i = 0; i < query.num_bits(); ++i) {
@@ -228,7 +230,14 @@ bool ContainsAllOfBitwise(const Signature& doc, const Signature& query) {
 }
 
 TEST(SignatureTest, ContainsAllOfMatchesBitwiseReference) {
-  for (uint32_t bits : {20u, 64u, 1512u}) {
+  // Every whole-byte width up to 520 bits (so every partial-last-word tail
+  // of BytesContainSignature), plus a sub-byte width and the 1512-bit
+  // Hotels signature.
+  std::vector<uint32_t> widths{20u, 1512u};
+  for (uint32_t bits = 8; bits <= 520; bits += 8) {
+    widths.push_back(bits);
+  }
+  for (uint32_t bits : widths) {
     SignatureConfig config{bits, 3};
     Rng rng(bits * 7 + 1);
     for (int trial = 0; trial < 50; ++trial) {
@@ -258,16 +267,68 @@ TEST(SignatureTest, BytesContainSignatureHandlesUnalignedInput) {
   Signature doc = MakeSignatureFromHashes(words, config);
   std::vector<uint64_t> query_word{words[2]};
   Signature query = MakeSignatureFromHashes(query_word, config);
-  // Copy the doc bytes to an odd offset so the kernel's loads can't assume
-  // word alignment (tree node payloads sit at arbitrary offsets).
-  std::vector<uint8_t> buffer(doc.num_bytes() + 1);
-  std::copy(doc.bytes().begin(), doc.bytes().end(), buffer.begin() + 1);
-  std::span<const uint8_t> unaligned(buffer.data() + 1, doc.num_bytes());
-  EXPECT_TRUE(BytesContainSignature(unaligned, query));
   std::vector<uint64_t> missing_word{0xdeadbeefULL};
   Signature missing = MakeSignatureFromHashes(missing_word, config);
-  EXPECT_EQ(BytesContainSignature(unaligned, missing),
-            doc.ContainsAllOf(missing));
+  // Copy the doc bytes to every offset within a word so the loop's loads
+  // can't assume word alignment (tree node payloads sit at arbitrary
+  // offsets).
+  for (size_t offset = 1; offset < sizeof(uint64_t); ++offset) {
+    std::vector<uint8_t> buffer(doc.num_bytes() + offset);
+    std::copy(doc.bytes().begin(), doc.bytes().end(),
+              buffer.begin() + static_cast<std::ptrdiff_t>(offset));
+    std::span<const uint8_t> unaligned(buffer.data() + offset,
+                                       doc.num_bytes());
+    EXPECT_TRUE(BytesContainSignature(unaligned, query)) << offset;
+    EXPECT_EQ(BytesContainSignature(unaligned, missing),
+              doc.ContainsAllOf(missing))
+        << offset;
+  }
+}
+
+// A width of `num_words` whole words with every bit set.
+Signature AllOnes(size_t num_words) {
+  Signature sig(static_cast<uint32_t>(num_words * Signature::kWordBits));
+  for (uint32_t i = 0; i < sig.num_bits(); ++i) {
+    sig.SetBit(i);
+  }
+  return sig;
+}
+
+TEST(SignatureTest, ContainsAllOfExtremesAtEveryWordCount) {
+  for (size_t num_words = 1; num_words <= 32; ++num_words) {
+    const Signature ones = AllOnes(num_words);
+    const Signature zeros(ones.num_bits());
+    EXPECT_TRUE(ones.ContainsAllOf(ones));
+    EXPECT_TRUE(ones.ContainsAllOf(zeros));
+    EXPECT_TRUE(zeros.ContainsAllOf(zeros));
+    EXPECT_FALSE(zeros.ContainsAllOf(ones)) << num_words;
+    EXPECT_TRUE(BytesContainSignature(ones.bytes(), ones));
+    EXPECT_FALSE(BytesContainSignature(zeros.bytes(), ones)) << num_words;
+    // A single missing bit in the last word, then in the first.
+    for (uint32_t bit : {ones.num_bits() - 1, 0u}) {
+      Signature almost(ones.num_bits());
+      for (uint32_t i = 0; i < almost.num_bits(); ++i) {
+        if (i != bit) almost.SetBit(i);
+      }
+      EXPECT_FALSE(almost.ContainsAllOf(ones)) << num_words << ":" << bit;
+      EXPECT_FALSE(BytesContainSignature(almost.bytes(), ones))
+          << num_words << ":" << bit;
+    }
+  }
+}
+
+TEST(SignatureTest, BytesContainSignatureCatchesLastByteMismatch) {
+  for (size_t num_bytes = 1; num_bytes <= 200; ++num_bytes) {
+    const uint32_t bits = static_cast<uint32_t>(num_bytes * 8);
+    Signature query(bits);
+    for (uint32_t i = 0; i < bits; ++i) {
+      query.SetBit(i);
+    }
+    std::vector<uint8_t> bytes(num_bytes, 0xff);
+    EXPECT_TRUE(BytesContainSignature(bytes, query)) << num_bytes;
+    bytes.back() = 0xfe;  // Drop one bit in the final byte.
+    EXPECT_FALSE(BytesContainSignature(bytes, query)) << num_bytes;
+  }
 }
 
 }  // namespace

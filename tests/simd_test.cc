@@ -72,120 +72,6 @@ TEST_F(SimdTest, ReportsALevelAndName) {
   }
 }
 
-TEST_F(SimdTest, WordsContainAllMatchesScalarRandomized) {
-  Rng rng(20260808);
-  for (Level level : AvailableSimdLevels()) {
-    simd::ForceLevelForTest(level);
-    for (size_t num_words : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
-                             size_t{4}, size_t{5}, size_t{7}, size_t{8},
-                             size_t{9}, size_t{24}, size_t{31}, size_t{64}}) {
-      for (int trial = 0; trial < 200; ++trial) {
-        std::vector<uint64_t> data(num_words), query(num_words);
-        for (size_t i = 0; i < num_words; ++i) {
-          data[i] = rng.NextUint64();
-          // Mostly subsets (the interesting direction), sometimes random.
-          query[i] = trial % 3 == 0 ? rng.NextUint64() : data[i] & rng.NextUint64();
-        }
-        const bool expect =
-            simd::WordsContainAllScalar(data.data(), query.data(), num_words);
-        EXPECT_EQ(simd::WordsContainAll(data.data(), query.data(), num_words),
-                  expect)
-            << simd::LevelName(level) << " num_words=" << num_words;
-      }
-    }
-  }
-}
-
-TEST_F(SimdTest, WordsContainAllAdversarial) {
-  for (Level level : AvailableSimdLevels()) {
-    simd::ForceLevelForTest(level);
-    for (size_t num_words : {size_t{1}, size_t{4}, size_t{8}, size_t{24}}) {
-      std::vector<uint64_t> ones(num_words, ~uint64_t{0});
-      std::vector<uint64_t> zeros(num_words, 0);
-      EXPECT_TRUE(simd::WordsContainAll(ones.data(), ones.data(), num_words));
-      EXPECT_TRUE(simd::WordsContainAll(ones.data(), zeros.data(), num_words));
-      EXPECT_TRUE(simd::WordsContainAll(zeros.data(), zeros.data(),
-                                        num_words));
-      EXPECT_FALSE(simd::WordsContainAll(zeros.data(), ones.data(),
-                                         num_words));
-      // A single missing bit in the last word (tail path) must be caught.
-      std::vector<uint64_t> almost = ones;
-      almost[num_words - 1] &= ~(uint64_t{1} << 63);
-      EXPECT_FALSE(simd::WordsContainAll(almost.data(), ones.data(),
-                                         num_words))
-          << simd::LevelName(level) << " num_words=" << num_words;
-      // ... and in the first word (vector body path).
-      almost = ones;
-      almost[0] &= ~uint64_t{1};
-      EXPECT_FALSE(simd::WordsContainAll(almost.data(), ones.data(),
-                                         num_words));
-    }
-  }
-}
-
-TEST_F(SimdTest, BytesContainWordsMatchesScalarAllSizes) {
-  Rng rng(777);
-  for (Level level : AvailableSimdLevels()) {
-    simd::ForceLevelForTest(level);
-    // Every byte length 0..64 plus the 1512-bit signature-file width; odd
-    // lengths exercise every unaligned-tail branch.
-    std::vector<size_t> sizes;
-    for (size_t n = 0; n <= 64; ++n) {
-      sizes.push_back(n);
-    }
-    sizes.push_back(189);  // 1512 bits.
-    for (size_t num_bytes : sizes) {
-      const size_t num_words = (num_bytes + 7) / 8;
-      for (int trial = 0; trial < 50; ++trial) {
-        std::vector<uint8_t> bytes(num_bytes);
-        for (uint8_t& b : bytes) {
-          b = static_cast<uint8_t>(rng.NextUint64());
-        }
-        // Query as a Signature would store it: packed little-endian words,
-        // bits past num_bytes * 8 zeroed.
-        std::vector<uint64_t> query(num_words, 0);
-        for (size_t i = 0; i < num_bytes; ++i) {
-          uint8_t q = static_cast<uint8_t>(rng.NextUint64());
-          if (trial % 2 == 0) {
-            q &= bytes[i];  // Force a subset half the time.
-          }
-          query[i / 8] |= static_cast<uint64_t>(q) << (8 * (i % 8));
-        }
-        const bool expect = simd::BytesContainWordsScalar(
-            bytes.data(), num_bytes, query.data());
-        EXPECT_EQ(simd::BytesContainWords(bytes.data(), num_bytes,
-                                          query.data()),
-                  expect)
-            << simd::LevelName(level) << " num_bytes=" << num_bytes;
-        // The per-node resolved function pointer is the same kernel.
-        EXPECT_EQ(simd::ActiveBytesContainFn()(bytes.data(), num_bytes,
-                                               query.data()),
-                  expect);
-      }
-    }
-  }
-}
-
-TEST_F(SimdTest, BytesContainWordsLastByteMismatch) {
-  for (Level level : AvailableSimdLevels()) {
-    simd::ForceLevelForTest(level);
-    for (size_t num_bytes :
-         {size_t{1}, size_t{7}, size_t{16}, size_t{33}, size_t{189}}) {
-      std::vector<uint8_t> bytes(num_bytes, 0xff);
-      std::vector<uint64_t> query((num_bytes + 7) / 8, 0);
-      for (size_t i = 0; i < num_bytes; ++i) {
-        query[i / 8] |= uint64_t{0xff} << (8 * (i % 8));
-      }
-      EXPECT_TRUE(
-          simd::BytesContainWords(bytes.data(), num_bytes, query.data()));
-      bytes[num_bytes - 1] = 0xfe;  // Drop one bit in the final byte.
-      EXPECT_FALSE(
-          simd::BytesContainWords(bytes.data(), num_bytes, query.data()))
-          << simd::LevelName(level) << " num_bytes=" << num_bytes;
-    }
-  }
-}
-
 TEST_F(SimdTest, DecodeDGapVarintsMatchesScalarRandomized) {
   Rng rng(424242);
   for (Level level : AvailableSimdLevels()) {
