@@ -260,9 +260,10 @@ else
   # metrics/tracer hammers, the planner's lock-free feedback under
   # batches, the facade's per-query step (global metrics and spans) that
   # every batch worker runs, the serving tier's admission queue +
-  # concurrent scatter-gather workers, and the striped result cache's
-  # lookup/fill/evict races) — the rest of the suite is single-threaded
-  # and covered by the Release run.
+  # concurrent scatter-gather workers, the tier's concurrent shard build
+  # (two builds beside a serving tier, and a failed shard build), and the
+  # striped result cache's lookup/fill/evict races) — the rest of the
+  # suite is single-threaded and covered by the Release run.
   tsan_suites=(
     concurrency_test batch_executor_test database_test node_cache_test
     storage_test io_scheduler_test file_device_async_test obs_test

@@ -85,14 +85,14 @@ StatusOr<BatchResults> BatchExecutor::Run(
           pool_accum += pool->Stats();
           IR2_RETURN_IF_ERROR(pool->Clear());
         }
-        // Every device a query of any algorithm can touch, and every
-        // tree's decoded-node cache.
+        // Then every tree's decoded-node cache, and then the thread's
+        // cursors, as DropCaches does.
         for (const auto& slot : db_->slots_) {
-          if (slot.device != nullptr) slot.device->ResetThreadCursor();
           if (slot.tree != nullptr && slot.tree->node_cache() != nullptr) {
             slot.tree->node_cache()->Clear();
           }
         }
+        db_->ForgetThreadCursors(ctx);
       }
       ctx.stats = QueryStats();
       IR2_ASSIGN_OR_RETURN(*results,

@@ -52,9 +52,10 @@ struct BatchResults {
 // dispatch, QueryStats accounting, core metrics and planner feedback — with
 // a per-worker traversal scratch. The regime and pool size come from
 // db->options(): under cold_queries each worker clears its private pools
-// and resets its device cursors before every query, so a query's QueryStats
-// (including io and simulated_disk_ms) are a pure function of the query and
-// the index, independent of batch order and thread count.
+// and forgets its pool and device cursors before every query, as
+// DropCaches does for Query, so a query's QueryStats (including io and
+// simulated_disk_ms) are a pure function of the query and the index,
+// independent of batch order and thread count.
 //
 // Each worker opens a *private* BufferPool (pool_blocks) over every tree's
 // device and puts it in its QueryContext as that tree's read pool, so

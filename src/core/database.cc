@@ -354,6 +354,7 @@ Status SpatialKeywordDatabase::DropCaches() {
       tree->node_cache()->Clear();
     }
   }
+  ForgetThreadCursors(QueryContext());
   return Status::Ok();
 }
 
@@ -450,6 +451,14 @@ SpatialKeywordDatabase::CurrentThreadCounters(const QueryContext& ctx) const {
     counters.speculative += slot.scheduler->speculative_stats();
   }
   return counters;
+}
+
+void SpatialKeywordDatabase::ForgetThreadCursors(const QueryContext& ctx) {
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    if (slots_[s].device == nullptr) continue;
+    // A pool's reset cascades to the device behind it.
+    ReadPool(ctx, static_cast<Structure>(s))->ResetThreadCursor();
+  }
 }
 
 void SpatialKeywordDatabase::AccountSince(const ThreadCounters& before,

@@ -300,14 +300,13 @@ class SpatialKeywordDatabase {
   // tree shapes are snapshotted at Build/Open and keyword frequencies come
   // from the IIO's resident dictionary; see docs/planner.md), executes the
   // cheapest plan, and feeds the observed simulated-disk time back into the
-  // planner's EWMA corrections. Under cold_queries every cache is dropped
-  // first (the slots' own pools; the caller clears any read pool it puts
-  // in `ctx`), but the devices' per-thread sequential-access cursors are
-  // not reset: a cold query's first read may count as sequential when it
-  // continues the previous query's last run on the same thread
-  // (BatchExecutor does reset them, and the cold goldens count this
-  // carry-over). Accumulates into ctx.stats and ctx.audit; kAuto's full
-  // decision lands in ctx.plan.
+  // planner's EWMA corrections. Under cold_queries DropCaches runs first:
+  // the slots' own pools are cleared and the calling thread's cursors on
+  // them and their devices forgotten (the caller does both for any read
+  // pool it puts in `ctx`), so each structure's first read counts as
+  // random and a cold query's profile is a pure function of the query,
+  // whatever ran before it on the thread. Accumulates into ctx.stats and
+  // ctx.audit; kAuto's full decision lands in ctx.plan.
   StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
                                            Algorithm algo, QueryContext& ctx);
 
@@ -387,7 +386,9 @@ class SpatialKeywordDatabase {
 
   // ---- Measurement control ----
   // Drains in-flight prefetches, then clears every buffer pool and node
-  // cache, so the next query starts from a cold simulated disk.
+  // cache and forgets the calling thread's cursor on every pool and
+  // device, so the thread's next query starts from a cold simulated disk.
+  // Query runs it first under cold_queries.
   Status DropCaches();
   void ResetIoStats();
   // Sum of IoStats over every device.
@@ -430,8 +431,8 @@ class SpatialKeywordDatabase {
   using enum Structure;
 
   // Workers run ExecuteQuery with their own context (scratch, feedback and
-  // private read pools) after clearing those pools and resetting the
-  // device cursors.
+  // private read pools) after clearing those pools and forgetting the
+  // thread's cursors.
   friend class BatchExecutor;
 
   // One structure's storage stack, declared bottom-up so it tears down
@@ -516,6 +517,14 @@ class SpatialKeywordDatabase {
   template <typename Fn>
   StatusOr<std::vector<QueryResult>> RunQuery(QueryContext& ctx, Fn&& body,
                                               double* simulated_disk_ms);
+
+  // Forgets the calling thread's sequential-access cursor on every pool a
+  // query under `ctx` reads through and on the devices behind them, so
+  // each structure's first read counts as random: the head position every
+  // cold query starts from. The one cold cursor reset, next to each cache
+  // drop: DropCaches (the slots' own pools) and every BatchExecutor
+  // worker's cold step (its private pools) call it.
+  void ForgetThreadCursors(const QueryContext& ctx);
 
   // The calling thread's counters: demand requests at the pools it reads
   // through under `ctx`, its device accesses, all prefetch-thread accesses

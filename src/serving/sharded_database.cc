@@ -1,9 +1,11 @@
 #include "serving/sharded_database.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -78,15 +80,47 @@ StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Build(
 
   DatabaseOptions shard_options = options;
   shard_options.structures = sharding.structures;
-  db->shards_.reserve(assignment.size());
+  // Shards share nothing, so they build concurrently: each worker takes
+  // the next shard index and builds that shard into its own slot. The
+  // caller is worker 0, so one worker runs the same loop inline.
+  std::vector<std::unique_ptr<SpatialKeywordDatabase>> built(
+      assignment.size());
+  std::vector<Status> status(assignment.size());
+  std::atomic<size_t> next{0};
+  auto build_shards = [&] {
+    for (size_t s = next.fetch_add(1, std::memory_order_relaxed);
+         s < assignment.size();
+         s = next.fetch_add(1, std::memory_order_relaxed)) {
+      std::vector<StoredObject> members;
+      members.reserve(assignment[s].members.size());
+      for (uint32_t index : assignment[s].members) {
+        members.push_back(objects[index]);
+      }
+      auto shard = SpatialKeywordDatabase::Build(members, shard_options);
+      if (shard.ok()) {
+        built[s] = std::move(shard).value();
+      } else {
+        status[s] = shard.status();
+      }
+    }
+  };
+  const size_t num_workers = std::min<size_t>(
+      assignment.size(), std::max(1u, std::thread::hardware_concurrency()));
+  {
+    // Joined on every way out of this block, before any slot is read.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(num_workers - 1);
+    for (size_t w = 1; w < num_workers; ++w) {
+      helpers.emplace_back(build_shards);
+    }
+    build_shards();
+  }
+  for (const Status& shard_status : status) {
+    IR2_RETURN_IF_ERROR(shard_status);
+  }
+  db->shards_ = std::move(built);
   db->info_.reserve(assignment.size());
   for (const ShardAssignment& shard : assignment) {
-    std::vector<StoredObject> members;
-    members.reserve(shard.members.size());
-    for (uint32_t index : shard.members) members.push_back(objects[index]);
-    auto built = SpatialKeywordDatabase::Build(members, shard_options);
-    IR2_RETURN_IF_ERROR(built.status());
-    db->shards_.push_back(std::move(built).value());
     db->info_.push_back(ShardInfo{shard.bounds, shard.members.size()});
   }
   db->AttachNodeCaches();

@@ -102,8 +102,7 @@ TEST(BatchExecutorTest, MatchesHandRolledSerialColdRuns) {
   BufferPool reference_pool(tree_device, db->options().pool_blocks);
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(reference_pool.Clear().ok());
-    tree_device->ResetThreadCursor();
-    object_device->ResetThreadCursor();
+    reference_pool.ResetThreadCursor();
     const IoStats tree_before = tree_device->thread_stats();
     const IoStats object_before = object_device->thread_stats();
     QueryContext ctx;

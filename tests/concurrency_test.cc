@@ -16,6 +16,7 @@
 #include "core/database.h"
 #include "datagen/workload.h"
 #include "rtree/node_cache.h"
+#include "serving/sharded_database.h"
 #include "storage/block_device.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
@@ -204,6 +205,73 @@ TEST(ConcurrencyTest, BatchExecutorWithNodeCacheHammer) {
   }
   EXPECT_GT(cache.Stats().hits, 0u);
   db->ir2_tree()->SetNodeCache(nullptr);
+}
+
+// Two tiers build at once, each on its own shard workers, while a third,
+// already built, serves queries on two threads. A build touches
+// process-wide state that the serving threads touch too: the metrics
+// registry, the device-id counter, each device's per-thread I/O registry
+// and the kernel dispatch table. Run under TSan by scripts/check.sh.
+TEST(ConcurrencyTest, TierBuildsWhileATierServes) {
+  std::vector<StoredObject> objects =
+      testing_util::RandomObjects(41, 400, 25, 5);
+  DatabaseOptions options;
+  options.tree_options.capacity_override = 8;
+  options.ir2_signature = SignatureConfig{128, 3};
+  options.cold_queries = false;
+  serving::ShardingOptions sharding;
+  sharding.num_shards = 4;
+  auto serving_tier =
+      serving::ShardedDatabase::Build(objects, options, sharding).value();
+
+  WorkloadConfig config;
+  config.seed = 9;
+  config.num_queries = 32;
+  config.num_keywords = 2;
+  config.k = 5;
+  std::vector<DistanceFirstQuery> queries =
+      GenerateWorkload(objects, serving_tier->shard(0)->tokenizer(), config);
+  std::vector<std::vector<uint32_t>> expected;
+  for (const DistanceFirstQuery& query : queries) {
+    expected.push_back(
+        testing_util::ResultIds(serving_tier->Query(query).value()));
+  }
+
+  std::atomic<int> builds_running{2};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::unique_ptr<serving::ShardedDatabase>> built(2);
+  std::vector<std::thread> threads;
+  for (size_t b = 0; b < built.size(); ++b) {
+    threads.emplace_back([&, b]() {
+      auto tier = serving::ShardedDatabase::Build(objects, options, sharding);
+      if (tier.ok()) built[b] = std::move(tier).value();
+      builds_running.fetch_sub(1);
+    });
+  }
+  for (int reader = 0; reader < 2; ++reader) {
+    threads.emplace_back([&]() {
+      // At least one full pass, then keep serving until both builds end.
+      do {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          auto results = serving_tier->Query(queries[i]);
+          if (!results.ok() ||
+              testing_util::ResultIds(results.value()) != expected[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      } while (builds_running.load() > 0);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (const auto& tier : built) {
+    ASSERT_NE(tier, nullptr);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(testing_util::ResultIds(tier->Query(queries[i]).value()),
+                expected[i])
+          << "query " << i;
+    }
+  }
 }
 
 }  // namespace

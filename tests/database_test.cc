@@ -158,19 +158,6 @@ TEST(DatabaseTest, EmptyKeywordsActsAsPureNN) {
   }
 }
 
-// A cold query's disk-head position decides its random/sequential split;
-// reset every device cursor so each run is a pure function of the query
-// (what BatchExecutor does before every cold query).
-void ResetCursors(SpatialKeywordDatabase& db) {
-  db.object_store().device()->ResetThreadCursor();
-  if (db.inverted_index() != nullptr) {
-    db.inverted_index()->device()->ResetThreadCursor();
-  }
-  for (RTreeBase* tree : db.trees()) {
-    tree->pool()->device()->ResetThreadCursor();
-  }
-}
-
 void ExpectSameExecution(const std::vector<QueryResult>& expected_results,
                          const QueryStats& expected,
                          const std::vector<QueryResult>& results,
@@ -219,13 +206,11 @@ TEST(DatabaseTest, QueryExplainAndBatchShareOneExecutionPath) {
     for (size_t i = 0; i < queries.size(); ++i) {
       // Plan against pristine feedback, as the batch workers do.
       db->planner()->feedback().Reset();
-      ResetCursors(*db);
       auto results = db->Query(queries[i], algo, &serial_stats[i]);
       ASSERT_TRUE(results.ok()) << name << ": " << results.status().ToString();
       serial[i] = std::move(results).value();
 
       db->planner()->feedback().Reset();
-      ResetCursors(*db);
       auto explained = db->Explain(queries[i], algo);
       ASSERT_TRUE(explained.ok())
           << name << ": " << explained.status().ToString();

@@ -236,19 +236,9 @@ TEST_F(NodeCacheQueryTest, ColdRegimeDeterministicWithCacheDisabled) {
   ASSERT_TRUE(options.cold_queries);
   auto db = SpatialKeywordDatabase::Build(objects_, options).value();
   ASSERT_EQ(db->ir2_tree()->node_cache(), nullptr);
-
-  // Reset the devices' sequential-read cursors before each measured query,
-  // as BatchExecutor's cold path does: the random/sequential split of the
-  // first access otherwise depends on where the previous query ended.
-  auto reset_cursors = [&db]() {
-    db->ir2_tree()->pool()->device()->ResetThreadCursor();
-    db->object_store().device()->ResetThreadCursor();
-  };
   for (const DistanceFirstQuery& query : queries_) {
     QueryStats first, second;
-    reset_cursors();
     ASSERT_TRUE(db->QueryIr2(query, &first).ok());
-    reset_cursors();
     ASSERT_TRUE(db->QueryIr2(query, &second).ok());
     EXPECT_EQ(first.io, second.io);
     EXPECT_EQ(first.nodes_visited, second.nodes_visited);

@@ -284,24 +284,6 @@ constexpr Algorithm kFixed[] = {Algorithm::kRTree, Algorithm::kIio,
                                 Algorithm::kIr2, Algorithm::kMir2,
                                 Algorithm::kKcTree};
 
-// The random/sequential split of a cold query depends on where the last
-// query left the simulated disk head; reset every device cursor so each
-// measured run is a pure function of the query (what BatchExecutor's cold
-// mode does per query).
-void ResetCursors(SpatialKeywordDatabase& db) {
-  db.object_store().device()->ResetThreadCursor();
-  if (db.inverted_index() != nullptr) {
-    db.inverted_index()->device()->ResetThreadCursor();
-  }
-  for (RTreeBase* tree :
-       {static_cast<RTreeBase*>(db.rtree()),
-        static_cast<RTreeBase*>(db.ir2_tree()),
-        static_cast<RTreeBase*>(db.mir2_tree()),
-        static_cast<RTreeBase*>(db.kc_tree())}) {
-    if (tree != nullptr) tree->pool()->device()->ResetThreadCursor();
-  }
-}
-
 // Planning must stay pure in-memory arithmetic even with the KC-Tree's
 // fifth candidate (its hot-word frequencies live in the planner's
 // snapshot, never behind I/O).
@@ -323,14 +305,12 @@ TEST_F(PlannerDatabaseTest, AutoMatchesPerQueryOracleOnGoldenWorkload) {
     double oracle = std::numeric_limits<double>::infinity();
     for (Algorithm algo : kFixed) {
       QueryStats stats;
-      ResetCursors(*db_);
       auto results = db_->Query(query, algo, &stats);
       ASSERT_TRUE(results.ok()) << results.status().ToString();
       oracle = std::min(oracle, stats.simulated_disk_ms);
     }
     QueryStats stats;
     QueryPlan plan;
-    ResetCursors(*db_);
     auto results = db_->QueryAuto(query, &stats, &plan);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     EXPECT_TRUE(plan.has_choice);
@@ -350,11 +330,9 @@ TEST_F(PlannerDatabaseTest, AutoReturnsTheChosenAlgorithmsExactResults) {
   for (const DistanceFirstQuery& query : queries_) {
     QueryStats auto_stats;
     QueryPlan plan;
-    ResetCursors(*db_);
     auto auto_results = db_->QueryAuto(query, &auto_stats, &plan);
     ASSERT_TRUE(auto_results.ok()) << auto_results.status().ToString();
     QueryStats fixed_stats;
-    ResetCursors(*db_);
     auto fixed_results = db_->Query(query, plan.chosen, &fixed_stats);
     ASSERT_TRUE(fixed_results.ok()) << fixed_results.status().ToString();
     EXPECT_EQ(testing_util::ResultIds(*auto_results),
@@ -464,10 +442,8 @@ TEST_F(PlannerDatabaseTest, ConcurrentAutoBatchIsSafeAndDeterministic) {
   std::vector<QueryStats> serial(hammer.size());
   std::vector<std::vector<uint32_t>> serial_ids(hammer.size());
   for (size_t i = 0; i < hammer.size(); ++i) {
-    // Plan against pristine feedback, exactly like the batch workers do
-    // (which also reset their device cursors before every cold query).
+    // Plan against pristine feedback, exactly like the batch workers do.
     db_->planner()->feedback().Reset();
-    ResetCursors(*db_);
     auto results = db_->QueryAuto(hammer[i], &serial[i]);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     serial_ids[i] = testing_util::ResultIds(*results);

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/database.h"
 #include "core/kc_tree.h"
 #include "datagen/workload.h"
@@ -590,6 +596,105 @@ TEST_F(ShardedDatabaseTest, DefaultTierBuildsOnlyTheServingSet) {
   }
   EXPECT_TRUE(tier->Query(queries_.front(), Algorithm::kIio).ok());
   EXPECT_TRUE(tier->Query(queries_.front(), Algorithm::kKcTree).ok());
+}
+
+// Every file a Save of `db` into `directory` writes, by file name, as its
+// Fnv1a64 digest (the comparison SavedFilesMatchGoldenDigests makes).
+std::map<std::string, uint64_t> SavedDigests(SpatialKeywordDatabase& db,
+                                             const std::string& directory) {
+  std::filesystem::remove_all(directory);
+  EXPECT_TRUE(db.Save(directory).ok()) << directory;
+  std::map<std::string, uint64_t> digests;
+  for (const auto& file : std::filesystem::directory_iterator(directory)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    digests[file.path().filename().string()] = Fnv1a64(bytes);
+  }
+  std::filesystem::remove_all(directory);
+  return digests;
+}
+
+// The build schedule is invisible: whichever worker built a shard, and in
+// whatever order, each shard is the database a lone Build of its members
+// on the calling thread produces (same bounds, object count and saved
+// bytes), and the tier still answers like the single database. Seven
+// shards outnumber the workers on a host with fewer cores, so workers
+// build more than one shard each.
+TEST_F(ShardedDatabaseTest, BuildScheduleCannotChangeTheTier) {
+  DatabaseOptions options;
+  options.ir2_signature = SignatureConfig{256, 3};
+  options.structures = kAllIndexes;
+  const std::string root = ::testing::TempDir() + "/ir2_shard_schedule";
+  for (uint64_t num_shards : {1ull, 2ull, 4ull, 7ull}) {
+    auto sharded = BuildSharded(num_shards);
+    const std::vector<ShardAssignment> assignment =
+        PartitionBySpaceFillingCurve(objects_, num_shards);
+    ASSERT_EQ(sharded->num_shards(), assignment.size());
+    for (size_t s = 0; s < assignment.size(); ++s) {
+      const std::string where = std::to_string(num_shards) +
+                                " shards, shard " + std::to_string(s);
+      std::vector<StoredObject> members;
+      for (uint32_t index : assignment[s].members) {
+        members.push_back(objects_[index]);
+      }
+      auto lone = SpatialKeywordDatabase::Build(members, options).value();
+      const ShardedDatabase::ShardInfo& info = sharded->shard_info(s);
+      EXPECT_TRUE(info.bounds.lo() == assignment[s].bounds.lo()) << where;
+      EXPECT_TRUE(info.bounds.hi() == assignment[s].bounds.hi()) << where;
+      EXPECT_EQ(info.num_objects, members.size()) << where;
+      EXPECT_EQ(sharded->shard(s)->stats().num_objects,
+                lone->stats().num_objects)
+          << where;
+      EXPECT_EQ(SavedDigests(*sharded->shard(s), root + "/tier"),
+                SavedDigests(*lone, root + "/lone"))
+          << where;
+    }
+    for (Algorithm algo : {Algorithm::kIr2, Algorithm::kAuto}) {
+      for (const DistanceFirstQuery& q : queries_) {
+        std::vector<QueryResult> expected =
+            single_->Query(q, Algorithm::kIr2).value();
+        Canonicalize(expected);
+        std::vector<QueryResult> actual = sharded->Query(q, algo).value();
+        ASSERT_EQ(actual.size(), expected.size())
+            << num_shards << " shards, " << AlgorithmName(algo);
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(actual[i].object_id, expected[i].object_id)
+              << num_shards << " shards, " << AlgorithmName(algo)
+              << ", result " << i;
+          EXPECT_EQ(actual[i].distance, expected[i].distance);
+        }
+      }
+    }
+  }
+}
+
+// Threads of this process, or 0 where /proc/self/task is not available.
+size_t ThreadCount() {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) return 0;
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator(tasks),
+                    std::filesystem::directory_iterator()));
+}
+
+// A shard whose build fails makes the tier's Build return that Status once
+// every worker has finished: no crash, no hang, no thread left behind.
+// Three-dimensional trees over two-dimensional objects fail every shard's
+// first insert.
+TEST_F(ShardedDatabaseTest, FailedShardBuildIsACleanStatus) {
+  DatabaseOptions options;
+  options.tree_options.dims = 3;
+  for (uint64_t num_shards : {1ull, 4ull, 7ull}) {
+    ShardingOptions sharding;
+    sharding.num_shards = num_shards;
+    const size_t threads_before = ThreadCount();
+    auto tier = ShardedDatabase::Build(objects_, options, sharding);
+    ASSERT_FALSE(tier.ok()) << num_shards << " shards";
+    EXPECT_EQ(tier.status().code(), StatusCode::kInvalidArgument)
+        << tier.status().ToString();
+    EXPECT_EQ(ThreadCount(), threads_before) << num_shards << " shards";
+  }
 }
 
 TEST(QueryStatsTest, AccumulatesShardCounters) {
