@@ -261,14 +261,18 @@ else
   # batches, the facade's per-query step (global metrics and spans) that
   # every batch worker runs, the serving tier's admission queue +
   # concurrent scatter-gather workers, the tier's concurrent shard build
-  # (two builds beside a serving tier, and a failed shard build), and the
-  # striped result cache's lookup/fill/evict races) — the rest of the
-  # suite is single-threaded and covered by the Release run.
+  # (two builds beside a serving tier, and a failed shard build), the
+  # database's concurrent structure build (two builds beside a serving
+  # database, a failed structure build, and every build of the build
+  # equivalence and corpus suites), and the striped result cache's
+  # lookup/fill/evict races) — the rest of the suite is single-threaded
+  # and covered by the Release run.
   tsan_suites=(
     concurrency_test batch_executor_test database_test node_cache_test
     storage_test io_scheduler_test file_device_async_test obs_test
     planner_test server_loop_test sharded_database_test kc_tree_test
     telemetry_test admin_server_test result_cache_test
+    build_equivalence_test corpus_terms_test
   )
   cmake --build build-tsan -j "$jobs" --target "${tsan_suites[@]}"
   ctest --test-dir build-tsan --output-on-failure \

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <unordered_set>
 
+#include "common/parallel.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "core/general_search.h"
@@ -92,6 +93,12 @@ std::unique_ptr<RTreeBase> SpatialKeywordDatabase::MakeTree(
 StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     Build(std::span<const StoredObject> objects,
           const DatabaseOptions& options) {
+  return Build(objects, options, HardwareWorkers());
+}
+
+StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
+    Build(std::span<const StoredObject> objects, const DatabaseOptions& options,
+          size_t workers) {
   std::unique_ptr<SpatialKeywordDatabase> db(new SpatialKeywordDatabase());
   db->options_ = options;
   db->tokenizer_ = Tokenizer(options.stopwords);
@@ -151,8 +158,12 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
         corpus, options.kc_vocabulary, options.ir2_signature));
   }
 
-  // 4. The trees, one loop: each on a fresh memory device behind a pool of
-  // pool_blocks, filled by the STR bulk loader or by repeated inserts.
+  // 4. The index structures, one task each. They share only read-only
+  // inputs (the corpus, the refs, the resolved options, the object store
+  // and the KC vocabulary), and each task fills only its own slot, so they
+  // build concurrently. Each tree goes on a fresh memory device behind a
+  // pool of pool_blocks, filled by the STR bulk loader or by repeated
+  // inserts.
   const auto point_rect = [&objects](size_t i) {
     return Rect::ForPoint(Point(objects[i].coords));
   };
@@ -177,11 +188,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
         corpus.DocHashes(static_cast<size_t>(it - refs.begin()), hashes);
         return Status::Ok();
       };
-  std::vector<uint64_t> hashes;
-  for (Structure s : kTreeStructures) {
-    if (!options.structures.Has(s)) {
-      continue;
-    }
+  const auto build_tree = [&](Structure s) -> Status {
     StructureSlot& slot = db->slot(s);
     slot.device = std::make_unique<MemoryBlockDevice>();
     slot.pool =
@@ -199,6 +206,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
       IR2_RETURN_IF_ERROR(
           tree->BulkLoad(bulk_objects, options.bulk_fill_fraction));
     } else {
+      std::vector<uint64_t> hashes;
       for (size_t i = 0; i < objects.size(); ++i) {
         corpus.DocHashes(i, &hashes);
         IR2_RETURN_IF_ERROR(tree->InsertObject(refs[i], point_rect(i), hashes));
@@ -224,10 +232,10 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
       slot.device = std::move(device);
     }
     slot.tree = std::move(tree);
-  }
-
-  // 5. Inverted index (IIO baseline).
-  if (options.structures.Has(kIio)) {
+    return Status::Ok();
+  };
+  // The inverted index (IIO baseline).
+  const auto build_iio = [&]() -> Status {
     StructureSlot& slot = db->slot(kIio);
     slot.device = std::make_unique<MemoryBlockDevice>();
     InvertedIndexBuilder builder(slot.device.get(), options.iio_options);
@@ -235,6 +243,23 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     slot.pool =
         std::make_unique<BufferPool>(slot.device.get(), stream_pool_blocks);
     IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(slot.pool.get()));
+    return Status::Ok();
+  };
+  // Task 0 runs on the calling thread: the IIO, so that its buffers come
+  // from (and go back to) the caller's heap, which Open and the queries
+  // reuse (docs/performance.md, "Concurrent structure build"). The helpers
+  // take the trees longest first.
+  std::vector<Structure> tasks;
+  for (Structure s : {kIio, kMir2, kKcTree, kIr2, kRTree}) {
+    if (options.structures.Has(s)) tasks.push_back(s);
+  }
+  std::array<Status, kNumStructures> status;
+  RunTasks(tasks.size(), workers, [&](size_t t) {
+    const Structure s = tasks[t];
+    status[static_cast<size_t>(s)] = s == kIio ? build_iio() : build_tree(s);
+  });
+  for (const Status& structure_status : status) {
+    IR2_RETURN_IF_ERROR(structure_status);
   }
 
   db->scorer_ = std::make_unique<IrScorer>(

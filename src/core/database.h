@@ -29,6 +29,10 @@
 
 namespace ir2 {
 
+namespace serving {
+class ShardedDatabase;
+}  // namespace serving
+
 // Corpus statistics computed while building (Table 1 of the paper).
 struct DatasetStats {
   uint64_t num_objects = 0;
@@ -51,6 +55,8 @@ struct DatasetStats {
   // Disk blocks an average LoadObject touches (>= 1; grows with record size
   // and block-boundary straddling).
   double AvgBlocksPerObject() const;
+
+  bool operator==(const DatasetStats&) const = default;
 };
 
 // The six stored structures, one slot each in SpatialKeywordDatabase's
@@ -268,6 +274,11 @@ struct DatabaseOptions {
 // device.
 class SpatialKeywordDatabase {
  public:
+  // Stores `objects` and builds every structure in options.structures. The
+  // structures build concurrently, one task each, on up to one thread per
+  // hardware thread; the calling thread is one of them and every other is
+  // joined before Build returns (docs/concurrency.md). A failed structure
+  // returns the Status of the first failed one in table order.
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Build(
       std::span<const StoredObject> objects, const DatabaseOptions& options);
 
@@ -434,6 +445,18 @@ class SpatialKeywordDatabase {
   // private read pools) after clearing those pools and forgetting the
   // thread's cursors.
   friend class BatchExecutor;
+  // A tier builds each shard with its share of the machine's threads.
+  friend class serving::ShardedDatabase;
+
+  // Build on at most `workers` threads, the calling thread among them:
+  // the index structures build as concurrent tasks (the calling thread
+  // takes the inverted index, helper threads the trees, longest first),
+  // and with one worker they run inline. The public Build gives every
+  // hardware thread; a tier gives each shard its share, so shard and
+  // structure workers never nest.
+  static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Build(
+      std::span<const StoredObject> objects, const DatabaseOptions& options,
+      size_t workers);
 
   // One structure's storage stack, declared bottom-up so it tears down
   // top-down. Empty when the structure was not built. The tree pools cache

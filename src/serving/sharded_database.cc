@@ -1,15 +1,14 @@
 #include "serving/sharded_database.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "obs/trace.h"
 #include "serving/space_filling.h"
 
@@ -82,39 +81,29 @@ StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Build(
   shard_options.structures = sharding.structures;
   // Shards share nothing, so they build concurrently: each worker takes
   // the next shard index and builds that shard into its own slot. The
-  // caller is worker 0, so one worker runs the same loop inline.
+  // workers split the machine's threads among them, so with a worker per
+  // core a shard builds its structures inline rather than nesting its own
+  // structure workers inside the tier's.
   std::vector<std::unique_ptr<SpatialKeywordDatabase>> built(
       assignment.size());
   std::vector<Status> status(assignment.size());
-  std::atomic<size_t> next{0};
-  auto build_shards = [&] {
-    for (size_t s = next.fetch_add(1, std::memory_order_relaxed);
-         s < assignment.size();
-         s = next.fetch_add(1, std::memory_order_relaxed)) {
-      std::vector<StoredObject> members;
-      members.reserve(assignment[s].members.size());
-      for (uint32_t index : assignment[s].members) {
-        members.push_back(objects[index]);
-      }
-      auto shard = SpatialKeywordDatabase::Build(members, shard_options);
-      if (shard.ok()) {
-        built[s] = std::move(shard).value();
-      } else {
-        status[s] = shard.status();
-      }
+  const size_t num_workers = std::min(assignment.size(), HardwareWorkers());
+  const size_t structure_workers =
+      std::max<size_t>(1, HardwareWorkers() / num_workers);
+  RunTasks(assignment.size(), num_workers, [&](size_t s) {
+    std::vector<StoredObject> members;
+    members.reserve(assignment[s].members.size());
+    for (uint32_t index : assignment[s].members) {
+      members.push_back(objects[index]);
     }
-  };
-  const size_t num_workers = std::min<size_t>(
-      assignment.size(), std::max(1u, std::thread::hardware_concurrency()));
-  {
-    // Joined on every way out of this block, before any slot is read.
-    std::vector<std::jthread> helpers;
-    helpers.reserve(num_workers - 1);
-    for (size_t w = 1; w < num_workers; ++w) {
-      helpers.emplace_back(build_shards);
+    auto shard = SpatialKeywordDatabase::Build(members, shard_options,
+                                               structure_workers);
+    if (shard.ok()) {
+      built[s] = std::move(shard).value();
+    } else {
+      status[s] = shard.status();
     }
-    build_shards();
-  }
+  });
   for (const Status& shard_status : status) {
     IR2_RETURN_IF_ERROR(shard_status);
   }

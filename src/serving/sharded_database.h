@@ -111,9 +111,11 @@ class ShardedDatabase {
   // shard gets the same structural and runtime options, and its own
   // planner). The shards build concurrently on
   // min(shard count, hardware_concurrency()) workers, the calling thread
-  // among them; each shard is built exactly as a lone Build of its members
-  // would build it. If any shard fails, returns the lowest-index shard's
-  // error once every worker has finished.
+  // among them, and each shard builds its structures on its share of the
+  // hardware threads (inline when there is a worker per core, so shard
+  // and structure workers never nest); each shard is built exactly as a
+  // lone Build of its members would build it. If any shard fails, returns
+  // the lowest-index shard's error once every worker has finished.
   //
   // Both Build and WrapSingle give every tree of every warm shard
   // (cold_queries off) a tier-owned decoded-node cache (rtree/node_cache.h,

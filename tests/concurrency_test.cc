@@ -274,5 +274,73 @@ TEST(ConcurrencyTest, TierBuildsWhileATierServes) {
   }
 }
 
+// Two all-structure databases build at once, each running its structure
+// tasks on helper threads, while a third, already built, serves queries on
+// two threads. The structure tasks of one build share the corpus, the
+// object store and the KC vocabulary read-only, and each fills only its own
+// slot. Run under TSan by scripts/check.sh.
+TEST(ConcurrencyTest, DatabaseBuildsWhileADatabaseServes) {
+  std::vector<StoredObject> objects =
+      testing_util::RandomObjects(43, 400, 25, 5);
+  DatabaseOptions options;
+  options.tree_options.capacity_override = 8;
+  options.ir2_signature = SignatureConfig{128, 3};
+  options.cold_queries = false;
+  auto serving_db = SpatialKeywordDatabase::Build(objects, options).value();
+
+  WorkloadConfig config;
+  config.seed = 11;
+  config.num_queries = 32;
+  config.num_keywords = 2;
+  config.k = 5;
+  std::vector<DistanceFirstQuery> queries =
+      GenerateWorkload(objects, serving_db->tokenizer(), config);
+  std::vector<std::vector<uint32_t>> expected;
+  for (const DistanceFirstQuery& query : queries) {
+    expected.push_back(testing_util::ResultIds(
+        serving_db->Query(query, Algorithm::kIr2).value()));
+  }
+
+  std::atomic<int> builds_running{2};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::unique_ptr<SpatialKeywordDatabase>> built(2);
+  std::vector<std::thread> threads;
+  for (size_t b = 0; b < built.size(); ++b) {
+    threads.emplace_back([&, b]() {
+      auto db = SpatialKeywordDatabase::Build(objects, options);
+      if (db.ok()) built[b] = std::move(db).value();
+      builds_running.fetch_sub(1);
+    });
+  }
+  for (int reader = 0; reader < 2; ++reader) {
+    threads.emplace_back([&]() {
+      // At least one full pass, then keep serving until both builds end.
+      do {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          auto results = serving_db->Query(queries[i], Algorithm::kIr2);
+          if (!results.ok() ||
+              testing_util::ResultIds(results.value()) != expected[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      } while (builds_running.load() > 0);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (const auto& db : built) {
+    ASSERT_NE(db, nullptr);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      for (Algorithm algo : {Algorithm::kRTree, Algorithm::kIio,
+                             Algorithm::kIr2, Algorithm::kMir2,
+                             Algorithm::kKcTree}) {
+        EXPECT_EQ(testing_util::ResultIds(db->Query(queries[i], algo).value()),
+                  expected[i])
+            << "query " << i << ", " << AlgorithmName(algo);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ir2

@@ -117,6 +117,53 @@ TEST(CorpusTermsTest, MatchesTokenizerWithStopwords) {
   }
 }
 
+// Texts heavy in duplicates: each repeats a few words many times in mixed
+// case, many texts share one word set, some texts are identical, and the
+// vocabulary is large enough that the term table grows several times. A
+// term must join a document once however often the document repeats it.
+std::vector<StoredObject> DuplicateHeavyTexts(uint64_t seed, size_t n) {
+  std::vector<std::string> vocab;
+  for (int w = 0; w < 3000; ++w) {
+    std::string word;
+    for (int v = w; ; v /= 26) {
+      word.push_back(static_cast<char>('a' + v % 26));
+      if (v < 26) break;
+    }
+    vocab.push_back(word + "q");
+  }
+  Rng rng(seed);
+  std::vector<StoredObject> objects(n);
+  for (size_t i = 0; i < n; ++i) {
+    objects[i].id = static_cast<uint32_t>(i);
+    if (i % 5 == 4) {
+      objects[i].text = objects[i - 1].text;  // An identical text.
+      continue;
+    }
+    // A shared hot set, then a few of this text's own, each repeated.
+    std::vector<std::string> words = {"pool", "Pool", "POOL", "spa"};
+    for (int w = 0; w < 6; ++w) {
+      words.push_back(vocab[rng.NextUint64(vocab.size())]);
+    }
+    const size_t repeats = 1 + rng.NextUint64(40);
+    for (size_t r = 0; r < repeats; ++r) {
+      for (const std::string& word : words) {
+        objects[i].text += word;
+        objects[i].text += rng.NextUint64(3) == 0 ? ", " : " ";
+      }
+    }
+  }
+  return objects;
+}
+
+TEST(CorpusTermsTest, MatchesTokenizerOnDuplicateHeavyTexts) {
+  for (uint64_t seed : {6, 7}) {
+    SCOPED_TRACE(seed);
+    ExpectMatchesTokenizer(Tokenizer(), DuplicateHeavyTexts(seed, 400));
+    ExpectMatchesTokenizer(Tokenizer(EnglishStopwords()),
+                           DuplicateHeavyTexts(seed, 400));
+  }
+}
+
 TEST(CorpusTermsTest, FoldsCaseAndCountsRepeats) {
   std::vector<StoredObject> objects(4);
   objects[0].text = "Pool pool POOL spa";

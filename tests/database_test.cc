@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batch_executor.h"
@@ -17,6 +18,8 @@ using testing_util::BruteForceDistanceFirst;
 using testing_util::Figure1Hotels;
 using testing_util::RandomObjects;
 using testing_util::ResultIds;
+using testing_util::SavedDigests;
+using testing_util::ThreadCount;
 
 TEST(DatabaseTest, BuildComputesDatasetStats) {
   std::vector<StoredObject> objects = RandomObjects(1, 200, 30, 5);
@@ -68,6 +71,77 @@ TEST(DatabaseTest, SelectiveBuildSkipsStructures) {
   EXPECT_FALSE(db->QueryMir2(query).ok());
   EXPECT_TRUE(db->QueryIr2(query).ok());
   EXPECT_TRUE(db->QueryIio(query).ok());
+}
+
+// The structures build as concurrent tasks, but which thread built which
+// structure, and in what order, cannot change a stored byte: repeated
+// builds of one all-structures database save identical files and report
+// identical statistics, by insert, bulk load and locality placement.
+TEST(DatabaseTest, BuildScheduleCannotChangeTheDatabase) {
+  const std::vector<StoredObject> objects = RandomObjects(71, 400, 40, 5);
+  DatabaseOptions base;
+  base.tree_options.capacity_override = 8;
+  base.ir2_signature = SignatureConfig{128, 3};
+  DatabaseOptions bulk = base;
+  bulk.bulk_load = true;
+  DatabaseOptions placed = base;
+  placed.locality_placement = true;
+  const std::string dir = ::testing::TempDir() + "/ir2_build_schedule";
+  for (const DatabaseOptions& options : {base, bulk, placed}) {
+    auto first = SpatialKeywordDatabase::Build(objects, options).value();
+    const auto digests = SavedDigests(*first, dir);
+    EXPECT_EQ(digests.size(), 7u);  // Six structures and the manifest.
+    for (int build = 1; build < 8; ++build) {
+      auto db = SpatialKeywordDatabase::Build(objects, options).value();
+      EXPECT_EQ(SavedDigests(*db, dir), digests) << "build " << build;
+      EXPECT_TRUE(db->stats() == first->stats()) << "build " << build;
+    }
+  }
+}
+
+// A structure whose build fails makes Build return that Status once every
+// structure task has finished: no crash, no hang, no thread left behind.
+// Three-dimensional trees over two-dimensional objects fail each tree's
+// first insert (the inverted index still builds), so the R-Tree's error,
+// the first in table order, comes back; without the R-Tree, the KC-Tree's.
+TEST(DatabaseTest, FailedStructureBuildIsACleanStatus) {
+  const std::vector<StoredObject> objects = RandomObjects(5, 300, 30, 5);
+  DatabaseOptions options;
+  options.tree_options.dims = 3;
+  for (StructureSet structures :
+       {kAllIndexes, StructureSet{Structure::kKcTree, Structure::kIio}}) {
+    options.structures = structures;
+    const size_t threads_before = ThreadCount();
+    auto db = SpatialKeywordDatabase::Build(objects, options);
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument)
+        << db.status().ToString();
+    EXPECT_EQ(ThreadCount(), threads_before);
+  }
+}
+
+// The check TierBuildStartsNoStructureWorkers relies on can see structure
+// workers: a lone build on a multi-core host runs its trees on helper
+// threads, which the sampler catches beside the calling thread and itself
+// (retried, since a sampler can miss a short-lived thread).
+TEST(DatabaseTest, LoneBuildRunsStructuresOnHelperThreads) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "one hardware thread: no helper threads";
+  }
+  const size_t threads_before = ThreadCount();
+  if (threads_before == 0) GTEST_SKIP() << "/proc/self/task unavailable";
+  const std::vector<StoredObject> objects = RandomObjects(6, 2000, 60, 8);
+  DatabaseOptions options;
+  options.ir2_signature = SignatureConfig{256, 3};
+  size_t peak = 0;
+  for (int attempt = 0; attempt < 20 && peak <= threads_before + 1;
+       ++attempt) {
+    peak = testing_util::PeakThreadsDuring([&] {
+      ASSERT_TRUE(SpatialKeywordDatabase::Build(objects, options).ok());
+    });
+  }
+  EXPECT_GT(peak, threads_before + 1);
+  EXPECT_EQ(ThreadCount(), threads_before);
 }
 
 TEST(DatabaseTest, ColdQueriesRepeatIdenticalIo) {

@@ -3,15 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/parallel.h"
 #include "core/database.h"
 #include "core/kc_tree.h"
 #include "datagen/workload.h"
@@ -27,6 +23,8 @@ using serving::ShardAssignment;
 using serving::ShardedDatabase;
 using serving::ShardingOptions;
 using testing_util::RandomObjects;
+using testing_util::SavedDigests;
+using testing_util::ThreadCount;
 
 TEST(SpaceFillingTest, HilbertIndexIsABijectionWithUnitSteps) {
   constexpr uint32_t kOrder = 3;
@@ -598,23 +596,6 @@ TEST_F(ShardedDatabaseTest, DefaultTierBuildsOnlyTheServingSet) {
   EXPECT_TRUE(tier->Query(queries_.front(), Algorithm::kKcTree).ok());
 }
 
-// Every file a Save of `db` into `directory` writes, by file name, as its
-// Fnv1a64 digest (the comparison SavedFilesMatchGoldenDigests makes).
-std::map<std::string, uint64_t> SavedDigests(SpatialKeywordDatabase& db,
-                                             const std::string& directory) {
-  std::filesystem::remove_all(directory);
-  EXPECT_TRUE(db.Save(directory).ok()) << directory;
-  std::map<std::string, uint64_t> digests;
-  for (const auto& file : std::filesystem::directory_iterator(directory)) {
-    std::ifstream in(file.path(), std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    digests[file.path().filename().string()] = Fnv1a64(bytes);
-  }
-  std::filesystem::remove_all(directory);
-  return digests;
-}
-
 // The build schedule is invisible: whichever worker built a shard, and in
 // whatever order, each shard is the database a lone Build of its members
 // on the calling thread produces (same bounds, object count and saved
@@ -669,15 +650,6 @@ TEST_F(ShardedDatabaseTest, BuildScheduleCannotChangeTheTier) {
   }
 }
 
-// Threads of this process, or 0 where /proc/self/task is not available.
-size_t ThreadCount() {
-  const std::filesystem::path tasks = "/proc/self/task";
-  if (!std::filesystem::exists(tasks)) return 0;
-  return static_cast<size_t>(
-      std::distance(std::filesystem::directory_iterator(tasks),
-                    std::filesystem::directory_iterator()));
-}
-
 // A shard whose build fails makes the tier's Build return that Status once
 // every worker has finished: no crash, no hang, no thread left behind.
 // Three-dimensional trees over two-dimensional objects fail every shard's
@@ -695,6 +667,24 @@ TEST_F(ShardedDatabaseTest, FailedShardBuildIsACleanStatus) {
         << tier.status().ToString();
     EXPECT_EQ(ThreadCount(), threads_before) << num_shards << " shards";
   }
+}
+
+// A tier with one shard worker per hardware thread gives each shard a
+// budget of one worker, so every shard builds its structures inline on its
+// shard worker: while the tier builds, the process runs the calling
+// thread, the other shard workers and the sampler, and nothing more.
+TEST_F(ShardedDatabaseTest, TierBuildStartsNoStructureWorkers) {
+  const size_t workers = HardwareWorkers();
+  if (workers < 2) GTEST_SKIP() << "one hardware thread: no helper threads";
+  const size_t threads_before = ThreadCount();
+  if (threads_before == 0) GTEST_SKIP() << "/proc/self/task unavailable";
+  std::unique_ptr<ShardedDatabase> tier;
+  const size_t peak =
+      testing_util::PeakThreadsDuring([&] { tier = BuildSharded(workers); });
+  ASSERT_NE(tier, nullptr);
+  EXPECT_EQ(tier->num_shards(), workers);
+  EXPECT_LE(peak, threads_before + (workers - 1) + 1);
+  EXPECT_EQ(ThreadCount(), threads_before);
 }
 
 TEST(QueryStatsTest, AccumulatesShardCounters) {

@@ -1,17 +1,26 @@
 #ifndef IR2TREE_TESTS_TEST_UTIL_H_
 #define IR2TREE_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
+#include <map>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/simd.h"
+#include "core/database.h"
 #include "core/query.h"
 #include "geo/point.h"
 #include "storage/object_store.h"
@@ -186,6 +195,51 @@ inline std::string AdversarialText(Rng& rng, size_t target_size,
     }
   }
   return text;
+}
+
+// Every file a Save of `db` into `directory` writes, by file name, as its
+// Fnv1a64 digest (the comparison SavedFilesMatchGoldenDigests makes).
+inline std::map<std::string, uint64_t> SavedDigests(
+    SpatialKeywordDatabase& db, const std::string& directory) {
+  std::filesystem::remove_all(directory);
+  EXPECT_TRUE(db.Save(directory).ok()) << directory;
+  std::map<std::string, uint64_t> digests;
+  for (const auto& file : std::filesystem::directory_iterator(directory)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    digests[file.path().filename().string()] = Fnv1a64(bytes);
+  }
+  std::filesystem::remove_all(directory);
+  return digests;
+}
+
+// Threads of this process, or 0 where /proc/self/task is not available.
+inline size_t ThreadCount() {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) return 0;
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator(tasks),
+                    std::filesystem::directory_iterator()));
+}
+
+// The most threads this process had while `fn` ran on the calling thread,
+// the sampling thread itself included; 0 where /proc/self/task is not
+// available. A sampler can miss a short-lived thread, so this bounds what
+// ran from below.
+template <typename Fn>
+size_t PeakThreadsDuring(Fn&& fn) {
+  std::atomic<bool> done{false};
+  std::atomic<size_t> peak{0};
+  std::thread sampler([&] {
+    do {
+      peak.store(std::max(peak.load(), ThreadCount()));
+    } while (!done.load());
+  });
+  fn();
+  done.store(true);
+  sampler.join();
+  return peak.load();
 }
 
 }  // namespace testing_util
