@@ -7,7 +7,8 @@ scale-dependent figures (qps, seconds, ms, counts) are NOT comparable and
 are only tallied. What must still agree across scales:
 
   * booleans — acceptance verdicts (auto_beats_all_fixed, decode_2x,
-    determinism_checked, ...) may not flip relative to the baseline;
+    determinism_checked, no_repeat_sim_qps_at_least_0_9x, ...) may not
+    flip relative to the baseline;
   * mismatch counters — any *mismatch* field that is 0 in the baseline
     (golden_mismatches, profile_mismatches) must stay 0;
   * bounded ratios — rates and shares in [0, 1] that are properties of

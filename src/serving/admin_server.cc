@@ -248,6 +248,8 @@ std::string RenderStatusJson(const StatusSnapshot& snapshot) {
     out += ",\"admitted\":" + std::to_string(cache.admitted);
     out += ",\"evictions\":" + std::to_string(cache.evictions);
     out += ",\"hit_rate\":" + FormatDouble(cache.HitRate());
+    out += ",";
+    AppendAdmissionJson(&out, cache);
     out += "}";
   } else {
     out += "null";

@@ -33,6 +33,29 @@ constexpr double kHotFactor = 4.0;
 constexpr double kHotEwma = 4.0;
 constexpr uint32_t kMinOverfetch = 4;
 constexpr uint32_t kMaxOverfetch = 256;
+// Admission ledger. Bucket b holds the sets whose EWMA at admission lay in
+// [2^b, 2^(b+1)) (bucket 0 also takes EWMA < 1, the last is open-ended);
+// its serves and admits decay with time constant kLedgerTau ticks, so the
+// reuse estimate follows the traffic. A bucket's ratio is trusted once it
+// has kMinLedgerAdmits admissions (until then the whole ledger's ratio
+// stands in for it, and until the ledger has that many every miss
+// over-fetches); a miss on a tick divisible by
+// kExploreEvery over-fetches and admits whatever the rule says.
+constexpr uint32_t kNumBuckets = 6;
+constexpr double kLedgerTau = 1024.0;
+constexpr uint64_t kMinLedgerAdmits = 32;
+constexpr uint64_t kExploreEvery = 16;
+// Each price is the mean of its first kPriceWindow samples, then an
+// exponential mean with that window; c_k is trusted once it is full.
+constexpr uint64_t kPriceWindow = 256;
+
+uint32_t BucketOf(double ewma) {
+  uint32_t bucket = 0;
+  while (bucket + 1 < kNumBuckets && ewma >= std::ldexp(1.0, bucket + 1)) {
+    ++bucket;
+  }
+  return bucket;
+}
 
 // The cached order and the re-rank order are both the global merge order
 // of the sharded tier: (distance, object id, ref) ascending. Keeping one
@@ -90,13 +113,16 @@ const ResultCacheMetrics& DefaultResultCacheMetrics() {
     m.evictions_total = r.GetCounter(
         "ir2_result_cache_evictions_total",
         "Keyword sets evicted from the result cache LRU");
+    m.skipped_total = r.GetCounter(
+        "ir2_result_cache_skipped_total",
+        "Result-cache misses run at k and not admitted (reuse does not pay)");
     return m;
   }();
   return metrics;
 }
 
 ResultCache::ResultCache(ResultCacheOptions options)
-    : options_(options) {
+    : options_(options), buckets_(kNumBuckets) {
   if (options_.max_entries == 0) options_.max_entries = 1;
   const uint32_t stripes = static_cast<uint32_t>(
       std::min<size_t>(kNumStripes, options_.max_entries));
@@ -129,6 +155,57 @@ double ResultCache::DecayedEwma(const Slot& slot, uint64_t tick) const {
   return slot.ewma * std::exp(-dt / kEwmaTau);
 }
 
+ResultCache::Bucket ResultCache::Decayed(Bucket bucket, uint64_t tick) {
+  if (tick <= bucket.last_tick) return bucket;
+  const double decay =
+      std::exp(-static_cast<double>(tick - bucket.last_tick) / kLedgerTau);
+  bucket.admits *= decay;
+  bucket.serves *= decay;
+  bucket.last_tick = tick;
+  return bucket;
+}
+
+bool ResultCache::PricedOverfetch(uint32_t b, uint64_t tick,
+                                  CacheReuseCheck::Admission* admission) const {
+  Bucket ledger = Decayed(buckets_[b], tick);
+  if (ledger.lifetime_admits < kMinLedgerAdmits) {
+    // Too few admissions of its own to trust: judge the bucket by the
+    // whole ledger.
+    ledger = Bucket();
+    for (const Bucket& bucket : buckets_) {
+      const Bucket decayed = Decayed(bucket, tick);
+      ledger.admits += decayed.admits;
+      ledger.serves += decayed.serves;
+      ledger.lifetime_admits += decayed.lifetime_admits;
+    }
+  }
+  // c_k is trusted only once its window is full: over-fetching freezes
+  // it, so a noisy early c_k at or above c_K would never be corrected.
+  admission->priced =
+      miss_price_.samples >= kPriceWindow && fill_price_.samples > 0;
+  admission->miss_ms = miss_price_.mean;
+  admission->fill_ms = fill_price_.mean;
+  admission->reuse =
+      ledger.admits > 0.0 ? ledger.serves / ledger.admits : 0.0;
+  admission->saving = admission->reuse * admission->miss_ms;
+  admission->extra = admission->fill_ms - admission->miss_ms;
+  // No fill priced yet, or too few admissions anywhere to trust a ratio:
+  // keep over-fetching.
+  if (fill_price_.samples == 0 || ledger.lifetime_admits < kMinLedgerAdmits) {
+    return true;
+  }
+  if (!admission->priced) {
+    // c_k is not trusted yet. Any c_k < c_K makes over-fetch cost
+    // something, so only a ledger that shows no reuse is sure to lose by
+    // it; skipping there also measures c_k. "No reuse" is below the
+    // ledger's resolution, one serve per kMinLedgerAdmits admissions, so
+    // a stray early hit cannot keep c_k unmeasured.
+    return admission->reuse * static_cast<double>(kMinLedgerAdmits) >= 1.0 ||
+           fill_price_.mean <= 0.0;
+  }
+  return admission->saving >= admission->extra;
+}
+
 ResultCache::Slot& ResultCache::TouchSlot(Stripe& stripe,
                                           const std::string& key,
                                           uint64_t tick) {
@@ -157,15 +234,17 @@ ResultCache::Slot& ResultCache::TouchSlot(Stripe& stripe,
   return slot;
 }
 
-bool ResultCache::TryServe(const DistanceFirstQuery& q, uint64_t epoch,
+bool ResultCache::TryServe(const std::string& key,
+                           const DistanceFirstQuery& q, uint64_t epoch,
                            std::vector<QueryResult>* out,
                            CacheReuseCheck* check) {
   const ResultCacheMetrics& metrics = DefaultResultCacheMetrics();
   CacheReuseCheck local;
   bool served = false;
+  uint32_t served_bucket = 0;
+  uint64_t tick = 0;
   if (!q.area.has_value() && !q.max_distance.has_value() && q.k > 0) {
-    const std::string key = Key(q.keywords);
-    const uint64_t tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+    tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
     const Rect target = q.Target();
     Stripe& stripe = StripeFor(key);
     std::lock_guard<std::mutex> lock(stripe.mu);
@@ -228,10 +307,17 @@ bool ResultCache::TryServe(const DistanceFirstQuery& q, uint64_t epoch,
           *out = std::move(ranked);
           served = true;
         }
+        served_bucket = entry->bucket;
       }
     }
   }
   if (served) {
+    {
+      std::lock_guard<std::mutex> lock(ledger_mu_);
+      Bucket& bucket = buckets_[served_bucket];
+      bucket = Decayed(bucket, tick);
+      bucket.serves += 1.0;
+    }
     if (local.exact || local.exhaustive) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       metrics.hits_total->Add();
@@ -248,9 +334,10 @@ bool ResultCache::TryServe(const DistanceFirstQuery& q, uint64_t epoch,
   return served;
 }
 
-uint32_t ResultCache::OverfetchK(const DistanceFirstQuery& q) {
+uint32_t ResultCache::OverfetchK(const std::string& key,
+                                 const DistanceFirstQuery& q,
+                                 CacheReuseCheck::Admission* admission) {
   if (q.area.has_value() || q.max_distance.has_value() || q.k == 0) return 0;
-  const std::string key = Key(q.keywords);
   const uint64_t tick = tick_.load(std::memory_order_relaxed);
   double ewma = 0.0;
   {
@@ -259,18 +346,44 @@ uint32_t ResultCache::OverfetchK(const DistanceFirstQuery& q) {
     auto it = stripe.slots.find(key);
     if (it != stripe.slots.end()) ewma = DecayedEwma(it->second, tick);
   }
-  const double factor = ewma >= kHotEwma ? kHotFactor : kOverfetchFactor;
-  uint64_t fetch_k =
-      static_cast<uint64_t>(std::ceil(static_cast<double>(q.k) * factor));
-  fetch_k = std::max<uint64_t>(fetch_k,
-                               static_cast<uint64_t>(q.k) + kMinOverfetch);
-  fetch_k = std::min<uint64_t>(fetch_k,
-                               static_cast<uint64_t>(q.k) + kMaxOverfetch);
-  return static_cast<uint32_t>(fetch_k);
+  CacheReuseCheck::Admission decision;
+  decision.decided = true;
+  decision.explored = tick % kExploreEvery == 0;
+  {
+    std::lock_guard<std::mutex> lock(ledger_mu_);
+    decision.overfetch = PricedOverfetch(BucketOf(ewma), tick, &decision);
+  }
+  // The sample only matters where the rule says skip.
+  decision.explored = decision.explored && !decision.overfetch;
+  if (decision.overfetch || decision.explored) {
+    decision.overfetch = true;
+    const double factor = ewma >= kHotEwma ? kHotFactor : kOverfetchFactor;
+    uint64_t fetch_k =
+        static_cast<uint64_t>(std::ceil(static_cast<double>(q.k) * factor));
+    fetch_k = std::max<uint64_t>(fetch_k,
+                                 static_cast<uint64_t>(q.k) + kMinOverfetch);
+    fetch_k = std::min<uint64_t>(fetch_k,
+                                 static_cast<uint64_t>(q.k) + kMaxOverfetch);
+    decision.fetch_k = static_cast<uint32_t>(fetch_k);
+  } else {
+    skipped_.fetch_add(1, std::memory_order_relaxed);
+    DefaultResultCacheMetrics().skipped_total->Add();
+  }
+  if (admission != nullptr) *admission = decision;
+  return decision.fetch_k;
 }
 
-void ResultCache::Admit(const DistanceFirstQuery& q, uint32_t fetched_k,
-                        uint64_t epoch, std::span<const QueryResult> results) {
+void ResultCache::RecordMissCost(bool overfetched, double simulated_disk_ms) {
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  Price& price = overfetched ? fill_price_ : miss_price_;
+  ++price.samples;
+  price.mean += (simulated_disk_ms - price.mean) /
+                static_cast<double>(std::min(price.samples, kPriceWindow));
+}
+
+void ResultCache::Admit(const std::string& key, const DistanceFirstQuery& q,
+                        uint32_t fetched_k, uint64_t epoch,
+                        std::span<const QueryResult> results) {
   if (q.area.has_value() || q.max_distance.has_value() || q.k == 0 ||
       fetched_k <= q.k) {
     return;
@@ -287,23 +400,33 @@ void ResultCache::Admit(const DistanceFirstQuery& q, uint32_t fetched_k,
   entry->exhaustive = entry->objects.size() < fetched_k;
   entry->epoch = epoch;
 
-  const std::string key = Key(q.keywords);
   const uint64_t tick = tick_.load(std::memory_order_relaxed);
+  uint32_t bucket = 0;
   {
     Stripe& stripe = StripeFor(key);
     std::lock_guard<std::mutex> lock(stripe.mu);
     auto it = stripe.slots.find(key);
+    Slot* slot = nullptr;
     if (it == stripe.slots.end()) {
       // The slot was evicted between the miss and the fill (hostile churn);
       // re-create it without bumping the EWMA — this request was already
       // counted by TryServe.
-      Slot& slot = TouchSlot(stripe, key, tick);
-      slot.ewma -= 1.0;
-      slot.entry = std::move(entry);
+      slot = &TouchSlot(stripe, key, tick);
+      slot->ewma -= 1.0;
     } else {
       stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
-      it->second.entry = std::move(entry);
+      slot = &it->second;
     }
+    bucket = BucketOf(DecayedEwma(*slot, tick));
+    entry->bucket = bucket;
+    slot->entry = std::move(entry);
+  }
+  {
+    std::lock_guard<std::mutex> lock(ledger_mu_);
+    Bucket& ledger = buckets_[bucket];
+    ledger = Decayed(ledger, tick);
+    ledger.admits += 1.0;
+    ++ledger.lifetime_admits;
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
   DefaultResultCacheMetrics().admitted_total->Add();
@@ -315,6 +438,10 @@ void ResultCache::Clear() {
     stripe->slots.clear();
     stripe->lru.clear();
   }
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  buckets_.assign(kNumBuckets, Bucket());
+  miss_price_ = Price();
+  fill_price_ = Price();
 }
 
 ResultCache::Stats ResultCache::GetStats() const {
@@ -326,6 +453,21 @@ ResultCache::Stats ResultCache::GetStats() const {
   stats.admitted = admitted_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.ticks = tick_.load(std::memory_order_relaxed);
+  stats.skipped = skipped_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(ledger_mu_);
+    stats.has_miss_ms = miss_price_.samples > 0;
+    stats.has_fill_ms = fill_price_.samples > 0;
+    stats.miss_ms = miss_price_.mean;
+    stats.fill_ms = fill_price_.mean;
+    for (uint32_t b = 0; b < kNumBuckets; ++b) {
+      const Bucket bucket = Decayed(buckets_[b], stats.ticks);
+      CacheReuseCheck::Admission unused;
+      stats.buckets.push_back(Stats::BucketRow{
+          b == 0 ? 0.0 : std::ldexp(1.0, b), bucket.admits, bucket.serves,
+          PricedOverfetch(b, stats.ticks, &unused)});
+    }
+  }
   for (const auto& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     for (const auto& [key, slot] : stripe->slots) {
@@ -367,16 +509,49 @@ std::vector<ResultCache::EntryRow> ResultCache::Table(size_t limit) const {
   return rows;
 }
 
+namespace {
+
+void AddAdmissionRow(obs::ExplainSection* section,
+                     const CacheReuseCheck::Admission& admission) {
+  if (!admission.decided) return;
+  char buf[160];
+  if (admission.overfetch) {
+    std::snprintf(buf, sizeof(buf), "over-fetch to K = %u%s", admission.fetch_k,
+                  admission.explored ? " (1-in-16 sample)" : "");
+  } else {
+    std::snprintf(buf, sizeof(buf), "skip (run at k, admit nothing)");
+  }
+  section->AddRow("admission", buf);
+  if (!admission.priced) {
+    std::snprintf(buf, sizeof(buf),
+                  "serves/admits = %.4f; c_k and c_K not both measured yet",
+                  admission.reuse);
+    section->AddRow("admission prices", buf);
+    return;
+  }
+  std::snprintf(buf, sizeof(buf),
+                "serves/admits x c_k = %.4f x %.3f = %.3f ms %s "
+                "c_K - c_k = %.3f - %.3f = %.3f ms",
+                admission.reuse, admission.miss_ms, admission.saving,
+                admission.saving >= admission.extra ? ">=" : "<",
+                admission.fill_ms, admission.miss_ms, admission.extra);
+  section->AddRow("admission prices", buf);
+}
+
+}  // namespace
+
 void AddCacheReuseSection(obs::ExplainReport* report,
                           const CacheReuseCheck& check) {
   obs::ExplainSection* section = report->AddSection("Result cache");
   char buf[96];
   if (!check.attempted) {
     section->AddRow("verdict", "miss (no entry for this keyword set)");
+    AddAdmissionRow(section, check.admission);
     return;
   }
   if (check.stale) {
     section->AddRow("verdict", "invalidated (mutation epoch moved)");
+    AddAdmissionRow(section, check.admission);
     return;
   }
   section->AddRow("cached results (K)", obs::FormatCount(check.cached_results));
@@ -398,6 +573,27 @@ void AddCacheReuseSection(obs::ExplainReport* report,
   section->AddRow("verdict", check.hit ? "hit (answered from cache, zero "
                                          "index I/O)"
                                        : "miss (inequality not provable)");
+  AddAdmissionRow(section, check.admission);
+}
+
+void AppendAdmissionJson(std::string* out, const ResultCache::Stats& stats) {
+  *out += "\"skipped\":" + std::to_string(stats.skipped);
+  *out += ",\"admission\":{\"miss_ms\":";
+  *out += stats.has_miss_ms ? FormatDouble(stats.miss_ms) : "null";
+  *out += ",\"fill_ms\":";
+  *out += stats.has_fill_ms ? FormatDouble(stats.fill_ms) : "null";
+  *out += ",\"buckets\":[";
+  for (size_t i = 0; i < stats.buckets.size(); ++i) {
+    const ResultCache::Stats::BucketRow& row = stats.buckets[i];
+    if (i > 0) *out += ",";
+    *out += "{\"ewma_from\":" + FormatDouble(row.ewma_from);
+    *out += ",\"admits\":" + FormatDouble(row.admits);
+    *out += ",\"serves\":" + FormatDouble(row.serves);
+    *out += ",\"decision\":";
+    *out += row.overfetch ? "\"overfetch\"" : "\"skip\"";
+    *out += "}";
+  }
+  *out += "]}";
 }
 
 std::string RenderCachezJson(const ResultCache::Stats& stats,
@@ -432,7 +628,9 @@ std::string RenderCachezJson(const ResultCache::Stats& stats,
     out += ",\"epoch\":" + std::to_string(row.epoch);
     out += "}";
   }
-  out += "]}}";
+  out += "],";
+  AppendAdmissionJson(&out, stats);
+  out += "}}";
   return out;
 }
 

@@ -205,9 +205,10 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryCached(
     return QueryImpl(canonical, algo, ctx, legs);
   }
   const uint64_t epoch = MutationEpoch();
+  const std::string key = ResultCache::Key(canonical.keywords);
   CacheReuseCheck check;
   std::vector<QueryResult> cached;
-  if (cache_->TryServe(canonical, epoch, &cached, &check)) {
+  if (cache_->TryServe(key, canonical, epoch, &cached, &check)) {
     if (check.exact || check.exhaustive) {
       ++ctx.stats.result_cache_hits;
     } else {
@@ -218,10 +219,18 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryCached(
   }
   ++ctx.stats.result_cache_misses;
   if (check.stale) ++ctx.stats.result_cache_invalidations;
+  const uint32_t fetch_k =
+      cache_->OverfetchK(key, canonical, &check.admission);
   if (check_out != nullptr) *check_out = check;
-  const uint32_t fetch_k = cache_->OverfetchK(canonical);
+  // Every executed miss prices the admission rule with its simulated disk
+  // time: a plain-k miss prices c_k, an over-fetched fill c_K.
+  const double disk_ms_before = ctx.stats.simulated_disk_ms;
   if (fetch_k <= canonical.k) {
-    return QueryImpl(canonical, algo, ctx, legs);
+    auto plain = QueryImpl(canonical, algo, ctx, legs);
+    IR2_RETURN_IF_ERROR(plain.status());
+    cache_->RecordMissCost(/*overfetched=*/false,
+                           ctx.stats.simulated_disk_ms - disk_ms_before);
+    return plain;
   }
   // Over-fetched fill: the top-K global merge's first k entries are the
   // plain top-k answer (one total order), and the extra K - k tail widens
@@ -230,7 +239,9 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryCached(
   overfetch.k = fetch_k;
   auto fetched = QueryImpl(overfetch, algo, ctx, legs);
   IR2_RETURN_IF_ERROR(fetched.status());
-  cache_->Admit(canonical, fetch_k, epoch, fetched.value());
+  cache_->RecordMissCost(/*overfetched=*/true,
+                         ctx.stats.simulated_disk_ms - disk_ms_before);
+  cache_->Admit(key, canonical, fetch_k, epoch, fetched.value());
   std::vector<QueryResult> top = std::move(fetched).value();
   if (top.size() > canonical.k) top.resize(canonical.k);
   return top;

@@ -205,9 +205,12 @@ class ShardedDatabase {
                                                QueryContext& ctx,
                                                std::vector<ShardLeg>* legs);
   // Query() with the result cache consulted above the scatter-gather:
-  // normalizes keywords once at the facade (the cache key and every shard
-  // leg share the canonical form), tries the cache, and on a miss runs the
-  // over-fetched QueryImpl and admits the answer.
+  // normalizes keywords and builds the cache key once at the facade (the
+  // cache key and every shard leg share the canonical form), tries the
+  // cache, and on a miss asks the cache's priced admission rule whether to
+  // run the over-fetched QueryImpl and admit the answer or to run plain
+  // QueryImpl at k. Either way the miss's simulated disk time prices the
+  // rule.
   StatusOr<std::vector<QueryResult>> QueryCached(const DistanceFirstQuery& q,
                                                  Algorithm algo,
                                                  QueryContext& ctx,

@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/database.h"
+#include "datagen/synthetic.h"
 #include "datagen/workload.h"
+#include "datagen/zipf.h"
 #include "serving/server_loop.h"
 #include "serving/sharded_database.h"
 #include "tests/test_util.h"
@@ -25,7 +28,9 @@ using serving::ServerLoop;
 using serving::ServerLoopOptions;
 using serving::ShardedDatabase;
 using serving::ShardingOptions;
+using testing_util::BruteForceDistanceFirst;
 using testing_util::RandomObjects;
+using testing_util::ResultIds;
 
 // ---------------------------------------------------------------- helpers
 
@@ -315,6 +320,13 @@ TEST(ResultCacheTest, CachezJsonGolden) {
   stats.entries = 1;
   stats.cached_results = 20;
   stats.ticks = 8;
+  stats.skipped = 5;
+  stats.has_fill_ms = true;
+  stats.fill_ms = 1.5;
+  stats.buckets.push_back({/*ewma_from=*/0.0, /*admits=*/2.0, /*serves=*/0.5,
+                           /*overfetch=*/true});
+  stats.buckets.push_back({/*ewma_from=*/2.0, /*admits=*/0.0, /*serves=*/0.0,
+                           /*overfetch=*/false});
   ResultCache::EntryRow row;
   row.key = "pool wifi";
   row.ewma = 2.5;
@@ -330,7 +342,11 @@ TEST(ResultCacheTest, CachezJsonGolden) {
       "\"evictions\":0,\"requests\":8,\"hit_rate\":0.5,\"mutation_epoch\":9,"
       "\"keyword_sets\":[{\"keywords\":\"pool wifi\",\"ewma\":2.5,"
       "\"last_tick\":8,\"cached\":true,\"cached_results\":20,"
-      "\"radius\":12.25,\"exhaustive\":false,\"epoch\":6}]}}";
+      "\"radius\":12.25,\"exhaustive\":false,\"epoch\":6}],"
+      "\"skipped\":5,\"admission\":{\"miss_ms\":null,\"fill_ms\":1.5,"
+      "\"buckets\":[{\"ewma_from\":0,\"admits\":2,\"serves\":0.5,"
+      "\"decision\":\"overfetch\"},{\"ewma_from\":2,\"admits\":0,"
+      "\"serves\":0,\"decision\":\"skip\"}]}}}";
   EXPECT_EQ(RenderCachezJson(stats, {row}, /*mutation_epoch=*/9), expected);
 }
 
@@ -561,6 +577,189 @@ TEST_F(ShardedResultCacheTest, ConcurrentServerLoopHammer) {
   EXPECT_EQ(mismatches.load(), 0);
   const ResultCache::Stats stats = sharded_->result_cache()->GetStats();
   EXPECT_GT(stats.hits + stats.near_hits, 0u);
+}
+
+// ------------------------------------------------- priced admission
+
+// The admission rule on a warm 4-shard serving tier: traffic that does not
+// repeat stops over-fetching, repeating traffic keeps it, and the decision
+// is a deterministic function of the request stream.
+class PricedAdmissionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    objects_ = GenerateDataset(RestaurantsLikeConfig(0.005));
+    options_.ir2_signature = SignatureConfig{256, 3};
+    options_.cold_queries = false;
+    tokenizer_ = SpatialKeywordDatabase::Build(objects_, options_)
+                     .value()
+                     ->tokenizer();
+  }
+
+  std::unique_ptr<ShardedDatabase> BuildTier(bool cache) const {
+    ShardingOptions sharding;
+    sharding.num_shards = 4;
+    auto tier = ShardedDatabase::Build(objects_, options_, sharding).value();
+    if (cache) tier->EnableResultCache();
+    return tier;
+  }
+
+  // Uniform points and keyword pairs drawn from random objects: answers
+  // are almost never reusable.
+  std::vector<DistanceFirstQuery> NonRepeating(uint64_t seed,
+                                               uint32_t n) const {
+    WorkloadConfig config;
+    config.seed = seed;
+    config.num_queries = n;
+    config.num_keywords = 2;
+    return GenerateWorkload(objects_, tokenizer_, config);
+  }
+
+  // Zipf-popular templates, repeated verbatim or with a small point shift
+  // and k' <= k (bench_cache's traffic shape).
+  std::vector<DistanceFirstQuery> ZipfTemplates(uint64_t seed,
+                                                uint32_t num_templates,
+                                                uint32_t n) const {
+    WorkloadConfig config;
+    config.seed = seed;
+    config.num_queries = num_templates;
+    config.num_keywords = 1;
+    const std::vector<DistanceFirstQuery> templates =
+        GenerateWorkload(objects_, tokenizer_, config);
+    Rng rng(seed);
+    ZipfSampler sampler(templates.size(), 1.2);
+    std::vector<DistanceFirstQuery> traffic;
+    for (uint32_t i = 0; i < n; ++i) {
+      DistanceFirstQuery q = templates[sampler.Sample(rng)];
+      if (rng.NextDouble() >= 0.6) {
+        q.point = Point(q.point[0] + rng.NextGaussian() * 2.0,
+                        q.point[1] + rng.NextGaussian() * 2.0);
+        q.k = static_cast<uint32_t>(1 + rng.NextUint64(q.k));
+      }
+      traffic.push_back(std::move(q));
+    }
+    return traffic;
+  }
+
+  // Runs `traffic` serially through `tier` and returns, per request, 'h'
+  // for a cache hit, 'a' for an admitted miss and 's' for a skipped one.
+  static std::string Replay(ShardedDatabase& tier,
+                            const std::vector<DistanceFirstQuery>& traffic) {
+    std::string decisions;
+    for (const DistanceFirstQuery& q : traffic) {
+      const ResultCache::Stats before = tier.result_cache()->GetStats();
+      EXPECT_TRUE(tier.Query(q, Algorithm::kAuto).ok());
+      const ResultCache::Stats after = tier.result_cache()->GetStats();
+      decisions += after.skipped > before.skipped     ? 's'
+                   : after.admitted > before.admitted ? 'a'
+                                                      : 'h';
+    }
+    return decisions;
+  }
+
+  // Share of the misses in decisions[from, end) that skipped.
+  static double SkipShare(const std::string& decisions, size_t from) {
+    size_t skips = 0;
+    size_t misses = 0;
+    for (size_t i = from; i < decisions.size(); ++i) {
+      if (decisions[i] == 's') ++skips;
+      if (decisions[i] != 'h') ++misses;
+    }
+    return misses == 0 ? 0.0 : static_cast<double>(skips) / misses;
+  }
+
+  std::vector<StoredObject> objects_;
+  DatabaseOptions options_;
+  Tokenizer tokenizer_;
+};
+
+TEST_F(PricedAdmissionTest, NonRepeatingTrafficSkipsOverfetch) {
+  auto cached = BuildTier(/*cache=*/true);
+  auto uncached = BuildTier(/*cache=*/false);
+  const std::vector<DistanceFirstQuery> traffic = NonRepeating(21, 1200);
+  std::string decisions;
+  for (size_t i = 0; i < traffic.size(); ++i) {
+    const DistanceFirstQuery& q = traffic[i];
+    const ResultCache::Stats before = cached->result_cache()->GetStats();
+    auto got = cached->Query(q, Algorithm::kAuto);
+    ASSERT_TRUE(got.ok());
+    const ResultCache::Stats after = cached->result_cache()->GetStats();
+    decisions += after.skipped > before.skipped ? 's' : 'x';
+    auto plain = uncached->Query(q, Algorithm::kAuto);
+    ASSERT_TRUE(plain.ok());
+    ASSERT_EQ(got.value().size(), plain.value().size()) << "request " << i;
+    for (size_t r = 0; r < plain.value().size(); ++r) {
+      ASSERT_EQ(got.value()[r].object_id, plain.value()[r].object_id)
+          << "request " << i << " result " << r;
+      ASSERT_EQ(got.value()[r].distance, plain.value()[r].distance)
+          << "request " << i << " result " << r;
+    }
+    ASSERT_EQ(ResultIds(got.value()),
+              BruteForceDistanceFirst(objects_, q.point, q.keywords, q.k))
+        << "request " << i;
+  }
+  const ResultCache::Stats stats = cached->result_cache()->GetStats();
+  // Both prices are measured, and a plain-k miss is the cheaper one.
+  EXPECT_TRUE(stats.has_miss_ms);
+  EXPECT_TRUE(stats.has_fill_ms);
+  EXPECT_LT(stats.miss_ms, stats.fill_ms);
+  // After warm-up more than 90% of the misses run at k and admit nothing;
+  // the rest are the 1-in-16 sample that keeps the ledger fresh.
+  EXPECT_GT(SkipShare(decisions, traffic.size() / 2), 0.9);
+  EXPECT_GT(stats.skipped, traffic.size() / 2);
+
+  // EXPLAIN of a further miss shows the decision with both prices.
+  auto explain = cached->Explain(NonRepeating(22, 1).front(), Algorithm::kAuto);
+  ASSERT_TRUE(explain.ok());
+  const CacheReuseCheck::Admission& admission =
+      explain.value().cache_check.admission;
+  EXPECT_TRUE(admission.decided);
+  EXPECT_TRUE(admission.priced);
+  const std::string report = explain.value().report.ToString();
+  EXPECT_NE(report.find(admission.overfetch ? "over-fetch to K" : "skip"),
+            std::string::npos);
+  EXPECT_NE(report.find("c_K - c_k"), std::string::npos);
+}
+
+TEST_F(PricedAdmissionTest, ZipfTemplateStreamNeverSkips) {
+  auto tier = BuildTier(/*cache=*/true);
+  const std::string decisions = Replay(*tier, ZipfTemplates(5, 16, 1500));
+  const ResultCache::Stats stats = tier->result_cache()->GetStats();
+  EXPECT_EQ(stats.skipped, 0u) << decisions;
+  EXPECT_GT(stats.hits + stats.near_hits, stats.misses);
+}
+
+TEST_F(PricedAdmissionTest, SerialReplayGivesTheSameDecisions) {
+  std::vector<DistanceFirstQuery> traffic = NonRepeating(31, 600);
+  const std::vector<DistanceFirstQuery> zipf = ZipfTemplates(6, 64, 600);
+  traffic.insert(traffic.end(), zipf.begin(), zipf.end());
+  auto first = BuildTier(/*cache=*/true);
+  auto second = BuildTier(/*cache=*/true);
+  const std::string a = Replay(*first, traffic);
+  const std::string b = Replay(*second, traffic);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a.find('s'), std::string::npos);
+  EXPECT_NE(a.find('a'), std::string::npos);
+}
+
+TEST_F(PricedAdmissionTest, LedgerDecaysBackToAdmittingOnZipfTraffic) {
+  auto tier = BuildTier(/*cache=*/true);
+  const std::string uniform = Replay(*tier, NonRepeating(41, 1200));
+  ASSERT_GT(SkipShare(uniform, uniform.size() / 2), 0.9);
+  std::vector<bool> skipping;
+  for (const auto& row : tier->result_cache()->GetStats().buckets) {
+    skipping.push_back(!row.overfetch);
+  }
+  const std::string zipf = Replay(*tier, ZipfTemplates(7, 64, 3000));
+  // The phase's tail admits again.
+  EXPECT_LT(SkipShare(zipf, zipf.size() * 2 / 3), 0.25) << zipf;
+  // And a bucket the non-repeating phase had priced at "skip" now reads
+  // "overfetch": its decayed serves/admits followed the traffic.
+  const auto buckets = tier->result_cache()->GetStats().buckets;
+  bool flipped = false;
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    flipped = flipped || (skipping[b] && buckets[b].overfetch);
+  }
+  EXPECT_TRUE(flipped);
 }
 
 }  // namespace

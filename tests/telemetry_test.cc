@@ -316,11 +316,20 @@ TEST(StatusJsonTest, ShapeGolden) {
   snapshot.result_cache.admitted = 1;
   snapshot.result_cache.evictions = 0;
   snapshot.result_cache.entries = 1;
+  snapshot.result_cache.skipped = 3;
+  snapshot.result_cache.has_miss_ms = true;
+  snapshot.result_cache.miss_ms = 2;
+  snapshot.result_cache.has_fill_ms = true;
+  snapshot.result_cache.fill_ms = 2.5;
+  snapshot.result_cache.buckets.push_back({0.0, 4.0, 0.0, false});
   EXPECT_EQ(RenderStatusJson(snapshot),
             head + tenants_and_window +
                 "\"result_cache\":{\"entries\":1,\"hits\":2,\"near_hits\":1,"
                 "\"misses\":1,\"invalidations\":0,\"admitted\":1,"
-                "\"evictions\":0,\"hit_rate\":0.75}," +
+                "\"evictions\":0,\"hit_rate\":0.75,"
+                "\"skipped\":3,\"admission\":{\"miss_ms\":2,\"fill_ms\":2.5,"
+                "\"buckets\":[{\"ewma_from\":0,\"admits\":4,\"serves\":0,"
+                "\"decision\":\"skip\"}]}}," +
                 shards);
 }
 
